@@ -12,13 +12,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from biasadapt.benchmark import (
-    BenchmarkSettings,
-    benchmark_train_config,
-    build_benchmark_data,
-    run_single,
-)
+from biasadapt.benchmark import BenchmarkSettings, benchmark_train_config, build_benchmark_data
 from biasadapt.bilevel import train
+from biasadapt.metrics import evaluate, headline_means
 
 
 def main() -> int:
@@ -38,8 +34,13 @@ def main() -> int:
         ("theorem_f", {"schedule": "theorem_f", "c1": args.c1, "c2": args.c2}),
     ):
         config = replace(benchmark_train_config(settings, "l2ac", args.seed), **overrides)
-        result = run_single(config, d_l, d_u, d_test, settings.eval_interval, settings.last_e)
-        _, traces = train(config, d_l, d_u)
+        reports = []
+        _, traces = train(
+            config, d_l, d_u,
+            eval_hook=lambda _it, state: reports.append(evaluate(state, d_test, use_ema=True)),
+            eval_interval=settings.eval_interval,
+        )
+        result = headline_means(reports[-settings.last_e :])
         upper_tail = float(np.mean([t.upper_loss for t in traces[-200:]]))
         print(
             f"{label:10s} bACC {result['bacc']:.4f} GM {result['gm']:.4f} "

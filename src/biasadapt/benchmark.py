@@ -12,7 +12,7 @@ import numpy as np
 
 from .bilevel import TrainConfig, train
 from .data import Dataset, ImbalanceProfile, class_counts, split_counts, synth_gaussian_mixture
-from .metrics import evaluate
+from .metrics import evaluate, headline_means
 from .numcore import make_rng
 
 SCENARIOS = ("matched", "uniform", "reversed")
@@ -155,10 +155,7 @@ def run_single(
     return {
         "mode": config.mode,
         "seed": config.seed,
-        "bacc": float(np.mean([r.bacc for r in tail])),
-        "gm": float(np.mean([r.gm for r in tail])),
-        "acc": float(np.mean([r.acc for r in tail])),
-        "min_recall": float(np.mean([min(r.per_class_recall) for r in tail])),
+        **headline_means(tail),
         "final_bacc": reports[-1].bacc,
         "evals": len(reports),
     }

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import BalancedBatchSpec, Dataset, balanced_batch, one_hot
 from .model import (
     ModelState,
-    TrainForwardCache,
     attractor_backward,
     classifier_scores,
     copy_state,
@@ -35,7 +34,7 @@ from .model import (
     forward_train,
     init_model,
 )
-from .numcore import child_seeds, log_softmax, make_rng
+from .numcore import child_seeds, flatten_arrays, log_softmax, make_rng, unflatten_like
 from .pseudo import PseudoBatch, assign_pseudo_labels, augment
 
 MODES = ("l2ac", "baseline", "plain_attractor", "single_level")
@@ -103,6 +102,12 @@ class TrainConfig:
 
 @dataclass
 class StepTrace:
+    """One training iteration. upper_loss is the balanced loss (NaN in modes
+    without one); grad_norm_omega is the norm of the gradient the head moved
+    along (0 in baseline). backward_seconds times the lower backward pass in
+    every mode; second_order_seconds times the backward-on-backward head step
+    (omega_step) in l2ac and is 0 in the other modes."""
+
     iteration: int
     lower_loss: float
     upper_loss: float
@@ -135,16 +140,20 @@ def schedule_rates(config: TrainConfig, t: int) -> tuple[float, float]:
 
 @dataclass
 class UnrollInputs:
-    """Per-sample quantities from the lower forward pass that the head
-    hypergradient needs: features, probabilities, targets, per-row loss
-    coefficients, and the attractor's (stop-gradient) input and preactivation."""
+    """Per-sample record of one cross-entropy forward pass: features and the
+    extractor cache, probabilities, targets, per-row loss coefficients, the
+    logit gradient, and the attractor's (stop-gradient) input and
+    preactivation, which the head hypergradient needs. u and h are None on
+    the plain (no attractor) path."""
 
     z: np.ndarray
+    feat_cache: tuple
     p: np.ndarray
     targets: np.ndarray
     coeff: np.ndarray
-    u: np.ndarray
-    h: np.ndarray
+    d_logits: np.ndarray
+    u: np.ndarray | None
+    h: np.ndarray | None
 
 
 @dataclass
@@ -154,16 +163,7 @@ class LowerLossResult:
     grad_phi_w: np.ndarray
     grad_phi_b: np.ndarray
     grads_omega: list
-    unroll: UnrollInputs | None
-
-
-@dataclass
-class _LowerInternals:
-    cache: TrainForwardCache
-    d_logits: np.ndarray
-    coeff: np.ndarray
-    targets: np.ndarray
-    p: np.ndarray
+    unroll: UnrollInputs
 
 
 def _stack_lower_batch(x_l, y_l, pseudo: PseudoBatch | None):
@@ -192,42 +192,59 @@ def _weighted_ce(logits, targets, coeff):
     return loss, p, d_logits
 
 
-def _lower_forward(x_l, y_l, pseudo, state: ModelState, norm: str):
-    x, targets, coeff = _stack_lower_batch(x_l, y_l, pseudo)
-    logits, cache = forward_train(x, state, norm)
+def _train_logits(x, state: ModelState, norm: str | None, head: bool):
+    """(logits, z, feature cache, u, h) of the residual-head training path,
+    or of the plain classifier path (u and h None) when head is False; the
+    plain path runs no attractor code."""
+    if head:
+        logits, cache = forward_train(x, state, norm)
+        return logits, cache.z, cache.feat_cache, cache.u, cache.h
+    z, feat_cache = features_with_cache(x, state.theta)
+    return classifier_scores(z, state.phi_w, state.phi_b), z, feat_cache, None, None
+
+
+def _ce_forward(x, targets, coeff, state: ModelState, norm: str | None, head: bool):
+    logits, z, feat_cache, u, h = _train_logits(x, state, norm, head)
     loss, p, d_logits = _weighted_ce(logits, targets, coeff)
-    return loss, _LowerInternals(cache, d_logits, coeff, targets, p)
+    return loss, UnrollInputs(z, feat_cache, p, targets, coeff, d_logits, u, h)
 
 
-def _lower_backward(state: ModelState, internals: _LowerInternals):
+def _lower_forward(x_l, y_l, pseudo, state: ModelState, norm: str, head: bool = True):
+    x, targets, coeff = _stack_lower_batch(x_l, y_l, pseudo)
+    return _ce_forward(x, targets, coeff, state, norm, head)
+
+
+def _classifier_backward(z, feat_cache, d_logits, state: ModelState, need_theta: bool):
+    """(dW_phi, db_phi, extractor grads or None) of a loss whose logit
+    gradient is d_logits, through the linear classifier and the extractor."""
+    g_w = z.T @ d_logits
+    g_b = d_logits.sum(axis=0)
+    grads_theta = None
+    if need_theta:
+        d_z = d_logits @ state.phi_w.T
+        grads_theta, _ = features_backward(feat_cache, state.theta, d_z)
+    return g_w, g_b, grads_theta
+
+
+def _lower_backward(state: ModelState, loss: float, rec: UnrollInputs) -> LowerLossResult:
     """Gradients of the stacked lower loss w.r.t. extractor, classifier and
-    attractor. The logit gradient feeds both the classifier scores (direct
-    shortcut) and the attractor output; the attractor input is stop-gradient
-    so no second path reaches the classifier."""
-    cache = internals.cache
-    d_logits = internals.d_logits
-    grads_omega = attractor_backward(state, cache.u, cache.h, d_logits)
-    grad_phi_w = cache.z.T @ d_logits
-    grad_phi_b = d_logits.sum(axis=0)
-    d_z = d_logits @ state.phi_w.T
-    grads_theta, _ = features_backward(cache.feat_cache, state.theta, d_z)
-    return grads_theta, grad_phi_w, grad_phi_b, grads_omega
+    (on the head path) attractor. The logit gradient feeds both the
+    classifier scores (direct shortcut) and the attractor output; the
+    attractor input is stop-gradient so no second path reaches the
+    classifier. Without the head, grads_omega is empty."""
+    grads_omega = [] if rec.u is None else attractor_backward(state, rec.u, rec.h, rec.d_logits)
+    g_w, g_b, grads_theta = _classifier_backward(rec.z, rec.feat_cache, rec.d_logits, state, True)
+    return LowerLossResult(loss, grads_theta, g_w, g_b, grads_omega, rec)
 
 
-def lower_loss(x_l, y_l, pseudo: PseudoBatch | None, state: ModelState, norm: str) -> LowerLossResult:
+def lower_loss(
+    x_l, y_l, pseudo: PseudoBatch | None, state: ModelState, norm: str, head: bool = True
+) -> LowerLossResult:
     """Lower-level loss and its analytic gradients w.r.t. every parameter
-    block, through the residual-head training path."""
-    loss, internals = _lower_forward(x_l, y_l, pseudo, state, norm)
-    grads_theta, gw, gb, grads_omega = _lower_backward(state, internals)
-    unroll = UnrollInputs(
-        z=internals.cache.z,
-        p=internals.p,
-        targets=internals.targets,
-        coeff=internals.coeff,
-        u=internals.cache.u,
-        h=internals.cache.h,
-    )
-    return LowerLossResult(loss, grads_theta, gw, gb, grads_omega, unroll)
+    block, through the residual-head training path (or the plain classifier
+    path when head is False)."""
+    loss, rec = _lower_forward(x_l, y_l, pseudo, state, norm, head)
+    return _lower_backward(state, loss, rec)
 
 
 def _theta_phi_arrays(state: ModelState) -> list[np.ndarray]:
@@ -305,16 +322,9 @@ def upper_loss(x, y, state: ModelState, need_theta: bool = False):
     """Mean cross-entropy of the plain (no attractor) path at the state's
     current parameters, with the gradient w.r.t. the classifier; extractor
     gradients only on request (joint single-level mode)."""
-    z, feat_cache = features_with_cache(x, state.theta)
-    s = classifier_scores(z, state.phi_w, state.phi_b)
     coeff = np.full(x.shape[0], 1.0 / x.shape[0])
-    loss, _, d_logits = _weighted_ce(s, y, coeff)
-    v_w = z.T @ d_logits
-    v_b = d_logits.sum(axis=0)
-    grads_theta = None
-    if need_theta:
-        d_z = d_logits @ state.phi_w.T
-        grads_theta, _ = features_backward(feat_cache, state.theta, d_z)
+    loss, rec = _ce_forward(x, y, coeff, state, None, head=False)
+    v_w, v_b, grads_theta = _classifier_backward(rec.z, rec.feat_cache, rec.d_logits, state, need_theta)
     return loss, (v_w, v_b), grads_theta
 
 
@@ -351,11 +361,6 @@ def omega_step(state: ModelState, cache: UnrollCache, upper_grad, eta: float) ->
     return hyper
 
 
-def apply_sgd_theta_phi(state: ModelState, res: LowerLossResult, alpha: float) -> None:
-    for p, g in zip(_theta_phi_arrays(state), _theta_phi_grads(res)):
-        p -= alpha * g
-
-
 def omega_grad_closed_form(
     x_l,
     y_l,
@@ -377,7 +382,7 @@ def omega_grad_closed_form(
     """
     work = copy_state(state)
     res = lower_loss(x_l, y_l, pseudo, work, norm)
-    apply_sgd_theta_phi(work, res, alpha)
+    lower_step(work, res, alpha, LowerOptimizer("sgd", _theta_phi_arrays(work)))
     _, (v_w, v_b), _ = upper_loss(bal_x, bal_y, work)
 
     ui = res.unroll
@@ -402,15 +407,9 @@ def omega_grad_closed_form(
             d_w2[:, c] = gate * ui.h[i]
             d_b2 = np.zeros(k)
             d_b2[c] = 1.0
-            m_rows[c] = np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
+            m_rows[c] = flatten_arrays([d_w1, d_b1, d_w2, d_b2])
         accum += ui.coeff[i] * (m_rows.T @ g_i)
-    flat = -alpha * accum
-    out = []
-    start = 0
-    for a in state.omega_arrays():
-        out.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    return out
+    return unflatten_like(-alpha * accum, state.omega_arrays())
 
 
 def hypergrad_fd(
@@ -438,10 +437,8 @@ def hypergrad_fd(
 
     def bal_at(omega_flat: np.ndarray) -> float:
         work = copy_state(state)
-        start = 0
-        for arr in work.omega_arrays():
-            arr[...] = omega_flat[start : start + arr.size].reshape(arr.shape)
-            start += arr.size
+        for arr, value in zip(work.omega_arrays(), unflatten_like(omega_flat, work.omega_arrays())):
+            arr[...] = value
         res = lower_loss(x_l, y_l, pseudo, work, norm)
         work.theta = [(w.copy(), b.copy()) for w, b in theta_prime]
         work.phi_w = state.phi_w - alpha * res.grad_phi_w
@@ -449,35 +446,13 @@ def hypergrad_fd(
         loss, _, _ = upper_loss(bal_x, bal_y, work)
         return loss
 
-    omega0 = np.concatenate([a.ravel() for a in state.omega_arrays()])
+    omega0 = flatten_arrays(state.omega_arrays())
     grad = np.empty_like(omega0)
     for i in range(omega0.size):
         delta = np.zeros_like(omega0)
         delta[i] = eps
         grad[i] = (bal_at(omega0 + delta) - bal_at(omega0 - delta)) / (2.0 * eps)
-    out = []
-    start = 0
-    for a in state.omega_arrays():
-        out.append(grad[start : start + a.size].reshape(a.shape))
-        start += a.size
-    return out
-
-
-# ---------------------------------------------------------------------------
-# plain (no attractor anywhere) loss path for the baseline mode
-
-
-def _plain_lower_loss(x_l, y_l, pseudo: PseudoBatch | None, state: ModelState):
-    x, targets, coeff = _stack_lower_batch(x_l, y_l, pseudo)
-    z, feat_cache = features_with_cache(x, state.theta)
-    s = classifier_scores(z, state.phi_w, state.phi_b)
-    loss, _, d_logits = _weighted_ce(s, targets, coeff)
-    grad_phi_w = z.T @ d_logits
-    grad_phi_b = d_logits.sum(axis=0)
-    d_z = d_logits @ state.phi_w.T
-    grads_theta, _ = features_backward(feat_cache, state.theta, d_z)
-    zero_omega = [np.zeros_like(a) for a in state.omega_arrays()]
-    return LowerLossResult(loss, grads_theta, grad_phi_w, grad_phi_b, zero_omega, None)
+    return unflatten_like(grad, state.omega_arrays())
 
 
 # ---------------------------------------------------------------------------
@@ -519,22 +494,27 @@ def train(
     dims = [d_l.dim, *config.extractor_hidden, config.feature_dim]
     state = init_model(dims, k, config.attractor_hidden, init_rng)
 
-    needs_balanced = config.mode in ("l2ac", "single_level")
-    if needs_balanced:
+    # the modes differ on three axes: the head sits in the lower path (all
+    # but baseline); the balanced loss joins the lower loss with weight
+    # lambda_bal (single_level) or is the upper level (l2ac); the head moves
+    # along the hypergradient (l2ac), else along its lower gradient
+    head = config.mode != "baseline"
+    joint = config.mode == "single_level"
+    hyper = config.mode == "l2ac"
+    if joint or hyper:
         if config.balanced_n % k != 0:
             raise ValueError(f"balanced_n {config.balanced_n} not divisible by {k} classes")
         bal_spec = BalancedBatchSpec(config.balanced_n, k)
 
     optimizer = LowerOptimizer(config.lower_optimizer, _theta_phi_arrays(state))
-    omega_opt = None
-    if config.mode in ("plain_attractor", "single_level"):
+    if head and not hyper:
         omega_opt = LowerOptimizer(config.lower_optimizer, state.omega_arrays())
 
     x_all_l = d_l.features
     y_all_l = one_hot(d_l.labels, k)
     labels_l = d_l.labels
     have_unlabeled = d_u is not None and len(d_u) > 0 and config.batch_m > 0
-    biased_labels = config.mode != "baseline" and config.pseudo_source == "biased"
+    biased_labels = head and config.pseudo_source == "biased"
 
     traces: list[StepTrace] = []
     for t in range(1, config.iters + 1):
@@ -546,7 +526,6 @@ def train(
 
         upper_val = math.nan
         sec_seconds = 0.0
-        omega_norm_grads: list = []
 
         try:
             pseudo = None
@@ -554,84 +533,53 @@ def train(
                 u_idx = _sample_rows(batch_rng, len(d_u), config.batch_m)
                 x_u = d_u.features[u_idx]
                 x_weak, x_strong = augment(x_u, config.sigma_weak, config.sigma_strong, aug_rng)
-                if biased_labels:
-                    logits_weak, _ = forward_train(x_weak, state, config.attractor_norm)
-                else:
-                    z_w = features_with_cache(x_weak, state.theta)[0]
-                    logits_weak = classifier_scores(z_w, state.phi_w, state.phi_b)
+                logits_weak = _train_logits(x_weak, state, config.attractor_norm, biased_labels)[0]
                 y_hat, lam = assign_pseudo_labels(
                     logits_weak, config.tau, config.lambda_u, config.pseudo_mode,
                     config.sharpen_temperature,
                 )
                 pseudo = PseudoBatch(x_weak, x_strong, y_hat, lam)
 
-            if needs_balanced:
+            if joint or hyper:
                 bal_idx = balanced_batch(d_l, bal_spec, batch_rng)
                 bal_x = x_all_l[bal_idx]
                 bal_y = one_hot(labels_l[bal_idx], k)
 
-            if config.mode == "baseline":
-                t0 = time.perf_counter()
-                res = _plain_lower_loss(x_l, y_l, pseudo, state)
-                back_seconds = time.perf_counter() - t0
-                optimizer.step(_theta_phi_arrays(state), _theta_phi_grads(res), alpha_t)
-                state.step_count += 1
-            elif config.mode == "plain_attractor":
-                loss_val, internals = _lower_forward(x_l, y_l, pseudo, state, config.attractor_norm)
-                t0 = time.perf_counter()
-                gt, gw, gb, gomega = _lower_backward(state, internals)
-                back_seconds = time.perf_counter() - t0
-                res = LowerLossResult(loss_val, gt, gw, gb, gomega, None)
-                optimizer.step(_theta_phi_arrays(state), _theta_phi_grads(res), alpha_t)
-                omega_opt.step(state.omega_arrays(), gomega, alpha_t)
-                omega_norm_grads = gomega
-                state.step_count += 1
-            elif config.mode == "single_level":
-                res = lower_loss(x_l, y_l, pseudo, state, config.attractor_norm)
-                t0 = time.perf_counter()
+            loss_val, rec = _lower_forward(x_l, y_l, pseudo, state, config.attractor_norm, head)
+            t0 = time.perf_counter()
+            res = _lower_backward(state, loss_val, rec)
+            back_seconds = time.perf_counter() - t0
+            head_grads = res.grads_omega
+
+            if joint:
                 upper_val, (v_w, v_b), bal_theta = upper_loss(bal_x, bal_y, state, need_theta=True)
-                back_seconds = time.perf_counter() - t0
                 lam_b = config.lambda_bal
-                combined = LowerLossResult(
-                    res.loss,
-                    [
+                res = replace(
+                    res,
+                    grads_theta=[
                         (gw + lam_b * bw, gb + lam_b * bb)
                         for (gw, gb), (bw, bb) in zip(res.grads_theta, bal_theta)
                     ],
-                    res.grad_phi_w + lam_b * v_w,
-                    res.grad_phi_b + lam_b * v_b,
-                    res.grads_omega,
-                    None,
+                    grad_phi_w=res.grad_phi_w + lam_b * v_w,
+                    grad_phi_b=res.grad_phi_b + lam_b * v_b,
                 )
-                optimizer.step(_theta_phi_arrays(state), _theta_phi_grads(combined), alpha_t)
-                omega_opt.step(state.omega_arrays(), res.grads_omega, alpha_t)
-                omega_norm_grads = res.grads_omega
-                res = combined
-                state.step_count += 1
-            else:  # l2ac
-                loss_val, internals = _lower_forward(x_l, y_l, pseudo, state, config.attractor_norm)
-                t0 = time.perf_counter()
-                gt, gw, gb, gomega = _lower_backward(state, internals)
-                back_seconds = time.perf_counter() - t0
-                unroll = UnrollInputs(
-                    internals.cache.z, internals.p, internals.targets,
-                    internals.coeff, internals.cache.u, internals.cache.h,
-                )
-                res = LowerLossResult(loss_val, gt, gw, gb, gomega, unroll)
-                cache = lower_step(state, res, alpha_t, optimizer)
+
+            cache = lower_step(state, res, alpha_t, optimizer)
+
+            if hyper:
                 upper_val, upper_grad, _ = upper_loss(bal_x, bal_y, state)
                 t0 = time.perf_counter()
-                omega_norm_grads = omega_step(state, cache, upper_grad, eta_t)
+                head_grads = omega_step(state, cache, upper_grad, eta_t)
                 sec_seconds = time.perf_counter() - t0
+            elif head:
+                omega_opt.step(state.omega_arrays(), head_grads, alpha_t)
         except ValueError as exc:
             # overflow inside a forward pass surfaces as a finiteness error
             if "non-finite" in str(exc):
                 raise TrainingDiverged(f"iteration {t}: {exc}", traces) from exc
             raise
 
-        if not math.isfinite(res.loss) or (
-            config.mode in ("l2ac", "single_level") and not math.isfinite(upper_val)
-        ):
+        if not math.isfinite(res.loss) or ((joint or hyper) and not math.isfinite(upper_val)):
             raise TrainingDiverged(
                 f"non-finite loss at iteration {t}: lower={res.loss} upper={upper_val}",
                 traces,
@@ -639,7 +587,7 @@ def train(
 
         ema_update(state, config.ema_decay)
 
-        nt, nphi, nomega = _block_norms(res, omega_norm_grads)
+        nt, nphi, nomega = _block_norms(res, head_grads)
         traces.append(
             StepTrace(t, res.loss, upper_val, nt, nphi, nomega, sec_seconds, back_seconds)
         )
@@ -651,7 +599,10 @@ def train(
 
 def write_trace_csv(traces: list[StepTrace], path, include_timings: bool = False) -> None:
     """One row per iteration. Timing columns are opt-in: they vary run to
-    run, and the default trace must be byte-identical for equal seeds."""
+    run, and the default trace must be byte-identical for equal seeds.
+    backward_seconds is the lower backward pass in every mode;
+    second_order_seconds is the omega_step head update in l2ac and 0 in the
+    other modes."""
     cols = ["iter", "lower_loss", "upper_loss", "grad_norm_theta", "grad_norm_phi", "grad_norm_omega"]
     if include_timings:
         cols += ["second_order_seconds", "backward_seconds"]

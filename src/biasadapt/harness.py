@@ -29,7 +29,6 @@ from .bilevel import (
     _lower_backward,
     _lower_forward,
     _theta_phi_arrays,
-    lower_loss,
     lower_step,
     train,
     upper_loss,
@@ -45,7 +44,13 @@ from .data import (
     split_counts,
     synth_gaussian_mixture,
 )
-from .metrics import MetricsReport, evaluate, pseudo_label_recall, save_confusion_csv
+from .metrics import (
+    MetricsReport,
+    evaluate,
+    headline_means,
+    pseudo_label_recall,
+    save_confusion_csv,
+)
 from .model import (
     classifier_scores,
     forward_features,
@@ -237,13 +242,7 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
 
     headline = None
     if tail:
-        headline = {
-            "bacc": float(np.mean([r.bacc for r in tail])),
-            "gm": float(np.mean([r.gm for r in tail])),
-            "acc": float(np.mean([r.acc for r in tail])),
-            "min_recall": float(np.mean([min(r.per_class_recall) for r in tail])),
-            "evals_averaged": len(tail),
-        }
+        headline = {**headline_means(tail), "evals_averaged": len(tail)}
 
     payload = {
         "mode": config.train.mode,
@@ -328,22 +327,20 @@ def bench_overhead(config: ExperimentConfig, reps: int = 30) -> dict:
     bal_x = rng.standard_normal((max(bal_n, k), config.data.dim))
     bal_y = one_hot(np.arange(max(bal_n, k)) % k, k)
 
-    _, internals = _lower_forward(x_l, y_l, pseudo, state, tc.attractor_norm)
+    loss, rec = _lower_forward(x_l, y_l, pseudo, state, tc.attractor_norm)
     backward_times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        _lower_backward(state, internals)
+        _lower_backward(state, loss, rec)
         backward_times.append(time.perf_counter() - t0)
 
-    work_state = state
-    res = lower_loss(x_l, y_l, pseudo, work_state, tc.attractor_norm)
-    opt = LowerOptimizer("sgd", _theta_phi_arrays(work_state))
-    cache = lower_step(work_state, res, tc.alpha, opt)
-    _, upper_grad, _ = upper_loss(bal_x, bal_y, work_state)
+    res = _lower_backward(state, loss, rec)
+    cache = lower_step(state, res, tc.alpha, LowerOptimizer("sgd", _theta_phi_arrays(state)))
+    _, upper_grad, _ = upper_loss(bal_x, bal_y, state)
     second_times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        _hypergrad_unrolled(work_state, cache, upper_grad)
+        _hypergrad_unrolled(state, cache, upper_grad)
         second_times.append(time.perf_counter() - t0)
 
     t_back = statistics.median(backward_times)

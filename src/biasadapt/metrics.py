@@ -123,5 +123,17 @@ def evaluate(state: ModelState, test: Dataset, use_ema: bool = True) -> MetricsR
     )
 
 
+def headline_means(reports: list[MetricsReport]) -> dict[str, float]:
+    """Headline numbers over a run's last evaluations: the means of balanced
+    accuracy, recall geometric mean, plain accuracy and worst per-class
+    recall."""
+    return {
+        "bacc": float(np.mean([r.bacc for r in reports])),
+        "gm": float(np.mean([r.gm for r in reports])),
+        "acc": float(np.mean([r.acc for r in reports])),
+        "min_recall": float(np.mean([min(r.per_class_recall) for r in reports])),
+    }
+
+
 def save_confusion_csv(cm: np.ndarray, path) -> None:
     np.savetxt(path, np.asarray(cm, dtype=np.int64), fmt="%d", delimiter=",")

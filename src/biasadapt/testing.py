@@ -14,6 +14,7 @@ import numpy as np
 from .bilevel import (
     LowerOptimizer,
     _hypergrad_unrolled,
+    _stack_lower_batch,
     _theta_phi_arrays,
     hypergrad_fd,
     lower_loss,
@@ -31,7 +32,7 @@ from .model import (
     forward_train,
     init_model,
 )
-from .numcore import relative_diff
+from .numcore import flatten_arrays, relative_diff, unflatten_like
 from .pseudo import PseudoBatch
 
 KINK_MARGIN = 1e-3
@@ -118,22 +119,11 @@ def make_small_problem(
     raise RuntimeError("could not build a kink-free instance")
 
 
-def _stacked_inputs(problem: SmallProblem):
-    if problem.pseudo is None:
-        return problem.x_l, problem.y_l, np.full(problem.x_l.shape[0], 1.0 / problem.x_l.shape[0])
-    n = problem.x_l.shape[0]
-    m = len(problem.pseudo)
-    x = np.vstack([problem.x_l, problem.pseudo.x_strong])
-    t = np.vstack([problem.y_l, problem.pseudo.y_hat])
-    c = np.concatenate([np.full(n, 1.0 / n), problem.pseudo.lam / m])
-    return x, t, c
-
-
 def frozen_u_lower_value(problem: SmallProblem, state: ModelState) -> float:
     """Lower loss evaluated with the attractor input frozen at the *base*
     state's value (the stop-gradient contract), so finite differences over
     extractor/classifier parameters match the analytic gradients."""
-    x, targets, coeff = _stacked_inputs(problem)
+    x, targets, coeff = _stack_lower_batch(problem.x_l, problem.y_l, problem.pseudo)
     _, base_cache = forward_train(x, problem.state, problem.norm)
     z = forward_features(x, state.theta)
     s = classifier_scores(z, state.phi_w, state.phi_b)
@@ -144,31 +134,20 @@ def frozen_u_lower_value(problem: SmallProblem, state: ModelState) -> float:
     return float((coeff * -(targets * logp).sum(axis=1)).sum())
 
 
+def _block_arrays(state: ModelState, block: str) -> list[np.ndarray]:
+    if block == "theta":
+        return [a for pair in state.theta for a in pair]
+    if block == "phi":
+        return [state.phi_w, state.phi_b]
+    if block == "omega":
+        return state.omega_arrays()
+    raise ValueError(block)
+
+
 def _set_block(state: ModelState, block: str, flat: np.ndarray) -> None:
-    if block == "theta":
-        arrays = [a for pair in state.theta for a in pair]
-    elif block == "phi":
-        arrays = [state.phi_w, state.phi_b]
-    elif block == "omega":
-        arrays = state.omega_arrays()
-    else:
-        raise ValueError(block)
-    start = 0
-    for a in arrays:
-        a[...] = flat[start : start + a.size].reshape(a.shape)
-        start += a.size
-
-
-def _get_block(state: ModelState, block: str) -> np.ndarray:
-    if block == "theta":
-        arrays = [a for pair in state.theta for a in pair]
-    elif block == "phi":
-        arrays = [state.phi_w, state.phi_b]
-    elif block == "omega":
-        arrays = state.omega_arrays()
-    else:
-        raise ValueError(block)
-    return np.concatenate([a.ravel() for a in arrays])
+    arrays = _block_arrays(state, block)
+    for a, value in zip(arrays, unflatten_like(flat, arrays)):
+        a[...] = value
 
 
 def lower_fd_errors(problem: SmallProblem, eps: float = 1e-6) -> dict[str, float]:
@@ -178,13 +157,13 @@ def lower_fd_errors(problem: SmallProblem, eps: float = 1e-6) -> dict[str, float
         problem.x_l, problem.y_l, problem.pseudo, problem.state, problem.norm
     )
     analytic = {
-        "theta": np.concatenate([g.ravel() for pair in res.grads_theta for g in pair]),
-        "phi": np.concatenate([res.grad_phi_w.ravel(), res.grad_phi_b.ravel()]),
-        "omega": np.concatenate([g.ravel() for g in res.grads_omega]),
+        "theta": flatten_arrays([g for pair in res.grads_theta for g in pair]),
+        "phi": flatten_arrays([res.grad_phi_w, res.grad_phi_b]),
+        "omega": flatten_arrays(res.grads_omega),
     }
     errors = {}
     for block, grad in analytic.items():
-        base = _get_block(problem.state, block)
+        base = flatten_arrays(_block_arrays(problem.state, block))
         numeric = np.empty_like(base)
         for i in range(base.size):
             work = copy_state(problem.state)
@@ -204,8 +183,8 @@ def lower_fd_errors(problem: SmallProblem, eps: float = 1e-6) -> dict[str, float
 def upper_fd_error(problem: SmallProblem, eps: float = 1e-6) -> float:
     """Finite-difference check of the balanced-loss classifier gradient."""
     _, (v_w, v_b), _ = upper_loss(problem.bal_x, problem.bal_y, problem.state)
-    analytic = np.concatenate([v_w.ravel(), v_b.ravel()])
-    base = _get_block(problem.state, "phi")
+    analytic = flatten_arrays([v_w, v_b])
+    base = flatten_arrays(_block_arrays(problem.state, "phi"))
     numeric = np.empty_like(base)
     for i in range(base.size):
         work = copy_state(problem.state)
@@ -262,9 +241,9 @@ def fd_hypergrad(problem: SmallProblem, eps: float = 1e-6) -> list[np.ndarray]:
 
 
 def hypergrad_route_errors(problem: SmallProblem) -> dict[str, float]:
-    a = np.concatenate([g.ravel() for g in unrolled_hypergrad(problem)])
-    b = np.concatenate([g.ravel() for g in closed_form_hypergrad(problem)])
-    c = np.concatenate([g.ravel() for g in fd_hypergrad(problem)])
+    a = flatten_arrays(unrolled_hypergrad(problem))
+    b = flatten_arrays(closed_form_hypergrad(problem))
+    c = flatten_arrays(fd_hypergrad(problem))
     return {
         "unrolled_vs_closed": relative_diff(a, b),
         "unrolled_vs_fd": relative_diff(a, c),

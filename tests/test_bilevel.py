@@ -56,12 +56,18 @@ class TestLowerLoss:
         state.omega_w2[...] = 0.0
         state.omega_b2[...] = 0.0
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, state, problem.norm)
-
-        from biasadapt.bilevel import _plain_lower_loss
-
-        plain = _plain_lower_loss(problem.x_l, problem.y_l, problem.pseudo, state)
+        plain = lower_loss(
+            problem.x_l, problem.y_l, problem.pseudo, state, problem.norm, head=False
+        )
         assert res.loss == plain.loss
         assert np.array_equal(res.grad_phi_w, plain.grad_phi_w)
+        assert np.array_equal(res.grad_phi_b, plain.grad_phi_b)
+        assert len(res.grads_theta) == len(plain.grads_theta)
+        for got, want in zip(res.grads_theta, plain.grads_theta):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        assert plain.grads_omega == []
+        assert plain.unroll.u is None and plain.unroll.h is None
 
     def test_gradients_fd_on_spec_instance(self):
         from biasadapt.testing import lower_fd_errors
@@ -333,9 +339,7 @@ class TestClosedFormOracle:
 
             work = copy_state(state)
             res = lower_loss(problem.x_l, problem.y_l, None, work, problem.norm)
-            from biasadapt.bilevel import apply_sgd_theta_phi
-
-            apply_sgd_theta_phi(work, res, problem.alpha)
+            lower_step(work, res, problem.alpha, LowerOptimizer("sgd", _theta_phi_arrays(work)))
             _, (v_w, v_b), _ = upper_loss(problem.bal_x, problem.bal_y, work)
             ui = res.unroll
             p_i = ui.p[0]
@@ -567,6 +571,17 @@ class TestTraceCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "iter,lower_loss,upper_loss,grad_norm_theta,grad_norm_phi,grad_norm_omega"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("mode", ["l2ac", "baseline", "plain_attractor", "single_level"])
+    def test_timing_fields_mean_the_same_in_every_mode(self, mode):
+        d_l, d_u = desk_datasets()
+        _, traces = train(quick_config(mode=mode, iters=3), d_l, d_u)
+        for tr in traces:
+            assert tr.backward_seconds > 0
+            if mode == "l2ac":
+                assert tr.second_order_seconds > 0
+            else:
+                assert tr.second_order_seconds == 0.0
 
     def test_timing_columns_opt_in(self, tmp_path):
         d_l, d_u = desk_datasets()
