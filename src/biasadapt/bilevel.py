@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import BalancedBatchSpec, Dataset, balanced_batch, one_hot
+from .data import BalancedBatchSpec, Dataset, balanced_batch, class_rows, one_hot
 from .model import (
     ModelState,
     attractor_backward,
@@ -73,7 +73,7 @@ class TrainConfig:
     attractor_hidden: int = 256
     attractor_norm: str = "softmax_input"
     log_timings: bool = False
-    seed: int = 0
+    seed: int = 0  # harness.run_train derives it from ExperimentConfig.seed
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -105,7 +105,10 @@ class StepTrace:
     """One training iteration. upper_loss is the balanced loss (NaN in modes
     without one); grad_norm_omega is the norm of the gradient the head moved
     along (0 in baseline). backward_seconds times the lower backward pass in
-    every mode; second_order_seconds times the backward-on-backward head step
+    every mode: through extractor, classifier and head in plain_attractor and
+    single_level, through extractor and classifier only in l2ac (whose head
+    moves along the hypergradient alone) and in baseline (no head).
+    second_order_seconds times the backward-on-backward head step
     (omega_step) in l2ac and is 0 in the other modes."""
 
     iteration: int
@@ -142,9 +145,11 @@ def schedule_rates(config: TrainConfig, t: int) -> tuple[float, float]:
 class UnrollInputs:
     """Per-sample record of one cross-entropy forward pass: features and the
     extractor cache, probabilities, targets, per-row loss coefficients, the
-    logit gradient, and the attractor's (stop-gradient) input and
-    preactivation, which the head hypergradient needs. u and h are None on
-    the plain (no attractor) path."""
+    logit gradient, and the attractor's (stop-gradient) input u and hidden
+    ReLU output a, which the head gradients need. u and a are None on the
+    plain (no attractor) path. In l2ac the record feeds the extractor and
+    classifier lower backward and the head hypergradient; the head's own
+    lower gradient is never formed there."""
 
     z: np.ndarray
     feat_cache: tuple
@@ -153,7 +158,7 @@ class UnrollInputs:
     coeff: np.ndarray
     d_logits: np.ndarray
     u: np.ndarray | None
-    h: np.ndarray | None
+    a: np.ndarray | None
 
 
 @dataclass
@@ -193,20 +198,20 @@ def _weighted_ce(logits, targets, coeff):
 
 
 def _train_logits(x, state: ModelState, norm: str | None, head: bool):
-    """(logits, z, feature cache, u, h) of the residual-head training path,
-    or of the plain classifier path (u and h None) when head is False; the
+    """(logits, z, feature cache, u, a) of the residual-head training path,
+    or of the plain classifier path (u and a None) when head is False; the
     plain path runs no attractor code."""
     if head:
         logits, cache = forward_train(x, state, norm)
-        return logits, cache.z, cache.feat_cache, cache.u, cache.h
+        return logits, cache.z, cache.feat_cache, cache.u, cache.a
     z, feat_cache = features_with_cache(x, state.theta)
     return classifier_scores(z, state.phi_w, state.phi_b), z, feat_cache, None, None
 
 
 def _ce_forward(x, targets, coeff, state: ModelState, norm: str | None, head: bool):
-    logits, z, feat_cache, u, h = _train_logits(x, state, norm, head)
+    logits, z, feat_cache, u, a = _train_logits(x, state, norm, head)
     loss, p, d_logits = _weighted_ce(logits, targets, coeff)
-    return loss, UnrollInputs(z, feat_cache, p, targets, coeff, d_logits, u, h)
+    return loss, UnrollInputs(z, feat_cache, p, targets, coeff, d_logits, u, a)
 
 
 def _lower_forward(x_l, y_l, pseudo, state: ModelState, norm: str, head: bool = True):
@@ -226,13 +231,18 @@ def _classifier_backward(z, feat_cache, d_logits, state: ModelState, need_theta:
     return g_w, g_b, grads_theta
 
 
-def _lower_backward(state: ModelState, loss: float, rec: UnrollInputs) -> LowerLossResult:
+def _lower_backward(
+    state: ModelState, loss: float, rec: UnrollInputs, need_omega: bool = True
+) -> LowerLossResult:
     """Gradients of the stacked lower loss w.r.t. extractor, classifier and
-    (on the head path) attractor. The logit gradient feeds both the
-    classifier scores (direct shortcut) and the attractor output; the
-    attractor input is stop-gradient so no second path reaches the
-    classifier. Without the head, grads_omega is empty."""
-    grads_omega = [] if rec.u is None else attractor_backward(state, rec.u, rec.h, rec.d_logits)
+    (on the head path, when need_omega) attractor. The logit gradient feeds
+    both the classifier scores (direct shortcut) and the attractor output;
+    the attractor input is stop-gradient so no second path reaches the
+    classifier, and the extractor and classifier gradients do not depend on
+    need_omega. Without the head or need_omega, grads_omega is empty."""
+    grads_omega = []
+    if need_omega and rec.u is not None:
+        grads_omega = attractor_backward(state, rec.u, rec.a, rec.d_logits)
     g_w, g_b, grads_theta = _classifier_backward(rec.z, rec.feat_cache, rec.d_logits, state, True)
     return LowerLossResult(loss, grads_theta, g_w, g_b, grads_omega, rec)
 
@@ -344,7 +354,7 @@ def _hypergrad_unrolled(state: ModelState, cache: UnrollCache, upper_grad) -> li
     d_xi = ui.coeff[:, None] * r
     tmp = ui.p * d_xi
     d_delta = tmp - ui.p * tmp.sum(axis=1, keepdims=True)
-    s_grads = attractor_backward(state, ui.u, ui.h, d_delta)
+    s_grads = attractor_backward(state, ui.u, ui.a, d_delta)
     return [-cache.alpha * g for g in s_grads]
 
 
@@ -398,13 +408,13 @@ def omega_grad_closed_form(
         p_i = ui.p[i]
         jac_softmax = np.diag(p_i) - np.outer(p_i, p_i)
         g_i = jac_softmax @ (v_w.T @ ui.z[i] + v_b)
-        gate = (ui.h[i] > 0.0).astype(np.float64)
+        gate = (ui.a[i] > 0.0).astype(np.float64)
         m_rows = np.empty((k, total))
         for c in range(k):
             d_w1 = np.outer(ui.u[i], gate * w2[:, c])
             d_b1 = gate * w2[:, c]
             d_w2 = np.zeros((hidden, k))
-            d_w2[:, c] = gate * ui.h[i]
+            d_w2[:, c] = ui.a[i]
             d_b2 = np.zeros(k)
             d_b2[c] = 1.0
             m_rows[c] = flatten_arrays([d_w1, d_b1, d_w2, d_b2])
@@ -505,6 +515,7 @@ def train(
         if config.balanced_n % k != 0:
             raise ValueError(f"balanced_n {config.balanced_n} not divisible by {k} classes")
         bal_spec = BalancedBatchSpec(config.balanced_n, k)
+        bal_rows = class_rows(d_l, k)
 
     optimizer = LowerOptimizer(config.lower_optimizer, _theta_phi_arrays(state))
     if head and not hyper:
@@ -512,7 +523,6 @@ def train(
 
     x_all_l = d_l.features
     y_all_l = one_hot(d_l.labels, k)
-    labels_l = d_l.labels
     have_unlabeled = d_u is not None and len(d_u) > 0 and config.batch_m > 0
     biased_labels = head and config.pseudo_source == "biased"
 
@@ -541,13 +551,13 @@ def train(
                 pseudo = PseudoBatch(x_weak, x_strong, y_hat, lam)
 
             if joint or hyper:
-                bal_idx = balanced_batch(d_l, bal_spec, batch_rng)
+                bal_idx = balanced_batch(d_l, bal_spec, batch_rng, bal_rows)
                 bal_x = x_all_l[bal_idx]
-                bal_y = one_hot(labels_l[bal_idx], k)
+                bal_y = y_all_l[bal_idx]
 
             loss_val, rec = _lower_forward(x_l, y_l, pseudo, state, config.attractor_norm, head)
             t0 = time.perf_counter()
-            res = _lower_backward(state, loss_val, rec)
+            res = _lower_backward(state, loss_val, rec, need_omega=head and not hyper)
             back_seconds = time.perf_counter() - t0
             head_grads = res.grads_omega
 
@@ -600,7 +610,8 @@ def train(
 def write_trace_csv(traces: list[StepTrace], path, include_timings: bool = False) -> None:
     """One row per iteration. Timing columns are opt-in: they vary run to
     run, and the default trace must be byte-identical for equal seeds.
-    backward_seconds is the lower backward pass in every mode;
+    backward_seconds is the lower backward pass in every mode (in l2ac
+    through extractor and classifier only, see StepTrace);
     second_order_seconds is the omega_step head update in l2ac and 0 in the
     other modes."""
     cols = ["iter", "lower_loss", "upper_loss", "grad_norm_theta", "grad_norm_phi", "grad_norm_omega"]

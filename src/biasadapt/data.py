@@ -215,16 +215,29 @@ class BalancedBatchSpec:
         object.__setattr__(self, "per_class", self.batch_size // self.num_classes)
 
 
-def balanced_batch(dataset: Dataset, spec: BalancedBatchSpec, rng: np.random.Generator) -> np.ndarray:
-    """Exactly stratified class-aware sample: per_class indices per class,
-    drawn with replacement within each class."""
-    idx = []
-    for k in range(spec.num_classes):
-        rows = np.flatnonzero(dataset.labels == k)
-        if rows.size == 0:
+def class_rows(dataset: Dataset, num_classes: int) -> list[np.ndarray]:
+    """Indices of the labeled rows of each class 0..num_classes-1; raises
+    naming the first class that has none."""
+    rows = [np.flatnonzero(dataset.labels == k) for k in range(num_classes)]
+    for k, r in enumerate(rows):
+        if r.size == 0:
             raise ValueError(f"class {k} has no labeled rows")
-        idx.append(rows[rng.integers(0, rows.size, size=spec.per_class)])
-    return np.concatenate(idx)
+    return rows
+
+
+def balanced_batch(
+    dataset: Dataset,
+    spec: BalancedBatchSpec,
+    rng: np.random.Generator,
+    rows: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Exactly stratified class-aware sample: per_class indices per class,
+    drawn with replacement within each class. rows is class_rows(dataset,
+    spec.num_classes), computed here when not given; callers drawing many
+    batches from one dataset pass it once computed."""
+    if rows is None:
+        rows = class_rows(dataset, spec.num_classes)
+    return np.concatenate([r[rng.integers(0, r.size, size=spec.per_class)] for r in rows])
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

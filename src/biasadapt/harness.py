@@ -220,7 +220,8 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # master seed child 0 drives data synthesis (build_datasets); child 1
-    # seeds the trainer so the two never share a stream
+    # seeds the trainer so the two never share a stream. Any train.seed the
+    # config carries is overwritten here: it is derived, not read.
     config.train.seed = child_seeds(config.seed, 2)[1]
     d_l, d_u, d_test = build_datasets(config)
     reports: list[tuple[int, MetricsReport]] = []
@@ -267,8 +268,20 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
 
 
 def run_eval(ckpt_path, test_csv, use_ema: bool = True) -> MetricsReport:
+    """Score a checkpoint on a test CSV; raises naming both numbers when the
+    CSV's feature dim or class count differs from the checkpoint's."""
     state, _norm = load_checkpoint(ckpt_path)
     test = load_csv_dataset(test_csv)
+    in_dim = state.extractor_dims()[0]
+    if test.dim != in_dim:
+        raise ValueError(
+            f"{test_csv}: {test.dim} features per row, but checkpoint {ckpt_path} takes {in_dim}"
+        )
+    if test.num_classes != state.num_classes:
+        raise ValueError(
+            f"{test_csv}: {test.num_classes} classes, but checkpoint {ckpt_path} "
+            f"has {state.num_classes}"
+        )
     return evaluate(state, test, use_ema=use_ema)
 
 
@@ -310,7 +323,10 @@ def run_gen_data(
 def bench_overhead(config: ExperimentConfig, reps: int = 30) -> dict:
     """Median wall-clock of the backward-on-backward head step vs one full
     lower backward pass at the configured sizes, plus the parameter-count
-    ratio that motivates the head-only unroll."""
+    ratio that motivates the head-only unroll. The denominator is still the
+    full lower backward, head gradient included (as plain_attractor and
+    single_level run it), although l2ac's training loop no longer forms the
+    head's lower gradient."""
     tc = config.train
     rng = make_rng(config.seed)
     k = config.data.num_classes

@@ -128,7 +128,8 @@ def features_with_cache(x: np.ndarray, theta: list[Layer]):
     h = x
     for li, (w, b) in enumerate(theta):
         inputs.append(h)
-        pre = h @ w + b
+        pre = h @ w
+        pre += b
         if li < len(theta) - 1:
             preacts.append(pre)
             h = np.maximum(pre, 0.0)
@@ -149,7 +150,7 @@ def features_backward(cache, theta: list[Layer], d_out: np.ndarray, need_dx: boo
         if li > 0 or need_dx:
             d = d @ w.T
             if li > 0:
-                d = d * (preacts[li - 1] > 0.0)
+                d *= preacts[li - 1] > 0.0
     dx = d if need_dx else None
     return grads, dx
 
@@ -171,20 +172,24 @@ def normalize_scores(s: np.ndarray, norm: str) -> np.ndarray:
 
 
 def attractor_forward(state: ModelState, u: np.ndarray):
-    h = u @ state.omega_w1 + state.omega_b1
+    """(delta, (h, a)): the head's output and its hidden preactivation h and
+    ReLU output a."""
+    h = u @ state.omega_w1
+    h += state.omega_b1
     a = np.maximum(h, 0.0)
-    delta = a @ state.omega_w2 + state.omega_b2
+    delta = a @ state.omega_w2
+    delta += state.omega_b2
     return delta, (h, a)
 
 
-def attractor_backward(state: ModelState, u: np.ndarray, h: np.ndarray, d_delta: np.ndarray):
+def attractor_backward(state: ModelState, u: np.ndarray, a: np.ndarray, d_delta: np.ndarray):
     """Gradient of a scalar (whose dL/ddelta is d_delta) w.r.t. the four
-    attractor arrays; u is a stop-gradient constant."""
-    a = np.maximum(h, 0.0)
+    attractor arrays, given the forward's ReLU output a (a > 0 is the ReLU's
+    gate, the same mask as h > 0); u is a stop-gradient constant."""
     d_w2 = a.T @ d_delta
     d_b2 = d_delta.sum(axis=0)
-    d_a = d_delta @ state.omega_w2.T
-    d_h = d_a * (h > 0.0)
+    d_h = d_delta @ state.omega_w2.T
+    d_h *= a > 0.0
     d_w1 = u.T @ d_h
     d_b1 = d_h.sum(axis=0)
     return [d_w1, d_b1, d_w2, d_b2]
@@ -271,25 +276,58 @@ def save_checkpoint(path, state: ModelState, norm: str) -> None:
     np.savez(Path(path), meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
+def _checkpoint_shapes(meta: dict) -> dict[str, tuple[int, ...]]:
+    """Shape of every array a checkpoint holds, from its metadata."""
+    dims = [int(d) for d in meta["extractor_dims"]]
+    k, hidden = int(meta["num_classes"]), int(meta["attractor_hidden"])
+    shapes = {}
+    for prefix in ("theta", "ema_theta"):
+        for i in range(len(dims) - 1):
+            shapes[f"{prefix}_w{i}"] = (dims[i], dims[i + 1])
+            shapes[f"{prefix}_b{i}"] = (dims[i + 1],)
+    for prefix in ("phi", "ema_phi"):
+        shapes[f"{prefix}_w"] = (dims[-1], k)
+        shapes[f"{prefix}_b"] = (k,)
+    shapes.update(omega_w1=(k, hidden), omega_b1=(hidden,), omega_w2=(hidden, k), omega_b2=(k,))
+    return shapes
+
+
 def load_checkpoint(path) -> tuple[ModelState, str]:
+    """Inverse of save_checkpoint; raises naming the array when an array is
+    missing or its shape disagrees with the metadata (extractor dims,
+    num_classes, attractor_hidden)."""
     with np.load(Path(path)) as z:
         meta = json.loads(bytes(z["meta"]).decode())
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
         n_layers = meta["num_theta_layers"]
-        theta = [(z[f"theta_w{i}"], z[f"theta_b{i}"]) for i in range(n_layers)]
-        ema_theta = [(z[f"ema_theta_w{i}"], z[f"ema_theta_b{i}"]) for i in range(n_layers)]
-        state = ModelState(
-            theta,
-            z["phi_w"],
-            z["phi_b"],
-            z["omega_w1"],
-            z["omega_b1"],
-            z["omega_w2"],
-            z["omega_b2"],
-            ema_theta,
-            z["ema_phi_w"],
-            z["ema_phi_b"],
-            int(meta["step_count"]),
-        )
+        if n_layers != len(meta["extractor_dims"]) - 1:
+            raise ValueError(
+                f"{path}: num_theta_layers {n_layers} does not match "
+                f"extractor_dims {meta['extractor_dims']}"
+            )
+        arrays = {}
+        for name, shape in _checkpoint_shapes(meta).items():
+            if name not in z.files:
+                raise ValueError(f"{path}: missing array {name}")
+            arrays[name] = z[name]
+            if arrays[name].shape != shape:
+                raise ValueError(
+                    f"{path}: {name} has shape {arrays[name].shape}, metadata implies {shape}"
+                )
+    theta = [(arrays[f"theta_w{i}"], arrays[f"theta_b{i}"]) for i in range(n_layers)]
+    ema_theta = [(arrays[f"ema_theta_w{i}"], arrays[f"ema_theta_b{i}"]) for i in range(n_layers)]
+    state = ModelState(
+        theta,
+        arrays["phi_w"],
+        arrays["phi_b"],
+        arrays["omega_w1"],
+        arrays["omega_b1"],
+        arrays["omega_w2"],
+        arrays["omega_b2"],
+        ema_theta,
+        arrays["ema_phi_w"],
+        arrays["ema_phi_b"],
+        int(meta["step_count"]),
+    )
     return state, meta["norm"]

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from biasadapt import bilevel
 from biasadapt.bilevel import (
     LowerOptimizer,
     TrainConfig,
     TrainingDiverged,
+    _lower_backward,
+    _lower_forward,
     _theta_phi_arrays,
     lower_loss,
     lower_step,
@@ -18,7 +21,7 @@ from biasadapt.bilevel import (
     write_trace_csv,
 )
 from biasadapt.data import Dataset, one_hot, synth_gaussian_mixture
-from biasadapt.model import copy_state, forward_train, init_model
+from biasadapt.model import attractor_backward, copy_state, forward_train, init_model
 from biasadapt.numcore import child_seeds, log_softmax, make_rng, relative_diff
 from biasadapt.pseudo import PseudoBatch, assign_pseudo_labels, augment
 from biasadapt.testing import (
@@ -67,7 +70,23 @@ class TestLowerLoss:
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
         assert plain.grads_omega == []
-        assert plain.unroll.u is None and plain.unroll.h is None
+        assert plain.unroll.u is None and plain.unroll.a is None
+
+    def test_skipping_head_gradient_keeps_other_gradients_bitwise(self):
+        problem = make_small_problem(make_rng(7))
+        loss, rec = _lower_forward(
+            problem.x_l, problem.y_l, problem.pseudo, problem.state, problem.norm
+        )
+        full = _lower_backward(problem.state, loss, rec)
+        lean = _lower_backward(problem.state, loss, rec, need_omega=False)
+        assert len(full.grads_omega) == 4 and lean.grads_omega == []
+        assert lean.loss == full.loss
+        assert np.array_equal(lean.grad_phi_w, full.grad_phi_w)
+        assert np.array_equal(lean.grad_phi_b, full.grad_phi_b)
+        assert len(lean.grads_theta) == len(full.grads_theta)
+        for got, want in zip(lean.grads_theta, full.grads_theta):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
     def test_gradients_fd_on_spec_instance(self):
         from biasadapt.testing import lower_fd_errors
@@ -489,6 +508,25 @@ class TestTrainLoop:
             eval_interval=5,
         )
         assert seen == [5, 10, 15, 20]
+
+    @pytest.mark.parametrize(
+        "mode,calls_per_iter",
+        [("l2ac", 1), ("plain_attractor", 1), ("single_level", 1), ("baseline", 0)],
+    )
+    def test_one_head_backward_per_iteration(self, monkeypatch, mode, calls_per_iter):
+        """l2ac moves the head along the hypergradient only, so its lower
+        backward forms no head gradient: one attractor backward per
+        iteration, the unroll's."""
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return attractor_backward(*args)
+
+        monkeypatch.setattr(bilevel, "attractor_backward", counted)
+        d_l, d_u = desk_datasets()
+        train(quick_config(mode=mode, iters=6), d_l, d_u)
+        assert len(calls) == 6 * calls_per_iter
 
     def test_eval_cadence_does_not_perturb_training(self):
         d_l, d_u = desk_datasets()

@@ -216,6 +216,34 @@ class TestEvalCommand:
         assert report["confusion"] == payload["final"]["confusion"]
 
 
+    @pytest.mark.parametrize(
+        "dim,classes,message",
+        [
+            (TINY_DATA["dim"], 6, "6 classes, but checkpoint .* has 4"),
+            (7, TINY_DATA["num_classes"], "7 features per row, but checkpoint .* takes 5"),
+        ],
+    )
+    def test_eval_rejects_mismatched_test_csv(self, tmp_path, capsys, dim, classes, message):
+        import re
+
+        from biasadapt.data import save_csv_dataset, synth_gaussian_mixture
+        from biasadapt.harness import run_eval
+        from biasadapt.numcore import make_rng
+
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        test_csv = tmp_path / "other.csv"
+        save_csv_dataset(
+            synth_gaussian_mixture(classes, dim, 3.0, [5] * classes, make_rng(1)), test_csv
+        )
+        ckpt = tmp_path / "run" / "ckpt_final.npz"
+        with pytest.raises(ValueError, match=message):
+            run_eval(ckpt, test_csv)
+        assert main(["eval", "--ckpt", str(ckpt), "--test", str(test_csv)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+
+
 class TestSelfcheck:
     def test_exit_zero_and_reports(self, capsys):
         assert main(["selfcheck"]) == 0

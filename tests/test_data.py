@@ -9,6 +9,7 @@ from biasadapt.data import (
     ImbalanceProfile,
     balanced_batch,
     class_counts,
+    class_rows,
     load_csv_dataset,
     save_csv_dataset,
     split_counts,
@@ -170,6 +171,30 @@ class TestBalancedBatch:
         ds = Dataset(ds.features, np.where(ds.labels == 1, -1, ds.labels), ds.true_labels, 2)
         with pytest.raises(ValueError, match="class 1"):
             balanced_batch(ds, BalancedBatchSpec(4, 2), make_rng(14))
+
+    def test_cached_class_rows_match_per_call_scan(self):
+        full = synth_gaussian_mixture(4, 3, 1.0, [12, 7, 5, 3], make_rng(16))
+        hidden = make_rng(17).random(len(full)) < 0.4
+        hidden[np.flatnonzero(full.labels == 3)[0]] = False  # keep class 3 labeled
+        ds = Dataset(full.features, np.where(hidden, -1, full.labels), full.true_labels, 4)
+        assert np.any(ds.labels == -1)
+        spec = BalancedBatchSpec(8, 4)
+        rows = class_rows(ds, 4)
+        cached_rng, inline_rng = make_rng(18), make_rng(18)
+        for _ in range(20):
+            want = []
+            for k in range(4):
+                scan = np.flatnonzero(ds.labels == k)
+                want.append(scan[inline_rng.integers(0, scan.size, size=spec.per_class)])
+            got = balanced_batch(ds, spec, cached_rng, rows)
+            assert np.array_equal(got, np.concatenate(want))
+            assert np.all(ds.labels[got] >= 0)
+
+    def test_class_rows_rejects_class_without_labeled_rows(self):
+        ds = synth_gaussian_mixture(3, 3, 1.0, [4, 4, 4], make_rng(19))
+        ds = Dataset(ds.features, np.where(ds.labels == 2, -1, ds.labels), ds.true_labels, 3)
+        with pytest.raises(ValueError, match="class 2 has no labeled rows"):
+            class_rows(ds, 3)
 
     def test_within_class_uniform(self):
         ds = self.make_labeled()

@@ -264,6 +264,43 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "name,shape,meta_key,meta_value",
+        [
+            ("omega_w2", (5, 3), None, None),
+            ("ema_theta_b0", (2,), None, None),
+            (None, None, "attractor_hidden", 9),
+            (None, None, "num_classes", 4),
+            (None, None, "extractor_dims", [3, 3, 7]),
+        ],
+    )
+    def test_shape_mismatch_names_the_array(self, tmp_path, name, shape, meta_key, meta_value):
+        import json
+
+        problem = make_small_problem(make_rng(16))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, problem.state, "softmax_input")
+        data = dict(np.load(path))
+        if name is not None:
+            data[name] = np.zeros(shape)
+        else:
+            meta = json.loads(bytes(data["meta"]).decode())
+            meta[meta_key] = meta_value
+            data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match="has shape .* metadata implies"):
+            load_checkpoint(path)
+
+    def test_missing_array_rejected(self, tmp_path):
+        problem = make_small_problem(make_rng(16))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, problem.state, "softmax_input")
+        data = dict(np.load(path))
+        del data["omega_b1"]
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match="missing array omega_b1"):
+            load_checkpoint(path)
+
 
 def test_attractor_forward_matches_manual():
     problem = make_small_problem(make_rng(17))
