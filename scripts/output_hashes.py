@@ -2,10 +2,13 @@
 """Print the sha256 of trace.csv, metrics.json and ckpt_final.npz for every
 training mode x lower optimizer x config, as a markdown table.
 
-Two configs: configs/example.yaml, and the determinism-criterion config of
+Three configs: configs/example.yaml; the determinism-criterion config of
 tests/test_acceptance.py with pseudo_source biased, pseudo_mode sharpen and
-attractor_norm l2_input. Each of the 16 runs goes through harness.run_train
-into a temporary directory with --iters iterations. Running this on two
+attractor_norm l2_input; and the CIFAR-10-LT-shaped paper_scale config of
+perfbench/run.py (head width 256, 512-row lower batches, 10k test rows
+scored every 25 iterations), where the arrays are large enough for BLAS to
+block them. Each of the 24 runs goes through harness.run_train into a
+temporary directory with --iters iterations. Running this on two
 commits and diffing the output shows whether a change kept the artifacts
 byte-identical.
 
@@ -47,6 +50,22 @@ CRIT9_BIASED = {
     },
     "eval": {"interval": 50, "last_e": 2},
 }
+PAPER_SCALE = {
+    "seed": 1,
+    "data": {
+        "dim": 32, "num_classes": 10, "class_separation": 5.5,
+        "labeled_profile": {"kind": "longtail", "gamma": 100.0, "n1": 1500},
+        "unlabeled_profile": {"kind": "longtail", "gamma": 100.0, "n1": 3000},
+        "test_per_class": 1000,
+    },
+    "train": {
+        "alpha": 0.08, "eta": 3.0, "tau": 0.8,
+        "batch_n": 64, "batch_m": 448, "balanced_n": 100,
+        "ema_decay": 0.99, "sigma_weak": 0.5, "sigma_strong": 1.5,
+        "extractor_hidden": [64], "feature_dim": 32, "attractor_hidden": 256,
+    },
+    "eval": {"interval": 25, "last_e": 8},
+}
 
 
 def _sha256(path: Path) -> str:
@@ -61,7 +80,11 @@ def main() -> int:
     args = parser.parse_args()
 
     with open(ROOT / "configs" / "example.yaml") as fh:
-        configs = {"example": yaml.safe_load(fh), "crit9-biased": CRIT9_BIASED}
+        configs = {
+            "example": yaml.safe_load(fh),
+            "crit9-biased": CRIT9_BIASED,
+            "paper-scale": PAPER_SCALE,
+        }
 
     print(f"| config@{args.iters} | mode | opt | " + " | ".join(ARTIFACTS) + " |")
     print("|---|---|---|" + "---|" * len(ARTIFACTS))

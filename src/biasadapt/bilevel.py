@@ -152,7 +152,7 @@ class UnrollInputs:
     lower gradient is never formed there."""
 
     z: np.ndarray
-    feat_cache: tuple
+    feat_cache: list
     p: np.ndarray
     targets: np.ndarray
     coeff: np.ndarray

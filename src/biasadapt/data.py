@@ -136,27 +136,22 @@ def synth_gaussian_mixture(
     if class_separation < 0:
         raise ValueError("class_separation must be >= 0")
     means = class_separation * class_means_on_sphere(num_classes, dim, rng)
-    rows = []
-    labels = []
+    features = np.empty((int(counts.sum()), dim))
+    start = 0
     for k in range(num_classes):
-        rows.append(means[k] + rng.standard_normal((int(counts[k]), dim)))
-        labels.append(np.full(int(counts[k]), k, dtype=np.int64))
-    features = np.vstack(rows)
-    y = np.concatenate(labels)
+        block = features[start : start + int(counts[k])]
+        rng.standard_normal(out=block)
+        block += means[k]
+        start += int(counts[k])
+    y = np.repeat(np.arange(num_classes, dtype=np.int64), counts)
     return Dataset(features, y.copy(), y, num_classes)
-
-
-def _per_class_permutations(full: Dataset, rng: np.random.Generator) -> list[np.ndarray]:
-    return [
-        rng.permutation(np.flatnonzero(full.true_labels == k))
-        for k in range(full.num_classes)
-    ]
 
 
 def _subset(full: Dataset, idx: np.ndarray, labeled: bool) -> Dataset:
     truth = full.true_labels[idx]
     labels = truth.copy() if labeled else np.full(idx.size, UNLABELED, dtype=np.int64)
-    return Dataset(full.features[idx].copy(), labels, truth.copy(), full.num_classes)
+    # fancy indexing already copies: the subset shares no memory with full
+    return Dataset(full.features[idx], labels, truth, full.num_classes)
 
 
 def split_counts(full: Dataset, parts, labeled_flags, rng: np.random.Generator) -> list[Dataset]:
@@ -167,7 +162,7 @@ def split_counts(full: Dataset, parts, labeled_flags, rng: np.random.Generator) 
     class when a class has too few rows to cover all parts.
     """
     parts = [np.asarray(p, dtype=np.int64) for p in parts]
-    perms = _per_class_permutations(full, rng)
+    perms = [rng.permutation(np.flatnonzero(full.true_labels == k)) for k in range(full.num_classes)]
     need = np.sum(parts, axis=0)
     for k in range(full.num_classes):
         if need[k] > perms[k].size:
@@ -241,7 +236,11 @@ def balanced_batch(
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Indicator rows; an unlabeled -1 (or any label outside 0..K-1) raises."""
     labels = np.asarray(labels, dtype=np.int64)
+    bad = labels[(labels < 0) | (labels >= num_classes)]
+    if bad.size:
+        raise ValueError(f"label {int(bad[0])} outside 0..{num_classes - 1}")
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out

@@ -35,6 +35,7 @@ from .bilevel import (
     write_trace_csv,
 )
 from .data import (
+    UNLABELED,
     Dataset,
     ImbalanceProfile,
     class_counts,
@@ -169,16 +170,44 @@ def resolve_out_dir(out_dir: str) -> Path:
 # dataset assembly
 
 
+def _check_csvs_agree(dc: DataConfig, d_l: Dataset, d_u: Dataset | None, d_test: Dataset) -> None:
+    """The unlabeled and test CSVs have the labeled CSV's feature dim, the
+    test CSV its class count and the unlabeled CSV at most that count;
+    raises naming both files and both numbers."""
+    for path, d in ((dc.unlabeled_csv, d_u), (dc.test_csv, d_test)):
+        if d is not None and d.dim != d_l.dim:
+            raise ValueError(
+                f"{path}: {d.dim} features per row, but labeled_csv {dc.labeled_csv} has {d_l.dim}"
+            )
+    if d_test.num_classes != d_l.num_classes:
+        raise ValueError(
+            f"{dc.test_csv}: {d_test.num_classes} classes, but labeled_csv {dc.labeled_csv} "
+            f"has {d_l.num_classes}"
+        )
+    if d_u is not None and d_u.num_classes > d_l.num_classes:
+        raise ValueError(
+            f"{dc.unlabeled_csv}: {d_u.num_classes} classes, more than the {d_l.num_classes} "
+            f"of labeled_csv {dc.labeled_csv}"
+        )
+
+
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset | None, Dataset]:
     """(labeled, unlabeled, test) from CSVs when given, otherwise synthesized
     from one mixture pool using the data child stream of the master seed."""
     dc = config.data
     if dc.labeled_csv:
         d_l = load_csv_dataset(dc.labeled_csv)
+        unlabeled = np.flatnonzero(d_l.labels == UNLABELED)
+        if unlabeled.size:
+            raise ValueError(
+                f"{dc.labeled_csv}: {unlabeled.size} unlabeled row(s) (label -1), the first "
+                f"at line {int(unlabeled[0]) + 2}; every labeled_csv row needs a label"
+            )
         d_u = load_csv_dataset(dc.unlabeled_csv) if dc.unlabeled_csv else None
         if not dc.test_csv:
             raise ValueError("test_csv required when training from CSVs")
         d_test = load_csv_dataset(dc.test_csv)
+        _check_csvs_agree(dc, d_l, d_u, d_test)
         return d_l, d_u, d_test
     data_seed = child_seeds(config.seed, 2)[0]
     rng = make_rng(data_seed)

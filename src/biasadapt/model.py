@@ -118,30 +118,29 @@ def forward_features(x: np.ndarray, theta: list[Layer]) -> np.ndarray:
 
 
 def features_with_cache(x: np.ndarray, theta: list[Layer]):
-    """Extractor forward pass: ReLU after every layer except the last.
-    Cache holds each layer's input plus hidden preactivations for backward."""
+    """Extractor forward pass: ReLU after every layer except the last, each
+    layer's output a fresh array biased and rectified in place (x is never
+    written). The cache is the list of layer inputs only: backward reads its
+    ReLU gates from them, so no preactivation is kept."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != theta[0][0].shape[0]:
         raise ValueError(f"input shape {x.shape} does not match extractor width {theta[0][0].shape[0]}")
     inputs = []
-    preacts = []
     h = x
     for li, (w, b) in enumerate(theta):
         inputs.append(h)
-        pre = h @ w
-        pre += b
+        h = h @ w
+        h += b
         if li < len(theta) - 1:
-            preacts.append(pre)
-            h = np.maximum(pre, 0.0)
-        else:
-            h = pre
-    return h, (inputs, preacts)
+            np.maximum(h, 0.0, out=h)
+    return h, inputs
 
 
-def features_backward(cache, theta: list[Layer], d_out: np.ndarray, need_dx: bool = False):
-    """Backprop d_out through the extractor; returns per-layer (dW, db) and
-    optionally the gradient w.r.t. the input."""
-    inputs, preacts = cache
+def features_backward(inputs, theta: list[Layer], d_out: np.ndarray, need_dx: bool = False):
+    """Backprop d_out through the extractor given features_with_cache's layer
+    inputs; returns per-layer (dW, db) and optionally the gradient w.r.t. the
+    input. Each hidden ReLU is gated by its output (relu(h) > 0 is the same
+    mask as h > 0, at +-0.0 and NaN too); the cache is never written."""
     grads: list[Layer] = [None] * len(theta)  # type: ignore[list-item]
     d = d_out
     for li in range(len(theta) - 1, -1, -1):
@@ -150,13 +149,15 @@ def features_backward(cache, theta: list[Layer], d_out: np.ndarray, need_dx: boo
         if li > 0 or need_dx:
             d = d @ w.T
             if li > 0:
-                d *= preacts[li - 1] > 0.0
+                d *= inputs[li] > 0.0
     dx = d if need_dx else None
     return grads, dx
 
 
 def classifier_scores(z: np.ndarray, phi_w: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
-    return z @ phi_w + phi_b
+    s = z @ phi_w
+    s += phi_b
+    return s
 
 
 def normalize_scores(s: np.ndarray, norm: str) -> np.ndarray:
@@ -172,14 +173,15 @@ def normalize_scores(s: np.ndarray, norm: str) -> np.ndarray:
 
 
 def attractor_forward(state: ModelState, u: np.ndarray):
-    """(delta, (h, a)): the head's output and its hidden preactivation h and
-    ReLU output a."""
-    h = u @ state.omega_w1
-    h += state.omega_b1
-    a = np.maximum(h, 0.0)
+    """(delta, a): the head's output and its hidden ReLU output a, both fresh
+    arrays (the hidden layer is biased and rectified in place, so its
+    preactivation is never kept); u is not written."""
+    a = u @ state.omega_w1
+    a += state.omega_b1
+    np.maximum(a, 0.0, out=a)
     delta = a @ state.omega_w2
     delta += state.omega_b2
-    return delta, (h, a)
+    return delta, a
 
 
 def attractor_backward(state: ModelState, u: np.ndarray, a: np.ndarray, d_delta: np.ndarray):
@@ -197,25 +199,26 @@ def attractor_backward(state: ModelState, u: np.ndarray, a: np.ndarray, d_delta:
 
 @dataclass
 class TrainForwardCache:
+    """What a backward pass through forward_train reads: features z, the
+    extractor's layer inputs, the head's stop-gradient input u and its ReLU
+    output a (the head's gate, a > 0). No preactivation is kept."""
+
     z: np.ndarray
-    feat_cache: tuple
-    s: np.ndarray
+    feat_cache: list
     u: np.ndarray
-    h: np.ndarray
     a: np.ndarray
-    delta: np.ndarray
-    logits: np.ndarray
 
 
 def forward_train(x: np.ndarray, state: ModelState, norm: str) -> tuple[np.ndarray, TrainForwardCache]:
     """Training-path logits: classifier scores plus the residual attractor
-    correction computed from the stop-gradient normalized scores."""
+    correction computed from the stop-gradient normalized scores. The logits
+    and every cached array are fresh; x is never written."""
     z, feat_cache = features_with_cache(x, state.theta)
-    s = classifier_scores(z, state.phi_w, state.phi_b)
-    u = normalize_scores(s, norm)
-    delta, (h, a) = attractor_forward(state, u)
-    logits = s + delta
-    return logits, TrainForwardCache(z, feat_cache, s, u, h, a, delta, logits)
+    logits = classifier_scores(z, state.phi_w, state.phi_b)
+    u = normalize_scores(logits, norm)
+    delta, a = attractor_forward(state, u)
+    logits += delta
+    return logits, TrainForwardCache(z, feat_cache, u, a)
 
 
 def forward_eval(x: np.ndarray, state: ModelState, use_ema: bool = False) -> np.ndarray:

@@ -31,13 +31,18 @@ def augment(
     sigma_strong: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent additive-Gaussian views of x at the two noise scales."""
+    """Two independent additive-Gaussian views of x, weak drawn first; each is
+    its fresh noise array scaled and shifted in place, so x is never written."""
     if not (0.0 <= sigma_weak < sigma_strong):
         raise ValueError(f"need 0 <= sigma_weak < sigma_strong, got {sigma_weak}, {sigma_strong}")
     x = np.asarray(x, dtype=np.float64)
-    x_weak = x + sigma_weak * rng.standard_normal(x.shape)
-    x_strong = x + sigma_strong * rng.standard_normal(x.shape)
-    return x_weak, x_strong
+    views = []
+    for sigma in (sigma_weak, sigma_strong):
+        v = rng.standard_normal(x.shape)
+        v *= sigma
+        v += x
+        views.append(v)
+    return views[0], views[1]
 
 
 def assign_pseudo_labels(

@@ -32,7 +32,7 @@ from .model import (
     forward_train,
     init_model,
 )
-from .numcore import flatten_arrays, relative_diff, unflatten_like
+from .numcore import flatten_arrays, unflatten_like
 from .pseudo import PseudoBatch
 
 KINK_MARGIN = 1e-3
@@ -74,7 +74,8 @@ def _kink_clearance(problem: SmallProblem) -> float:
             else:
                 h = pre
         _, cache = forward_train(x, state, problem.norm)
-        worst = min(worst, float(np.min(np.abs(cache.h))))
+        pre = cache.u @ state.omega_w1 + state.omega_b1
+        worst = min(worst, float(np.min(np.abs(pre))))
     return worst
 
 
@@ -239,12 +240,3 @@ def fd_hypergrad(problem: SmallProblem, eps: float = 1e-6) -> list[np.ndarray]:
         eps=eps,
     )
 
-
-def hypergrad_route_errors(problem: SmallProblem) -> dict[str, float]:
-    a = flatten_arrays(unrolled_hypergrad(problem))
-    b = flatten_arrays(closed_form_hypergrad(problem))
-    c = flatten_arrays(fd_hypergrad(problem))
-    return {
-        "unrolled_vs_closed": relative_diff(a, b),
-        "unrolled_vs_fd": relative_diff(a, c),
-    }

@@ -9,8 +9,10 @@ from biasadapt.data import (
     ImbalanceProfile,
     balanced_batch,
     class_counts,
+    class_means_on_sphere,
     class_rows,
     load_csv_dataset,
+    one_hot,
     save_csv_dataset,
     split_counts,
     split_labeled_unlabeled,
@@ -99,6 +101,16 @@ class TestSynthMixture:
         test = synth_gaussian_mixture(4, 8, 8.0, [100] * 4, make_rng(2))
         assert linear_probe_bacc(ds, test) >= 0.99
 
+    def test_matches_per_class_draws_bitwise(self):
+        counts = [10, 0, 30]
+        ds = synth_gaussian_mixture(3, 4, 2.0, counts, make_rng(9))
+        rng = make_rng(9)
+        means = 2.0 * class_means_on_sphere(3, 4, rng)
+        ref = np.vstack([means[k] + rng.standard_normal((c, 4)) for k, c in enumerate(counts)])
+        assert ds.features.tobytes() == ref.tobytes()
+        assert ds.true_labels.tolist() == [0] * 10 + [2] * 30
+        assert not np.shares_memory(ds.labels, ds.true_labels)
+
     def test_deterministic(self):
         a = synth_gaussian_mixture(3, 4, 2.0, [10, 20, 30], make_rng(9))
         b = synth_gaussian_mixture(3, 4, 2.0, [10, 20, 30], make_rng(9))
@@ -114,6 +126,14 @@ class TestSplits:
         assert len(d_l) == 4 and len(d_u) == 6
         assert np.all(d_u.labels == -1)
         assert np.all(d_l.labels >= 0)
+
+    def test_subsets_share_no_memory_with_pool(self):
+        pool = self.make_pool()
+        d_l, d_u = split_labeled_unlabeled(pool, [2, 2], [3, 3], make_rng(4))
+        for d in (d_l, d_u):
+            assert not np.shares_memory(d.features, pool.features)
+            assert not np.shares_memory(d.true_labels, pool.true_labels)
+        assert not np.shares_memory(d_l.labels, d_l.true_labels)
 
     def test_empty_unlabeled(self):
         d_l, d_u = split_labeled_unlabeled(self.make_pool(), [2, 2], [0, 0], make_rng(4))
@@ -283,3 +303,11 @@ class TestDatasetInvariants:
     def test_label_range_checked(self):
         with pytest.raises(ValueError, match="labels"):
             Dataset(np.zeros((1, 2)), np.array([3]), np.array([0]), 2)
+
+
+def test_one_hot_rejects_labels_outside_range():
+    assert one_hot(np.array([2, 0]), 3).tolist() == [[0, 0, 1], [1, 0, 0]]
+    with pytest.raises(ValueError, match=r"label -1 outside 0\.\.2"):
+        one_hot(np.array([-1, 0]), 3)
+    with pytest.raises(ValueError, match=r"label 3 outside"):
+        one_hot(np.array([0, 3]), 3)

@@ -104,3 +104,57 @@ def test_csv_header_and_empty_errors(tmp_path):
     header_only.write_text("f0,label,true_label\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_csv_dataset(header_only)
+
+
+def _csv(path, num_classes, dim, labels=None):
+    """A CSV of a 3-row-per-class mixture; labels defaults to the true labels."""
+    ds = synth_gaussian_mixture(num_classes, dim, 4.0, [3] * num_classes, make_rng(7))
+    labels = ds.true_labels if labels is None else labels
+    path.parent.mkdir(exist_ok=True)
+    save_csv_dataset(Dataset(ds.features, labels, ds.true_labels, num_classes), path)
+    return path
+
+
+def _train_rejects(tmp_path, payload, message, capsys):
+    import re
+
+    with pytest.raises(ValueError, match=message):
+        build_datasets(config_from_dict(payload))
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump(payload))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_labeled_csv_with_unlabeled_rows_rejected(tmp_path, csv_triplet, capsys):
+    labels = np.repeat(np.arange(3), 3)
+    labels[[4, 7]] = -1
+    paths = dict(csv_triplet, labeled=_csv(tmp_path / "partly.csv", 3, 6, labels))
+    message = r"partly\.csv: 2 unlabeled row\(s\) \(label -1\), the first at line 6"
+    _train_rejects(tmp_path, csv_config(tmp_path, paths), message, capsys)
+
+
+@pytest.mark.parametrize(
+    "role,num_classes,dim,message",
+    [
+        ("test", 4, 6, r"test\.csv: 4 classes, but labeled_csv .*labeled\.csv has 3"),
+        ("test", 2, 6, r"test\.csv: 2 classes, but labeled_csv .*labeled\.csv has 3"),
+        ("test", 3, 7, r"test\.csv: 7 features per row, but labeled_csv .*labeled\.csv has 6"),
+        ("unlabeled", 3, 5, r"unlabeled\.csv: 5 features per row, but labeled_csv .*labeled\.csv has 6"),
+        ("unlabeled", 4, 6, r"unlabeled\.csv: 4 classes, more than the 3 of labeled_csv .*labeled\.csv"),
+    ],
+    ids=["test-more-classes", "test-fewer-classes", "test-dim", "unlabeled-dim",
+         "unlabeled-more-classes"],
+)
+def test_mismatched_csvs_rejected(tmp_path, csv_triplet, capsys, role, num_classes, dim, message):
+    labels = np.full(3 * num_classes, -1) if role == "unlabeled" else None
+    paths = dict(csv_triplet)
+    paths[role] = _csv(tmp_path / "other" / f"{role}.csv", num_classes, dim, labels)
+    _train_rejects(tmp_path, csv_config(tmp_path, paths), message, capsys)
+
+
+def test_unlabeled_csv_with_fewer_classes_accepted(tmp_path, csv_triplet):
+    paths = dict(csv_triplet, unlabeled=_csv(tmp_path / "u2.csv", 2, 6, np.full(6, -1)))
+    d_l, d_u, _ = build_datasets(config_from_dict(csv_config(tmp_path, paths)))
+    assert d_u.num_classes == 2 and d_l.num_classes == 3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -306,11 +308,11 @@ def test_attractor_forward_matches_manual():
     problem = make_small_problem(make_rng(17))
     state = problem.state
     u = make_rng(18).dirichlet(np.ones(state.num_classes), size=3)
-    delta, (h, a) = attractor_forward(state, u)
-    manual_h = u @ state.omega_w1 + state.omega_b1
-    manual = np.maximum(manual_h, 0) @ state.omega_w2 + state.omega_b2
+    delta, a = attractor_forward(state, u)
+    manual_a = np.maximum(u @ state.omega_w1 + state.omega_b1, 0)
+    manual = manual_a @ state.omega_w2 + state.omega_b2
     assert np.array_equal(delta, manual)
-    assert np.array_equal(h, manual_h)
+    assert a.tobytes() == manual_a.tobytes()
 
 
 def test_classifier_scores_affine():
@@ -319,3 +321,63 @@ def test_classifier_scores_affine():
     w = rng.standard_normal((3, 2))
     b = rng.standard_normal(2)
     assert np.array_equal(classifier_scores(z, w, b), z @ w + b)
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
+def test_forward_passes_write_no_input_and_return_fresh_arrays(hidden):
+    rng = make_rng(20)
+    state = init_model([3, *hidden, 4], 3, 6, rng)
+    x = rng.standard_normal((7, 3))
+    x_before = x.copy()
+    params_before = [a.copy() for pair in state.theta for a in pair]
+    z, cache = features_with_cache(x, state.theta)
+    logits, train_cache = forward_train(x, state, "softmax_input")
+    eval_logits = forward_eval(x, state)
+    assert x.tobytes() == x_before.tobytes()
+    params = [a for pair in state.theta for a in pair]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(params, params_before))
+    assert len(cache) == len(state.theta) and cache[0] is x
+    for out in (z, logits, eval_logits, train_cache.z, train_cache.u, train_cache.a):
+        assert not np.shares_memory(out, x)
+    cache_before = [c.copy() for c in cache]
+    features_backward(cache, state.theta, rng.standard_normal(z.shape), need_dx=True)
+    assert all(c.tobytes() == b.tobytes() for c, b in zip(cache, cache_before))
+
+
+def test_relu_output_gate_matches_preactivation_gate_bitwise():
+    rng = make_rng(21)
+    pre = np.array([[0.0, -0.0, -1.5, 2.0], [-0.0, 0.5, 0.0, -3.0], [1.0, -2.0, -0.0, 0.0]])
+    assert np.signbit(pre).any() and (pre == 0.0).sum() == 6 and (pre < 0.0).any()
+    x = rng.standard_normal((3, 2))
+    theta = [(rng.standard_normal((2, 4)), rng.standard_normal(4)),
+             (rng.standard_normal((4, 3)), rng.standard_normal(3))]
+    relu = pre.copy()
+    np.maximum(relu, 0.0, out=relu)  # the layer output features_with_cache caches
+    d_out = rng.standard_normal((3, 3))
+    grads, dx = features_backward([x, relu], theta, d_out, need_dx=True)
+    # reference: backward gated on the preactivation itself
+    d = d_out @ theta[1][0].T
+    d *= pre > 0.0
+    ref = [(x.T @ d, d.sum(axis=0)), (relu.T @ d_out, d_out.sum(axis=0))]
+    for (gw, gb), (rw, rb) in zip(grads, ref):
+        assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+    assert dx.tobytes() == (d @ theta[0][0].T).tobytes()
+    with_nan = np.append(pre.ravel(), np.nan)
+    assert np.array_equal(np.maximum(with_nan, 0.0) > 0.0, with_nan > 0.0)
+
+
+def test_forward_eval_holds_one_array_per_layer():
+    rows, widths = 4096, (64, 32)
+    state = init_model([16, *widths], 10, 8, make_rng(22))
+    x = make_rng(23).standard_normal((rows, 16))
+    forward_eval(x, state)  # warm up lazily allocated numpy/BLAS state
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        forward_eval(x, state)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the hidden ReLU output and z; a kept preactivation would add rows * 8 * 64
+    assert peak <= rows * 8 * sum(widths) * 1.05

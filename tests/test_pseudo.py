@@ -24,6 +24,16 @@ class TestAugment:
         stds = x_strong.std(axis=0)
         assert np.all(np.abs(stds - 0.8) < 0.03 * 0.8)
 
+    def test_views_are_fresh_and_match_additive_noise_bitwise(self):
+        x = make_rng(6).standard_normal((5, 3))
+        x_before = x.copy()
+        weak, strong = augment(x, 0.0, 0.5, make_rng(7))
+        assert x.tobytes() == x_before.tobytes()
+        assert not np.shares_memory(weak, x) and not np.shares_memory(strong, x)
+        rng = make_rng(7)
+        assert weak.tobytes() == (x + 0.0 * rng.standard_normal(x.shape)).tobytes()
+        assert strong.tobytes() == (x + 0.5 * rng.standard_normal(x.shape)).tobytes()
+
     def test_order_validation(self):
         with pytest.raises(ValueError, match="sigma"):
             augment(np.zeros((1, 2)), 0.5, 0.5, make_rng(5))
