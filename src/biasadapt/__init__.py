@@ -9,7 +9,6 @@ from .bilevel import (
     TrainingDiverged,
     lower_loss,
     lower_step,
-    omega_grad_closed_form,
     omega_step,
     schedule_rates,
     train,
@@ -47,5 +46,6 @@ from .model import (
 )
 from .numcore import cross_entropy, grad_check, make_rng, softmax
 from .pseudo import PseudoBatch, assign_pseudo_labels, augment
+from .testing import omega_grad_closed_form
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,9 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilevel import TrainConfig, train
-from .data import Dataset, ImbalanceProfile, class_counts, split_counts, synth_gaussian_mixture
-from .metrics import evaluate, headline_means
-from .numcore import make_rng
+from .data import (
+    Dataset, ImbalanceProfile, class_counts, one_hot, split_counts, synth_gaussian_mixture
+)
+from .metrics import balanced_accuracy, confusion, evaluate, headline_means
+from .numcore import log_softmax, make_rng, weighted_ce
 
 SCENARIOS = ("matched", "uniform", "reversed")
 BENCH_MODES = ("baseline", "plain_attractor", "single_level", "l2ac")
@@ -112,9 +114,6 @@ def linear_probe_bacc(
     fully-supervised sanity probe for mixture separability. Per-class
     balanced weighting by default so the probe measures separability rather
     than inheriting the pool's imbalance."""
-    from .data import one_hot
-    from .numcore import log_softmax
-
     x = train_ds.features
     truth = train_ds.true_labels
     k = train_ds.num_classes
@@ -127,14 +126,10 @@ def linear_probe_bacc(
     w = np.zeros((x.shape[1], k))
     b = np.zeros(k)
     for _ in range(iters):
-        logits = x @ w + b
-        p = np.exp(log_softmax(logits))
-        d = weights[:, None] * (p - y)
+        _, _, d = weighted_ce(log_softmax(x @ w + b), y, weights)
         w -= lr * (x.T @ d)
         b -= lr * d.sum(axis=0)
     preds = (test_ds.features @ w + b).argmax(axis=1)
-    from .metrics import balanced_accuracy, confusion
-
     return balanced_accuracy(confusion(test_ds.true_labels, preds, test_ds.num_classes))
 
 

@@ -8,10 +8,10 @@ unroll; (iii) balanced cross-entropy at the stepped parameters through the
 plain classifier path; (iv) a backward-on-backward step on the head
 parameters that differentiates only the classifier-gradient expression.
 
-The head hypergradient has a closed form (per-sample inner products between
-classifier-gradient Jacobian rows and the mean balanced gradient) that is
-implemented separately in `omega_grad_closed_form` as an independent oracle;
-`hypergrad_fd` checks both against central differences of the composite map.
+This module holds the training path only. The oracles that check the head
+hypergradient, a closed form and central differences of the composite map,
+live in `testing`. A non-finite kernel input, loss or gradient norm ends the
+run with `TrainingDiverged`.
 """
 
 from __future__ import annotations
@@ -27,19 +27,21 @@ from .model import (
     ModelState,
     attractor_backward,
     classifier_scores,
-    copy_state,
     ema_update,
     features_backward,
     features_with_cache,
     forward_train,
     init_model,
 )
-from .numcore import child_seeds, flatten_arrays, log_softmax, make_rng, unflatten_like
+from .numcore import NonFinite, child_seeds, log_softmax, make_rng, weighted_ce
 from .pseudo import PseudoBatch, assign_pseudo_labels, augment
 
 MODES = ("l2ac", "baseline", "plain_attractor", "single_level")
 SCHEDULES = ("constant", "theorem_f")
 OPTIMIZERS = ("sgd", "adam")
+TRACE_COLUMNS = (
+    "iter", "lower_loss", "upper_loss", "grad_norm_theta", "grad_norm_phi", "grad_norm_omega"
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -144,7 +146,7 @@ def schedule_rates(config: TrainConfig, t: int) -> tuple[float, float]:
 @dataclass
 class UnrollInputs:
     """Per-sample record of one cross-entropy forward pass: features and the
-    extractor cache, probabilities, targets, per-row loss coefficients, the
+    extractor cache, probabilities, per-row loss coefficients, the
     logit gradient, and the attractor's (stop-gradient) input u and hidden
     ReLU output a, which the head gradients need. u and a are None on the
     plain (no attractor) path. In l2ac the record feeds the extractor and
@@ -154,7 +156,6 @@ class UnrollInputs:
     z: np.ndarray
     feat_cache: list
     p: np.ndarray
-    targets: np.ndarray
     coeff: np.ndarray
     d_logits: np.ndarray
     u: np.ndarray | None
@@ -187,16 +188,6 @@ def _stack_lower_batch(x_l, y_l, pseudo: PseudoBatch | None):
     return x, targets, coeff
 
 
-def _weighted_ce(logits, targets, coeff):
-    """loss = sum_i coeff[i] * H(logits[i], targets[i]); also returns
-    probabilities and the exact logit gradient coeff[i] * (p[i]-targets[i])."""
-    logp = log_softmax(logits)
-    p = np.exp(logp)
-    loss = float((coeff * -(targets * logp).sum(axis=1)).sum())
-    d_logits = coeff[:, None] * (p - targets)
-    return loss, p, d_logits
-
-
 def _train_logits(x, state: ModelState, norm: str | None, head: bool):
     """(logits, z, feature cache, u, a) of the residual-head training path,
     or of the plain classifier path (u and a None) when head is False; the
@@ -208,10 +199,18 @@ def _train_logits(x, state: ModelState, norm: str | None, head: bool):
     return classifier_scores(z, state.phi_w, state.phi_b), z, feat_cache, None, None
 
 
+def pseudo_label_logits(x, state: ModelState, config: TrainConfig) -> np.ndarray:
+    """Logits the pseudo-labels are read from: the residual-head training
+    path when the mode has a head (all but baseline) and pseudo_source is
+    biased, else the plain classifier path."""
+    biased = config.mode != "baseline" and config.pseudo_source == "biased"
+    return _train_logits(x, state, config.attractor_norm, biased)[0]
+
+
 def _ce_forward(x, targets, coeff, state: ModelState, norm: str | None, head: bool):
     logits, z, feat_cache, u, a = _train_logits(x, state, norm, head)
-    loss, p, d_logits = _weighted_ce(logits, targets, coeff)
-    return loss, UnrollInputs(z, feat_cache, p, targets, coeff, d_logits, u, a)
+    loss, p, d_logits = weighted_ce(log_softmax(logits), targets, coeff)
+    return loss, UnrollInputs(z, feat_cache, p, coeff, d_logits, u, a)
 
 
 def _lower_forward(x_l, y_l, pseudo, state: ModelState, norm: str, head: bool = True):
@@ -258,19 +257,11 @@ def lower_loss(
 
 
 def _theta_phi_arrays(state: ModelState) -> list[np.ndarray]:
-    arrays = []
-    for w, b in state.theta:
-        arrays.extend([w, b])
-    arrays.extend([state.phi_w, state.phi_b])
-    return arrays
+    return [a for pair in state.theta for a in pair] + [state.phi_w, state.phi_b]
 
 
 def _theta_phi_grads(res: LowerLossResult) -> list[np.ndarray]:
-    grads = []
-    for gw, gb in res.grads_theta:
-        grads.extend([gw, gb])
-    grads.extend([res.grad_phi_w, res.grad_phi_b])
-    return grads
+    return [g for pair in res.grads_theta for g in pair] + [res.grad_phi_w, res.grad_phi_b]
 
 
 class LowerOptimizer:
@@ -371,100 +362,6 @@ def omega_step(state: ModelState, cache: UnrollCache, upper_grad, eta: float) ->
     return hyper
 
 
-def omega_grad_closed_form(
-    x_l,
-    y_l,
-    pseudo: PseudoBatch | None,
-    bal_x,
-    bal_y,
-    state: ModelState,
-    norm: str,
-    alpha: float,
-) -> list[np.ndarray]:
-    """Independent oracle for the head hypergradient (SGD lower step only).
-
-    Recomputes the whole chain from raw batches: lower gradients at the given
-    state, the SGD step, the balanced gradient at the stepped parameters, and
-    then assembles per sample i the vector G_i = J_i (V_w^T z_i + v_b) (J_i
-    the softmax Jacobian at the pre-step logits) and the explicit K x P
-    Jacobian of the head output w.r.t. its parameters, accumulating
-    -alpha * sum_i coeff_i * M_i^T G_i.
-    """
-    work = copy_state(state)
-    res = lower_loss(x_l, y_l, pseudo, work, norm)
-    lower_step(work, res, alpha, LowerOptimizer("sgd", _theta_phi_arrays(work)))
-    _, (v_w, v_b), _ = upper_loss(bal_x, bal_y, work)
-
-    ui = res.unroll
-    k = state.num_classes
-    hidden = state.attractor_hidden
-    sizes = [a.size for a in state.omega_arrays()]
-    total = sum(sizes)
-    accum = np.zeros(total)
-    w2 = state.omega_w2
-    for i in range(ui.z.shape[0]):
-        if ui.coeff[i] == 0.0:
-            continue
-        p_i = ui.p[i]
-        jac_softmax = np.diag(p_i) - np.outer(p_i, p_i)
-        g_i = jac_softmax @ (v_w.T @ ui.z[i] + v_b)
-        gate = (ui.a[i] > 0.0).astype(np.float64)
-        m_rows = np.empty((k, total))
-        for c in range(k):
-            d_w1 = np.outer(ui.u[i], gate * w2[:, c])
-            d_b1 = gate * w2[:, c]
-            d_w2 = np.zeros((hidden, k))
-            d_w2[:, c] = ui.a[i]
-            d_b2 = np.zeros(k)
-            d_b2[c] = 1.0
-            m_rows[c] = flatten_arrays([d_w1, d_b1, d_w2, d_b2])
-        accum += ui.coeff[i] * (m_rows.T @ g_i)
-    return unflatten_like(-alpha * accum, state.omega_arrays())
-
-
-def hypergrad_fd(
-    x_l,
-    y_l,
-    pseudo: PseudoBatch | None,
-    bal_x,
-    bal_y,
-    state: ModelState,
-    norm: str,
-    alpha: float,
-    eps: float = 1e-6,
-) -> list[np.ndarray]:
-    """Central-difference hypergradient of the composite map
-    omega -> balanced loss at (theta' fixed, phi' (omega)), where theta' is
-    the SGD-stepped extractor at the unperturbed head (its dependence on the
-    head is dropped by construction) and phi'(omega) re-runs the lower
-    gradient at the perturbed head."""
-    base = copy_state(state)
-    res0 = lower_loss(x_l, y_l, pseudo, base, norm)
-    theta_prime = [
-        (w - alpha * gw, b - alpha * gb)
-        for (w, b), (gw, gb) in zip(state.theta, res0.grads_theta)
-    ]
-
-    def bal_at(omega_flat: np.ndarray) -> float:
-        work = copy_state(state)
-        for arr, value in zip(work.omega_arrays(), unflatten_like(omega_flat, work.omega_arrays())):
-            arr[...] = value
-        res = lower_loss(x_l, y_l, pseudo, work, norm)
-        work.theta = [(w.copy(), b.copy()) for w, b in theta_prime]
-        work.phi_w = state.phi_w - alpha * res.grad_phi_w
-        work.phi_b = state.phi_b - alpha * res.grad_phi_b
-        loss, _, _ = upper_loss(bal_x, bal_y, work)
-        return loss
-
-    omega0 = flatten_arrays(state.omega_arrays())
-    grad = np.empty_like(omega0)
-    for i in range(omega0.size):
-        delta = np.zeros_like(omega0)
-        delta[i] = eps
-        grad[i] = (bal_at(omega0 + delta) - bal_at(omega0 - delta)) / (2.0 * eps)
-    return unflatten_like(grad, state.omega_arrays())
-
-
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -524,7 +421,6 @@ def train(
     x_all_l = d_l.features
     y_all_l = one_hot(d_l.labels, k)
     have_unlabeled = d_u is not None and len(d_u) > 0 and config.batch_m > 0
-    biased_labels = head and config.pseudo_source == "biased"
 
     traces: list[StepTrace] = []
     for t in range(1, config.iters + 1):
@@ -543,7 +439,7 @@ def train(
                 u_idx = _sample_rows(batch_rng, len(d_u), config.batch_m)
                 x_u = d_u.features[u_idx]
                 x_weak, x_strong = augment(x_u, config.sigma_weak, config.sigma_strong, aug_rng)
-                logits_weak = _train_logits(x_weak, state, config.attractor_norm, biased_labels)[0]
+                logits_weak = pseudo_label_logits(x_weak, state, config)
                 y_hat, lam = assign_pseudo_labels(
                     logits_weak, config.tau, config.lambda_u, config.pseudo_mode,
                     config.sharpen_temperature,
@@ -583,21 +479,20 @@ def train(
                 sec_seconds = time.perf_counter() - t0
             elif head:
                 omega_opt.step(state.omega_arrays(), head_grads, alpha_t)
-        except ValueError as exc:
+        except NonFinite as exc:
             # overflow inside a forward pass surfaces as a finiteness error
-            if "non-finite" in str(exc):
-                raise TrainingDiverged(f"iteration {t}: {exc}", traces) from exc
-            raise
+            raise TrainingDiverged(f"iteration {t}: {exc}", traces) from exc
 
-        if not math.isfinite(res.loss) or ((joint or hyper) and not math.isfinite(upper_val)):
-            raise TrainingDiverged(
-                f"non-finite loss at iteration {t}: lower={res.loss} upper={upper_val}",
-                traces,
-            )
+        # upper_loss is NaN by definition in modes without a balanced loss;
+        # a finite sum of squares means every gradient entry is finite
+        nt, nphi, nomega = _block_norms(res, head_grads)
+        checked = (res.loss, upper_val if joint or hyper else 0.0, nt, nphi, nomega)
+        for name, value in zip(TRACE_COLUMNS[1:], checked):
+            if not math.isfinite(value):
+                raise TrainingDiverged(f"iteration {t}: non-finite {name} ({value})", traces)
 
         ema_update(state, config.ema_decay)
 
-        nt, nphi, nomega = _block_norms(res, head_grads)
         traces.append(
             StepTrace(t, res.loss, upper_val, nt, nphi, nomega, sec_seconds, back_seconds)
         )
@@ -614,7 +509,7 @@ def write_trace_csv(traces: list[StepTrace], path, include_timings: bool = False
     through extractor and classifier only, see StepTrace);
     second_order_seconds is the omega_step head update in l2ac and 0 in the
     other modes."""
-    cols = ["iter", "lower_loss", "upper_loss", "grad_norm_theta", "grad_norm_phi", "grad_norm_omega"]
+    cols = list(TRACE_COLUMNS)
     if include_timings:
         cols += ["second_order_seconds", "backward_seconds"]
     with open(path, "w") as fh:

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 
+from .bilevel import TrainingDiverged
 from .data import ImbalanceProfile
 from .harness import (
     bench_overhead,
@@ -70,7 +71,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, FileNotFoundError, FileExistsError) as exc:
+    except (ValueError, FileNotFoundError, FileExistsError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

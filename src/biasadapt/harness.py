@@ -30,6 +30,7 @@ from .bilevel import (
     _lower_forward,
     _theta_phi_arrays,
     lower_step,
+    pseudo_label_logits,
     train,
     upper_loss,
     write_trace_csv,
@@ -52,14 +53,7 @@ from .metrics import (
     pseudo_label_recall,
     save_confusion_csv,
 )
-from .model import (
-    classifier_scores,
-    forward_features,
-    forward_train,
-    init_model,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import init_model, load_checkpoint, save_checkpoint
 from .numcore import child_seeds, make_rng
 from .pseudo import PseudoBatch, assign_pseudo_labels
 
@@ -230,11 +224,7 @@ def final_pseudo_recall(config: TrainConfig, state, d_u: Dataset | None):
     set (raw features as the weak view), using the mode's labeling path."""
     if d_u is None or len(d_u) == 0:
         return None
-    if config.mode == "baseline" or config.pseudo_source == "plain":
-        z = forward_features(d_u.features, state.theta)
-        logits = classifier_scores(z, state.phi_w, state.phi_b)
-    else:
-        logits, _ = forward_train(d_u.features, state, config.attractor_norm)
+    logits = pseudo_label_logits(d_u.features, state, config)
     y_hat, lam = assign_pseudo_labels(
         logits, config.tau, config.lambda_u, config.pseudo_mode, config.sharpen_temperature
     )

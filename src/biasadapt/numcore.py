@@ -1,9 +1,12 @@
-"""Dense float64 numeric kernel: softmax, cross-entropy, gradient checking, RNG.
+"""Dense float64 numeric kernel: softmax, cross-entropy, central differences, RNG.
 
-All public operations take and return 2-D float64 numpy arrays (row-major)
-and validate that inputs and outputs stay finite. Randomness everywhere in
-the package flows through explicitly passed `numpy.random.Generator`
-instances backed by PCG64, so a seed fully determines every stream.
+`weighted_ce` is the one cross-entropy kernel: training calls it directly on
+log-probabilities, and `cross_entropy` is its validating entry (shapes,
+target rows, weights), the form the gradient checks exercise. `softmax`
+and `log_softmax` check that their input is finite and raise `NonFinite`
+otherwise. Randomness everywhere in the package flows through explicitly
+passed `numpy.random.Generator` instances backed by PCG64, so a seed fully
+determines every stream.
 """
 
 from __future__ import annotations
@@ -26,9 +29,13 @@ def child_seeds(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1, np.uint64)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
+class NonFinite(ValueError):
+    """A value that must be finite is not: an overflow, not a bad argument."""
+
+
 def ensure_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite {name}")
+        raise NonFinite(f"non-finite {name}")
 
 
 def as_matrix(arr, name: str = "matrix") -> np.ndarray:
@@ -64,12 +71,25 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def weighted_ce(
+    logp: np.ndarray, targets: np.ndarray, coeff: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """loss = sum_i coeff[i] * (-sum_k targets[i,k] * logp[i,k]) over
+    log-probability rows; returns (loss, probabilities, logit gradient), the
+    gradient being the exact coeff[i] * (p[i] - targets[i]). No validation."""
+    p = np.exp(logp)
+    loss = float((coeff * -(targets * logp).sum(axis=1)).sum())
+    d_logits = coeff[:, None] * (p - targets)
+    return loss, p, d_logits
+
+
 def cross_entropy(
     logits: np.ndarray,
     targets: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Weighted-mean cross-entropy between softmax(logits) and target rows.
+    """Weighted-mean cross-entropy between softmax(logits) and target rows:
+    `weighted_ce` with coeff = weights / batch, after validation.
 
     loss = (1/batch) * sum_i weights[i] * (-sum_k targets[i,k] * log p[i,k])
 
@@ -96,12 +116,21 @@ def cross_entropy(
         bad = int(np.argmax(np.abs(row_sums - 1.0)))
         raise ValueError(f"target row {bad} sums to {row_sums[bad]!r}, not 1")
 
-    logp = log_softmax(logits)
-    per_row = -(targets * logp).sum(axis=1)
-    loss = float((weights * per_row).sum() / batch)
-    p = softmax(logits)
-    grad = (weights[:, None] * (p - targets)) / batch
+    loss, _, grad = weighted_ce(log_softmax(logits), targets, weights / batch)
     return loss, grad
+
+
+def fd_gradient(
+    value: Callable[[np.ndarray], float], point: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a flat vector."""
+    point = np.asarray(point, dtype=np.float64).ravel()
+    grad = np.empty_like(point)
+    for i in range(point.size):
+        delta = np.zeros_like(point)
+        delta[i] = epsilon
+        grad[i] = (value(point + delta) - value(point - delta)) / (2.0 * epsilon)
+    return grad
 
 
 def grad_check(
@@ -117,18 +146,10 @@ def grad_check(
     if not (1e-8 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon {epsilon} outside [1e-8, 1e-3]")
     point = np.asarray(point, dtype=np.float64).ravel()
-    _, analytic = f(point)
-    analytic = np.asarray(analytic, dtype=np.float64).ravel()
-    worst = 0.0
-    for i in range(point.size):
-        delta = np.zeros_like(point)
-        delta[i] = epsilon
-        up, _ = f(point + delta)
-        down, _ = f(point - delta)
-        numeric = (up - down) / (2.0 * epsilon)
-        denom = max(1.0, abs(analytic[i]), abs(numeric))
-        worst = max(worst, abs(analytic[i] - numeric) / denom)
-    return worst
+    analytic = np.asarray(f(point)[1], dtype=np.float64).ravel()
+    numeric = fd_gradient(lambda x: f(x)[0], point, epsilon)
+    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+    return float(np.max(np.abs(analytic - numeric) / denom, initial=0.0))
 
 
 def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:

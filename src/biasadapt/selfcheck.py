@@ -9,13 +9,14 @@ import numpy as np
 from .bilevel import (
     LowerOptimizer,
     _theta_phi_arrays,
+    _theta_phi_grads,
     lower_loss,
     lower_step,
     omega_step,
     upper_loss,
 )
 from .model import copy_state, forward_eval, forward_train
-from .numcore import cross_entropy, grad_check, make_rng, relative_diff, softmax
+from .numcore import cross_entropy, flatten_arrays, grad_check, make_rng, relative_diff, softmax
 from .pseudo import PseudoBatch
 from .testing import (
     closed_form_hypergrad,
@@ -71,8 +72,8 @@ def check_hypergrad_oracle(rng, trials: int = 100) -> Check:
             n_unlabeled=int(rng.integers(0, 7)),
             norm="softmax_input" if rng.random() < 0.5 else "l2_input",
         )
-        a = np.concatenate([g.ravel() for g in unrolled_hypergrad(problem)])
-        b = np.concatenate([g.ravel() for g in closed_form_hypergrad(problem)])
+        a = flatten_arrays(unrolled_hypergrad(problem))
+        b = flatten_arrays(closed_form_hypergrad(problem))
         worst = max(worst, relative_diff(a, b))
     return ("hypergrad_unrolled_vs_closed_form", worst < 1e-6, f"max rel err {worst:.3e}")
 
@@ -81,8 +82,8 @@ def check_hypergrad_fd(rng, trials: int = 5) -> Check:
     worst = 0.0
     for _ in range(trials):
         problem = make_small_problem(rng)
-        a = np.concatenate([g.ravel() for g in unrolled_hypergrad(problem)])
-        c = np.concatenate([g.ravel() for g in fd_hypergrad(problem)])
+        a = flatten_arrays(unrolled_hypergrad(problem))
+        c = flatten_arrays(fd_hypergrad(problem))
         worst = max(worst, relative_diff(a, c))
     return ("hypergrad_vs_composite_fd", worst < 1e-5, f"max rel err {worst:.3e}")
 
@@ -93,14 +94,9 @@ def check_masking(rng) -> Check:
     masked = PseudoBatch(pseudo.x_weak, pseudo.x_strong, pseudo.y_hat, np.zeros(len(pseudo)))
     with_masked = lower_loss(problem.x_l, problem.y_l, masked, problem.state, problem.norm)
     labeled_only = lower_loss(problem.x_l, problem.y_l, None, problem.state, problem.norm)
-    same = with_masked.loss == labeled_only.loss
-    for (ga, ba), (gb, bb) in zip(with_masked.grads_theta, labeled_only.grads_theta):
-        same &= np.array_equal(ga, gb) and np.array_equal(ba, bb)
-    same &= np.array_equal(with_masked.grad_phi_w, labeled_only.grad_phi_w)
-    same &= np.array_equal(with_masked.grad_phi_b, labeled_only.grad_phi_b)
-    same &= all(
-        np.array_equal(ga, gb)
-        for ga, gb in zip(with_masked.grads_omega, labeled_only.grads_omega)
+    same = with_masked.loss == labeled_only.loss and np.array_equal(
+        flatten_arrays(_theta_phi_grads(with_masked) + with_masked.grads_omega),
+        flatten_arrays(_theta_phi_grads(labeled_only) + labeled_only.grads_omega),
     )
     return ("masking_soundness", bool(same), "fully masked batch contributes zero")
 
@@ -136,16 +132,10 @@ def check_theta_isolation(rng) -> Check:
     opt = LowerOptimizer("sgd", _theta_phi_arrays(work))
     res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
     cache = lower_step(work, res, problem.alpha, opt)
-    theta_snapshot = [(w.copy(), b.copy()) for w, b in work.theta]
-    phi_snapshot = (work.phi_w.copy(), work.phi_b.copy())
+    snapshot = flatten_arrays(_theta_phi_arrays(work))
     _, upper_grad, _ = upper_loss(problem.bal_x, problem.bal_y, work)
     omega_step(work, cache, upper_grad, eta=0.5)
-    ok = all(
-        np.array_equal(w, ws) and np.array_equal(b, bs)
-        for (w, b), (ws, bs) in zip(work.theta, theta_snapshot)
-    )
-    ok &= np.array_equal(work.phi_w, phi_snapshot[0])
-    ok &= np.array_equal(work.phi_b, phi_snapshot[1])
+    ok = np.array_equal(flatten_arrays(_theta_phi_arrays(work)), snapshot)
     return ("head_step_theta_isolation", bool(ok), "extractor and classifier bitwise unchanged")
 
 

@@ -1,5 +1,7 @@
-"""Small randomized problem instances and gradient-check helpers shared by
-the test suite and the selfcheck command.
+"""Small randomized problem instances, gradient-check helpers and the two
+head-hypergradient oracles, shared by the test suite and the selfcheck
+command. The oracles (`omega_grad_closed_form`, `hypergrad_fd`) recompute
+the chain independently of the training engine in `bilevel`.
 
 Instances are resampled until every ReLU preactivation sits away from its
 kink, so central differences stay valid at epsilon scale.
@@ -16,10 +18,8 @@ from .bilevel import (
     _hypergrad_unrolled,
     _stack_lower_batch,
     _theta_phi_arrays,
-    hypergrad_fd,
     lower_loss,
     lower_step,
-    omega_grad_closed_form,
     upper_loss,
 )
 from .data import one_hot
@@ -32,7 +32,9 @@ from .model import (
     forward_train,
     init_model,
 )
-from .numcore import flatten_arrays, unflatten_like
+from .numcore import (
+    fd_gradient, flatten_arrays, grad_check, log_softmax, unflatten_like, weighted_ce
+)
 from .pseudo import PseudoBatch
 
 KINK_MARGIN = 1e-3
@@ -129,10 +131,7 @@ def frozen_u_lower_value(problem: SmallProblem, state: ModelState) -> float:
     z = forward_features(x, state.theta)
     s = classifier_scores(z, state.phi_w, state.phi_b)
     delta, _ = attractor_forward(state, base_cache.u)
-    logits = s + delta
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float((coeff * -(targets * logp).sum(axis=1)).sum())
+    return weighted_ce(log_softmax(s + delta), targets, coeff)[0]
 
 
 def _block_arrays(state: ModelState, block: str) -> list[np.ndarray]:
@@ -151,54 +150,129 @@ def _set_block(state: ModelState, block: str, flat: np.ndarray) -> None:
         a[...] = value
 
 
+def _block_fd_error(state: ModelState, block: str, value, analytic: np.ndarray, eps: float) -> float:
+    """grad_check of value(state with `block` set to a flat vector) against
+    the block's flat analytic gradient."""
+
+    def f(flat: np.ndarray):
+        work = copy_state(state)
+        _set_block(work, block, flat)
+        return value(work), analytic
+
+    return grad_check(f, flatten_arrays(_block_arrays(state, block)), eps)
+
+
 def lower_fd_errors(problem: SmallProblem, eps: float = 1e-6) -> dict[str, float]:
     """Max relative error of the analytic lower-loss gradients vs central
     differences, per parameter block (attractor input frozen throughout)."""
-    res = lower_loss(
-        problem.x_l, problem.y_l, problem.pseudo, problem.state, problem.norm
-    )
+    res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, problem.state, problem.norm)
     analytic = {
-        "theta": flatten_arrays([g for pair in res.grads_theta for g in pair]),
-        "phi": flatten_arrays([res.grad_phi_w, res.grad_phi_b]),
-        "omega": flatten_arrays(res.grads_omega),
+        "theta": [g for pair in res.grads_theta for g in pair],
+        "phi": [res.grad_phi_w, res.grad_phi_b],
+        "omega": res.grads_omega,
     }
-    errors = {}
-    for block, grad in analytic.items():
-        base = flatten_arrays(_block_arrays(problem.state, block))
-        numeric = np.empty_like(base)
-        for i in range(base.size):
-            work = copy_state(problem.state)
-            bumped = base.copy()
-            bumped[i] += eps
-            _set_block(work, block, bumped)
-            up = frozen_u_lower_value(problem, work)
-            bumped[i] -= 2 * eps
-            _set_block(work, block, bumped)
-            down = frozen_u_lower_value(problem, work)
-            numeric[i] = (up - down) / (2 * eps)
-        denom = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(numeric)))
-        errors[block] = float(np.max(np.abs(grad - numeric) / denom))
-    return errors
+    return {
+        block: _block_fd_error(
+            problem.state, block, lambda work: frozen_u_lower_value(problem, work),
+            flatten_arrays(grads), eps,
+        )
+        for block, grads in analytic.items()
+    }
 
 
 def upper_fd_error(problem: SmallProblem, eps: float = 1e-6) -> float:
     """Finite-difference check of the balanced-loss classifier gradient."""
     _, (v_w, v_b), _ = upper_loss(problem.bal_x, problem.bal_y, problem.state)
-    analytic = flatten_arrays([v_w, v_b])
-    base = flatten_arrays(_block_arrays(problem.state, "phi"))
-    numeric = np.empty_like(base)
-    for i in range(base.size):
-        work = copy_state(problem.state)
-        bumped = base.copy()
-        bumped[i] += eps
-        _set_block(work, "phi", bumped)
-        up, _, _ = upper_loss(problem.bal_x, problem.bal_y, work)
-        bumped[i] -= 2 * eps
-        _set_block(work, "phi", bumped)
-        down, _, _ = upper_loss(problem.bal_x, problem.bal_y, work)
-        numeric[i] = (up - down) / (2 * eps)
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return _block_fd_error(
+        problem.state, "phi", lambda work: upper_loss(problem.bal_x, problem.bal_y, work)[0],
+        flatten_arrays([v_w, v_b]), eps,
+    )
+
+
+def omega_grad_closed_form(
+    x_l,
+    y_l,
+    pseudo: PseudoBatch | None,
+    bal_x,
+    bal_y,
+    state: ModelState,
+    norm: str,
+    alpha: float,
+) -> list[np.ndarray]:
+    """Independent oracle for the head hypergradient (SGD lower step only).
+
+    Recomputes the whole chain from raw batches: lower gradients at the given
+    state, the SGD step, the balanced gradient at the stepped parameters, and
+    then assembles per sample i the vector G_i = J_i (V_w^T z_i + v_b) (J_i
+    the softmax Jacobian at the pre-step logits) and the explicit K x P
+    Jacobian of the head output w.r.t. its parameters, accumulating
+    -alpha * sum_i coeff_i * M_i^T G_i.
+    """
+    work = copy_state(state)
+    res = lower_loss(x_l, y_l, pseudo, work, norm)
+    lower_step(work, res, alpha, LowerOptimizer("sgd", _theta_phi_arrays(work)))
+    _, (v_w, v_b), _ = upper_loss(bal_x, bal_y, work)
+
+    ui = res.unroll
+    k = state.num_classes
+    hidden = state.attractor_hidden
+    total = sum(a.size for a in state.omega_arrays())
+    accum = np.zeros(total)
+    w2 = state.omega_w2
+    for i in range(ui.z.shape[0]):
+        if ui.coeff[i] == 0.0:
+            continue
+        p_i = ui.p[i]
+        jac_softmax = np.diag(p_i) - np.outer(p_i, p_i)
+        g_i = jac_softmax @ (v_w.T @ ui.z[i] + v_b)
+        gate = (ui.a[i] > 0.0).astype(np.float64)
+        m_rows = np.empty((k, total))
+        for c in range(k):
+            d_w1 = np.outer(ui.u[i], gate * w2[:, c])
+            d_b1 = gate * w2[:, c]
+            d_w2 = np.zeros((hidden, k))
+            d_w2[:, c] = ui.a[i]
+            d_b2 = np.zeros(k)
+            d_b2[c] = 1.0
+            m_rows[c] = flatten_arrays([d_w1, d_b1, d_w2, d_b2])
+        accum += ui.coeff[i] * (m_rows.T @ g_i)
+    return unflatten_like(-alpha * accum, state.omega_arrays())
+
+
+def hypergrad_fd(
+    x_l,
+    y_l,
+    pseudo: PseudoBatch | None,
+    bal_x,
+    bal_y,
+    state: ModelState,
+    norm: str,
+    alpha: float,
+    eps: float = 1e-6,
+) -> list[np.ndarray]:
+    """Central-difference hypergradient of the composite map
+    omega -> balanced loss at (theta' fixed, phi' (omega)), where theta' is
+    the SGD-stepped extractor at the unperturbed head (its dependence on the
+    head is dropped by construction) and phi'(omega) re-runs the lower
+    gradient at the perturbed head."""
+    res0 = lower_loss(x_l, y_l, pseudo, state, norm)
+    theta_prime = [
+        (w - alpha * gw, b - alpha * gb)
+        for (w, b), (gw, gb) in zip(state.theta, res0.grads_theta)
+    ]
+
+    def bal_at(omega_flat: np.ndarray) -> float:
+        work = copy_state(state)
+        _set_block(work, "omega", omega_flat)
+        res = lower_loss(x_l, y_l, pseudo, work, norm)
+        work.theta = [(w.copy(), b.copy()) for w, b in theta_prime]
+        work.phi_w = state.phi_w - alpha * res.grad_phi_w
+        work.phi_b = state.phi_b - alpha * res.grad_phi_b
+        loss, _, _ = upper_loss(bal_x, bal_y, work)
+        return loss
+
+    grad = fd_gradient(bal_at, flatten_arrays(state.omega_arrays()), eps)
+    return unflatten_like(grad, state.omega_arrays())
 
 
 def unrolled_hypergrad(problem: SmallProblem) -> list[np.ndarray]:
@@ -212,31 +286,18 @@ def unrolled_hypergrad(problem: SmallProblem) -> list[np.ndarray]:
     return _hypergrad_unrolled(work, cache, upper_grad)
 
 
+def _oracle_args(problem: SmallProblem) -> tuple:
+    return (
+        problem.x_l, problem.y_l, problem.pseudo, problem.bal_x, problem.bal_y,
+        problem.state, problem.norm, problem.alpha,
+    )
+
+
 def closed_form_hypergrad(problem: SmallProblem) -> list[np.ndarray]:
     """Route B: the per-sample inner-product oracle."""
-    return omega_grad_closed_form(
-        problem.x_l,
-        problem.y_l,
-        problem.pseudo,
-        problem.bal_x,
-        problem.bal_y,
-        problem.state,
-        problem.norm,
-        problem.alpha,
-    )
+    return omega_grad_closed_form(*_oracle_args(problem))
 
 
 def fd_hypergrad(problem: SmallProblem, eps: float = 1e-6) -> list[np.ndarray]:
     """Route C: central differences through the composite map."""
-    return hypergrad_fd(
-        problem.x_l,
-        problem.y_l,
-        problem.pseudo,
-        problem.bal_x,
-        problem.bal_y,
-        problem.state,
-        problem.norm,
-        problem.alpha,
-        eps=eps,
-    )
-
+    return hypergrad_fd(*_oracle_args(problem), eps=eps)

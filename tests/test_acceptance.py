@@ -22,15 +22,17 @@ from biasadapt.data import (
     synth_gaussian_mixture,
 )
 from biasadapt.metrics import balanced_accuracy, geometric_mean
-from biasadapt.model import copy_state, forward_eval, forward_train
-from biasadapt.numcore import cross_entropy, grad_check, make_rng, relative_diff
-from biasadapt.testing import (
-    closed_form_hypergrad,
-    fd_hypergrad,
-    lower_fd_errors,
-    make_small_problem,
-    unrolled_hypergrad,
-    upper_fd_error,
+from biasadapt.numcore import make_rng
+from biasadapt.selfcheck import (
+    check_cross_entropy_grad,
+    check_eval_ignores_head,
+    check_hypergrad_fd,
+    check_hypergrad_oracle,
+    check_lower_gradients,
+    check_masking,
+    check_residual_identity,
+    check_theta_isolation,
+    check_upper_gradient,
 )
 
 
@@ -40,143 +42,52 @@ def report(num, passed, detail):
     assert passed, line
 
 
-def flat(arrays):
-    return np.concatenate([a.ravel() for a in arrays])
-
-
 def test_criterion_1_hypergradient_oracle():
-    rng = make_rng(2024)
     t0 = time.monotonic()
-    worst = 0.0
-    trials = 120
-    for _ in range(trials):
-        problem = make_small_problem(
-            rng,
-            input_dim=int(rng.integers(2, 5)),
-            feature_dim=int(rng.integers(2, 5)),
-            num_classes=int(rng.integers(2, 5)),
-            attractor_hidden=int(rng.integers(1, 5)),
-            n_labeled=int(rng.integers(1, 7)),
-            n_unlabeled=int(rng.integers(0, 7)),
-            norm="softmax_input" if rng.random() < 0.5 else "l2_input",
-        )
-        a = flat(unrolled_hypergrad(problem))
-        b = flat(closed_form_hypergrad(problem))
-        worst = max(worst, relative_diff(a, b))
+    _, passed, detail = check_hypergrad_oracle(make_rng(2024), trials=120)
     elapsed = time.monotonic() - t0
     report(
         1,
-        worst < 1e-6 and elapsed < 10.0,
-        f"unrolled vs closed-form over {trials} instances: max rel err "
-        f"{worst:.2e} (tol 1e-6), {elapsed:.1f}s (< 10s), same sign convention",
+        passed and elapsed < 10.0,
+        f"unrolled vs closed-form over 120 instances: {detail} (tol 1e-6), "
+        f"{elapsed:.1f}s (< 10s), same sign convention",
     )
 
 
 def test_criterion_2_finite_difference_suite():
     rng = make_rng(2025)
     t0 = time.monotonic()
-    worst = {}
-
-    ce_worst = 0.0
-    for _ in range(20):
-        batch, k = int(rng.integers(1, 8)), int(rng.integers(2, 10))
-        targets = rng.dirichlet(np.ones(k), size=batch)
-
-        def f(x):
-            loss, grad = cross_entropy(x.reshape(batch, k), targets)
-            return loss, grad.ravel()
-
-        ce_worst = max(ce_worst, grad_check(f, rng.standard_normal(batch * k)))
-    worst["cross_entropy"] = ce_worst
-
-    block_worst = {"theta": 0.0, "phi": 0.0, "omega": 0.0}
-    upper_worst = 0.0
-    composite_worst = 0.0
-    for _ in range(5):
-        problem = make_small_problem(rng)
-        for block, err in lower_fd_errors(problem).items():
-            block_worst[block] = max(block_worst[block], err)
-        upper_worst = max(upper_worst, upper_fd_error(problem))
-        composite_worst = max(
-            composite_worst,
-            relative_diff(flat(unrolled_hypergrad(problem)), flat(fd_hypergrad(problem))),
+    checks = [
+        check(rng)
+        for check in (
+            check_cross_entropy_grad, check_lower_gradients, check_upper_gradient, check_hypergrad_fd,
         )
-    worst["extractor"] = block_worst["theta"]
-    worst["classifier"] = max(block_worst["phi"], upper_worst)
-    worst["attractor"] = block_worst["omega"]
-    worst["composite_hypergrad"] = composite_worst
+    ]
     elapsed = time.monotonic() - t0
-    bad = {k: v for k, v in worst.items() if v >= 1e-5}
     report(
         2,
-        not bad and elapsed < 30.0,
-        f"analytic vs central differences, max rel err per block "
-        f"{ {k: f'{v:.1e}' for k, v in worst.items()} } (tol 1e-5), {elapsed:.1f}s (< 30s)",
+        all(ok for _, ok, _ in checks) and elapsed < 30.0,
+        "analytic vs central differences: "
+        + "; ".join(f"{name} {detail}" for name, _, detail in checks)
+        + f" (tol 1e-6, composite 1e-5), {elapsed:.1f}s (< 30s)",
     )
 
 
 def test_criterion_3_masking_soundness():
-    from biasadapt.bilevel import lower_loss
-    from biasadapt.pseudo import PseudoBatch
-
-    problem = make_small_problem(make_rng(2026), mask_some=False)
-    pseudo = problem.pseudo
-    masked = PseudoBatch(pseudo.x_weak, pseudo.x_strong, pseudo.y_hat, np.zeros(len(pseudo)))
-    a = lower_loss(problem.x_l, problem.y_l, masked, problem.state, problem.norm)
-    b = lower_loss(problem.x_l, problem.y_l, None, problem.state, problem.norm)
-    same = a.loss == b.loss
-    same &= np.array_equal(a.grad_phi_w, b.grad_phi_w)
-    same &= np.array_equal(a.grad_phi_b, b.grad_phi_b)
-    same &= all(
-        np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
-        for x, y in zip(a.grads_theta, b.grads_theta)
-    )
-    same &= all(np.array_equal(x, y) for x, y in zip(a.grads_omega, b.grads_omega))
-    report(3, bool(same), "fully masked unlabeled batch leaves every parameter gradient bitwise unchanged")
+    _, passed, _ = check_masking(make_rng(2026))
+    report(3, passed, "fully masked unlabeled batch leaves every parameter gradient bitwise unchanged")
 
 
 def test_criterion_4_residual_and_removal_identities():
-    from biasadapt.bilevel import (
-        LowerOptimizer,
-        _theta_phi_arrays,
-        lower_loss,
-        lower_step,
-        omega_step,
-        upper_loss,
-    )
-
     rng = make_rng(2027)
-    problem = make_small_problem(rng)
-    x = rng.standard_normal((8, problem.x_l.shape[1]))
-
-    zeroed = copy_state(problem.state)
-    zeroed.omega_w2[...] = 0.0
-    zeroed.omega_b2[...] = 0.0
-    residual_ok = np.array_equal(
-        forward_train(x, zeroed, problem.norm)[0], forward_eval(x, zeroed)
-    )
-
-    mutated = copy_state(problem.state)
-    mutated.omega_w1 += 5.0
-    mutated.omega_w2 -= 2.0
-    removal_ok = np.array_equal(forward_eval(x, problem.state), forward_eval(x, mutated))
-
-    work = copy_state(problem.state)
-    opt = LowerOptimizer("sgd", _theta_phi_arrays(work))
-    res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-    cache = lower_step(work, res, problem.alpha, opt)
-    theta_bits = [(w.copy(), b.copy()) for w, b in work.theta]
-    _, upper_grad, _ = upper_loss(problem.bal_x, problem.bal_y, work)
-    omega_step(work, cache, upper_grad, eta=1.0)
-    isolation_ok = all(
-        np.array_equal(w, w0) and np.array_equal(b, b0)
-        for (w, b), (w0, b0) in zip(work.theta, theta_bits)
-    )
+    checks = [
+        check(rng) for check in (check_residual_identity, check_eval_ignores_head, check_theta_isolation)
+    ]
     report(
         4,
-        residual_ok and removal_ok and isolation_ok,
+        all(ok for _, ok, _ in checks),
         "zero head output => train path == eval path; head mutation invisible at eval; "
-        "head step leaves extractor bitwise unchanged",
+        "head step leaves extractor and classifier bitwise unchanged",
     )
 
 

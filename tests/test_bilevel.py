@@ -13,7 +13,6 @@ from biasadapt.bilevel import (
     _theta_phi_arrays,
     lower_loss,
     lower_step,
-    omega_grad_closed_form,
     omega_step,
     schedule_rates,
     train,
@@ -28,6 +27,7 @@ from biasadapt.testing import (
     closed_form_hypergrad,
     fd_hypergrad,
     make_small_problem,
+    omega_grad_closed_form,
     unrolled_hypergrad,
 )
 
@@ -469,6 +469,32 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as excinfo:
             train(quick_config(alpha=1e6, iters=400), d_l, d_u)
         assert len(excinfo.value.traces) >= 1
+
+    def test_nonfinite_head_gradient_aborts(self, monkeypatch):
+        # the head step itself succeeds; only the gradient it reports is inf
+        real_step = bilevel.omega_step
+
+        def blow_up_at_3(state, cache, upper_grad, eta):
+            hyper = real_step(state, cache, upper_grad, eta)
+            if state.step_count == 3:
+                return [np.full_like(g, np.inf) for g in hyper]
+            return hyper
+
+        monkeypatch.setattr(bilevel, "omega_step", blow_up_at_3)
+        d_l, d_u = desk_datasets()
+        with pytest.raises(TrainingDiverged, match="grad_norm_omega") as excinfo:
+            train(quick_config(iters=10), d_l, d_u)
+        assert len(excinfo.value.traces) == 2
+
+    def test_value_error_is_not_divergence(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ValueError("non-finite by message only")
+
+        monkeypatch.setattr(bilevel, "upper_loss", refuse)
+        d_l, d_u = desk_datasets()
+        with pytest.raises(ValueError, match="by message only") as excinfo:
+            train(quick_config(iters=5), d_l, d_u)
+        assert not isinstance(excinfo.value, TrainingDiverged)
 
     def test_theorem_schedule_runs(self):
         d_l, d_u = desk_datasets()

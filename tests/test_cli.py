@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -106,6 +107,14 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "force" in capsys.readouterr().err
         assert main(["train", "--config", str(cfg), "--force"]) == 0
+
+    def test_divergence_reported_without_traceback(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alpha=1e6)
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: iteration ") and "non-finite" in err
+        assert "Traceback" not in err
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -101,6 +101,18 @@ class TestSynthMixture:
         test = synth_gaussian_mixture(4, 8, 8.0, [100] * 4, make_rng(2))
         assert linear_probe_bacc(ds, test) >= 0.99
 
+    def test_probe_pinned_value(self):
+        # pinned figures: a change to the shared cross-entropy kernel must not move them
+        from biasadapt.benchmark import linear_probe_bacc
+
+        rng = make_rng(5)
+        pool = synth_gaussian_mixture(3, 4, 1.0, [240, 220, 210], rng)
+        train_ds, test_ds = split_counts(
+            pool, [[40, 20, 10], [200, 200, 200]], [True, True], rng
+        )
+        assert linear_probe_bacc(train_ds, test_ds, iters=60) == 0.62
+        assert linear_probe_bacc(train_ds, test_ds, iters=60, balanced=False) == 0.5783333333333334
+
     def test_matches_per_class_draws_bitwise(self):
         counts = [10, 0, 30]
         ds = synth_gaussian_mixture(3, 4, 2.0, counts, make_rng(9))

@@ -5,11 +5,15 @@ from hypothesis import strategies as st
 
 from biasadapt.numcore import (
     LOG_FLOOR,
+    NonFinite,
     cross_entropy,
+    fd_gradient,
     grad_check,
+    log_softmax,
     make_rng,
     safe_log,
     softmax,
+    weighted_ce,
 )
 
 # softmax([1,2,3]) evaluated by direct exp/sum before the build
@@ -35,6 +39,11 @@ class TestSoftmax:
             softmax(np.array([[np.nan, 0.0]]))
         with pytest.raises(ValueError, match="non-finite"):
             softmax(np.array([[np.inf, 0.0]]))
+
+    def test_nonfinite_input_raises_nonfinite(self):
+        with pytest.raises(NonFinite):
+            log_softmax(np.array([[np.inf, 0.0]]))
+        assert issubclass(NonFinite, ValueError)
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="classes"):
@@ -85,13 +94,24 @@ class TestCrossEntropy:
         assert grad_check(f, logits.ravel()) < 1e-6
 
     def test_xi_identity(self):
-        # unweighted gradient is exactly softmax(logits) minus target, / batch
+        # unweighted gradient is exactly the probabilities minus target, times
+        # 1/batch, in the kernel's arithmetic (p = exp(log_softmax(logits)))
         rng = make_rng(7)
         logits = rng.standard_normal((5, 4))
         targets = rng.dirichlet(np.ones(4), size=5)
         _, grad = cross_entropy(logits, targets)
-        expected = (softmax(logits) - targets) / 5
+        expected = 0.2 * (np.exp(log_softmax(logits)) - targets)
         assert np.array_equal(grad, expected)
+
+    def test_is_the_training_kernel(self):
+        rng = make_rng(8)
+        logits = rng.standard_normal((6, 5))
+        targets = rng.dirichlet(np.ones(5), size=6)
+        weights = rng.uniform(0, 2, size=6)
+        loss, grad = cross_entropy(logits, targets, weights)
+        k_loss, _, k_grad = weighted_ce(log_softmax(logits), targets, weights / 6)
+        assert loss == k_loss
+        assert np.array_equal(grad, k_grad)
 
     def test_rejects_bad_target_rows(self):
         with pytest.raises(ValueError, match="sums to"):
@@ -125,6 +145,8 @@ class TestGradCheck:
             return float(x[0] ** 2), np.array([2.0 * x[0]])
 
         assert grad_check(f, np.array([3.0])) < 1e-7
+        numeric = fd_gradient(lambda x: f(x)[0], np.array([3.0]), 1e-6)
+        assert numeric.shape == (1,) and abs(numeric[0] - 6.0) < 1e-7
 
     def test_constant(self):
         def f(x):
@@ -137,6 +159,12 @@ class TestGradCheck:
             return float(x[0] ** 2), np.array([3.0 * x[0]])
 
         assert grad_check(f, np.array([3.0])) > 1e-2
+
+    def test_nan_value_is_not_a_pass(self):
+        def f(x):
+            return float("nan"), np.zeros_like(x)
+
+        assert not grad_check(f, np.array([3.0])) < 1e-6
 
     def test_epsilon_validation(self):
         def f(x):
