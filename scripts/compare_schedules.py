@@ -37,7 +37,9 @@ def main() -> int:
         reports = []
         _, traces = train(
             config, d_l, d_u,
-            eval_hook=lambda _it, state: reports.append(evaluate(state, d_test, use_ema=True)),
+            eval_hook=lambda _it, state: reports.append(
+                evaluate(state, d_test, use_ema=True, distribution=False)
+            ),
             eval_interval=settings.eval_interval,
         )
         result = headline_means(reports[-settings.last_e :])

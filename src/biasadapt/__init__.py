@@ -5,6 +5,7 @@ step unrolls only the classifier gradient."""
 
 from .bilevel import (
     StepTrace,
+    TraceTable,
     TrainConfig,
     TrainingDiverged,
     lower_loss,

@@ -143,7 +143,7 @@ def run_single(
     reports = []
 
     def hook(iteration, state):
-        reports.append(evaluate(state, d_test, use_ema=True))
+        reports.append(evaluate(state, d_test, use_ema=True, distribution=False))
 
     train(config, d_l, d_u, eval_hook=hook, eval_interval=eval_interval)
     tail = reports[-last_e:] if last_e > 0 else reports

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -123,8 +124,30 @@ class StepTrace:
     backward_seconds: float
 
 
+class TraceTable(Sequence):
+    """A run's trace as one read-only (iterations, 8) float64 array, `array`,
+    whose columns are StepTrace's fields in order. Indexing gives a StepTrace
+    row, slicing a TraceTable."""
+
+    def __init__(self, array: np.ndarray):
+        self.array = array.view()
+        self.array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.array.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TraceTable(self.array[index])
+        iteration, *values = self.array[index].tolist()
+        return StepTrace(int(iteration), *values)
+
+
 class TrainingDiverged(RuntimeError):
-    def __init__(self, message: str, traces: list[StepTrace]):
+    """A non-finite value ended training; traces holds the completed
+    iterations."""
+
+    def __init__(self, message: str, traces: TraceTable):
         super().__init__(message)
         self.traces = traces
 
@@ -385,7 +408,7 @@ def train(
     d_u: Dataset | None,
     eval_hook=None,
     eval_interval: int = 0,
-) -> tuple[ModelState, list[StepTrace]]:
+) -> tuple[ModelState, TraceTable]:
     """Run the configured number of iterations and return the final state
     plus one trace row per iteration. Deterministic given config.seed: the
     seed fans out into separate init / batch-sampling / augmentation streams.
@@ -422,8 +445,11 @@ def train(
     y_all_l = one_hot(d_l.labels, k)
     have_unlabeled = d_u is not None and len(d_u) > 0 and config.batch_m > 0
 
-    traces: list[StepTrace] = []
-    for t in range(1, config.iters + 1):
+    def iteration(t: int) -> tuple:
+        """One iteration: sample, pseudo-label, lower step, upper and head
+        steps, EMA; returns its trace row. Every batch, cache and gradient
+        is a local here, so none is alive when the eval hook runs or the
+        next batch is drawn."""
         alpha_t, eta_t = schedule_rates(config, t)
 
         l_idx = _sample_rows(batch_rng, len(d_l), config.batch_n)
@@ -433,55 +459,51 @@ def train(
         upper_val = math.nan
         sec_seconds = 0.0
 
-        try:
-            pseudo = None
-            if have_unlabeled:
-                u_idx = _sample_rows(batch_rng, len(d_u), config.batch_m)
-                x_u = d_u.features[u_idx]
-                x_weak, x_strong = augment(x_u, config.sigma_weak, config.sigma_strong, aug_rng)
-                logits_weak = pseudo_label_logits(x_weak, state, config)
-                y_hat, lam = assign_pseudo_labels(
-                    logits_weak, config.tau, config.lambda_u, config.pseudo_mode,
-                    config.sharpen_temperature,
-                )
-                pseudo = PseudoBatch(x_weak, x_strong, y_hat, lam)
+        pseudo = None
+        if have_unlabeled:
+            u_idx = _sample_rows(batch_rng, len(d_u), config.batch_m)
+            x_u = d_u.features[u_idx]
+            x_weak, x_strong = augment(x_u, config.sigma_weak, config.sigma_strong, aug_rng)
+            logits_weak = pseudo_label_logits(x_weak, state, config)
+            y_hat, lam = assign_pseudo_labels(
+                logits_weak, config.tau, config.lambda_u, config.pseudo_mode,
+                config.sharpen_temperature,
+            )
+            pseudo = PseudoBatch(x_weak, x_strong, y_hat, lam)
 
-            if joint or hyper:
-                bal_idx = balanced_batch(d_l, bal_spec, batch_rng, bal_rows)
-                bal_x = x_all_l[bal_idx]
-                bal_y = y_all_l[bal_idx]
+        if joint or hyper:
+            bal_idx = balanced_batch(d_l, bal_spec, batch_rng, bal_rows)
+            bal_x = x_all_l[bal_idx]
+            bal_y = y_all_l[bal_idx]
 
-            loss_val, rec = _lower_forward(x_l, y_l, pseudo, state, config.attractor_norm, head)
+        loss_val, rec = _lower_forward(x_l, y_l, pseudo, state, config.attractor_norm, head)
+        t0 = time.perf_counter()
+        res = _lower_backward(state, loss_val, rec, need_omega=head and not hyper)
+        back_seconds = time.perf_counter() - t0
+        head_grads = res.grads_omega
+
+        if joint:
+            upper_val, (v_w, v_b), bal_theta = upper_loss(bal_x, bal_y, state, need_theta=True)
+            lam_b = config.lambda_bal
+            res = replace(
+                res,
+                grads_theta=[
+                    (gw + lam_b * bw, gb + lam_b * bb)
+                    for (gw, gb), (bw, bb) in zip(res.grads_theta, bal_theta)
+                ],
+                grad_phi_w=res.grad_phi_w + lam_b * v_w,
+                grad_phi_b=res.grad_phi_b + lam_b * v_b,
+            )
+
+        cache = lower_step(state, res, alpha_t, optimizer)
+
+        if hyper:
+            upper_val, upper_grad, _ = upper_loss(bal_x, bal_y, state)
             t0 = time.perf_counter()
-            res = _lower_backward(state, loss_val, rec, need_omega=head and not hyper)
-            back_seconds = time.perf_counter() - t0
-            head_grads = res.grads_omega
-
-            if joint:
-                upper_val, (v_w, v_b), bal_theta = upper_loss(bal_x, bal_y, state, need_theta=True)
-                lam_b = config.lambda_bal
-                res = replace(
-                    res,
-                    grads_theta=[
-                        (gw + lam_b * bw, gb + lam_b * bb)
-                        for (gw, gb), (bw, bb) in zip(res.grads_theta, bal_theta)
-                    ],
-                    grad_phi_w=res.grad_phi_w + lam_b * v_w,
-                    grad_phi_b=res.grad_phi_b + lam_b * v_b,
-                )
-
-            cache = lower_step(state, res, alpha_t, optimizer)
-
-            if hyper:
-                upper_val, upper_grad, _ = upper_loss(bal_x, bal_y, state)
-                t0 = time.perf_counter()
-                head_grads = omega_step(state, cache, upper_grad, eta_t)
-                sec_seconds = time.perf_counter() - t0
-            elif head:
-                omega_opt.step(state.omega_arrays(), head_grads, alpha_t)
-        except NonFinite as exc:
-            # overflow inside a forward pass surfaces as a finiteness error
-            raise TrainingDiverged(f"iteration {t}: {exc}", traces) from exc
+            head_grads = omega_step(state, cache, upper_grad, eta_t)
+            sec_seconds = time.perf_counter() - t0
+        elif head:
+            omega_opt.step(state.omega_arrays(), head_grads, alpha_t)
 
         # upper_loss is NaN by definition in modes without a balanced loss;
         # a finite sum of squares means every gradient entry is finite
@@ -489,20 +511,25 @@ def train(
         checked = (res.loss, upper_val if joint or hyper else 0.0, nt, nphi, nomega)
         for name, value in zip(TRACE_COLUMNS[1:], checked):
             if not math.isfinite(value):
-                raise TrainingDiverged(f"iteration {t}: non-finite {name} ({value})", traces)
+                raise NonFinite(f"non-finite {name} ({value})")
 
         ema_update(state, config.ema_decay)
+        return t, res.loss, upper_val, nt, nphi, nomega, sec_seconds, back_seconds
 
-        traces.append(
-            StepTrace(t, res.loss, upper_val, nt, nphi, nomega, sec_seconds, back_seconds)
-        )
+    table = np.empty((config.iters, len(fields(StepTrace))))
+    for t in range(1, config.iters + 1):
+        try:
+            table[t - 1] = iteration(t)
+        except NonFinite as exc:
+            # an overflow inside a kernel, or a non-finite loss or norm
+            raise TrainingDiverged(f"iteration {t}: {exc}", TraceTable(table[: t - 1])) from exc
         if eval_hook is not None and eval_interval > 0 and t % eval_interval == 0:
             eval_hook(t, state)
 
-    return state, traces
+    return state, TraceTable(table)
 
 
-def write_trace_csv(traces: list[StepTrace], path, include_timings: bool = False) -> None:
+def write_trace_csv(traces: TraceTable, path, include_timings: bool = False) -> None:
     """One row per iteration. Timing columns are opt-in: they vary run to
     run, and the default trace must be byte-identical for equal seeds.
     backward_seconds is the lower backward pass in every mode (in l2ac
@@ -514,15 +541,5 @@ def write_trace_csv(traces: list[StepTrace], path, include_timings: bool = False
         cols += ["second_order_seconds", "backward_seconds"]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for tr in traces:
-            row = [
-                str(tr.iteration),
-                repr(tr.lower_loss),
-                repr(tr.upper_loss),
-                repr(tr.grad_norm_theta),
-                repr(tr.grad_norm_phi),
-                repr(tr.grad_norm_omega),
-            ]
-            if include_timings:
-                row += [repr(tr.second_order_seconds), repr(tr.backward_seconds)]
-            fh.write(",".join(row) + "\n")
+        for iteration, *values in traces.array[:, : len(cols)].tolist():
+            fh.write(",".join([str(int(iteration)), *map(repr, values)]) + "\n")

@@ -16,6 +16,7 @@ import math
 import os
 import statistics
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +26,7 @@ import yaml
 from .bilevel import (
     LowerOptimizer,
     TrainConfig,
+    TrainingDiverged,
     _hypergrad_unrolled,
     _lower_backward,
     _lower_forward,
@@ -101,8 +103,25 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
+def _number(kind: type, value, key: str):
+    """value as an int for an int key, or as a float for a float key, which
+    also takes an int or a string that parses to a finite float (PyYAML reads
+    `1e6` as a string); raises naming the key and the value."""
+    if not isinstance(value, bool):
+        if isinstance(value, int) or (kind is float and isinstance(value, float)):
+            return kind(value)
+        if kind is float and isinstance(value, str):
+            try:
+                number = float(value)
+            except ValueError:
+                number = math.nan
+            if math.isfinite(number):
+                return number
+    raise ValueError(f"{key}: expected {kind.__name__}, got {value!r}")
+
+
 def _from_dict(cls, payload: dict, path: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    fields = typing.get_type_hints(cls)
     unknown = set(payload) - set(fields)
     if unknown:
         raise ValueError(f"unknown config key(s) {sorted(unknown)} under {path or 'top level'}")
@@ -121,7 +140,11 @@ def _from_dict(cls, payload: dict, path: str):
                 raise ValueError(f"unexpected mapping at {sub}")
             kwargs[name] = _from_dict(sub_cls, value, sub)
         elif name == "extractor_hidden":
-            kwargs[name] = tuple(int(v) for v in value)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{sub}: expected a list of int, got {value!r}")
+            kwargs[name] = tuple(_number(int, v, sub) for v in value)
+        elif fields[name] in (int, float):
+            kwargs[name] = _number(fields[name], value, sub)
         else:
             kwargs[name] = value
     return cls(**kwargs)
@@ -141,7 +164,10 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        payload = yaml.safe_load(fh)
+        try:
+            payload = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: config must be a mapping")
     return config_from_dict(payload)
@@ -246,15 +272,21 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
     reports: list[tuple[int, MetricsReport]] = []
 
     def hook(iteration, state):
-        reports.append((iteration, evaluate(state, d_test, use_ema=True)))
+        reports.append((iteration, evaluate(state, d_test, use_ema=True, distribution=False)))
         if config.eval.ckpt_interval > 0 and iteration % config.eval.ckpt_interval == 0:
             save_checkpoint(
                 out_dir / f"ckpt_{iteration:07d}.npz", state, config.train.attractor_norm
             )
 
-    state, traces = train(
-        config.train, d_l, d_u, eval_hook=hook, eval_interval=config.eval.interval
-    )
+    trace_path = out_dir / "trace.csv"
+    try:
+        state, traces = train(
+            config.train, d_l, d_u, eval_hook=hook, eval_interval=config.eval.interval
+        )
+    except TrainingDiverged as exc:
+        # the iterations before the blow-up explain it; no metrics.json
+        write_trace_csv(exc.traces, trace_path, include_timings=config.train.log_timings)
+        raise
 
     tail = [r for _, r in reports][-config.eval.last_e :] if reports else []
     final_report = evaluate(state, d_test, use_ema=True)
@@ -276,7 +308,7 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
         ],
     }
 
-    write_trace_csv(traces, out_dir / "trace.csv", include_timings=config.train.log_timings)
+    write_trace_csv(traces, trace_path, include_timings=config.train.log_timings)
     save_checkpoint(out_dir / "ckpt_final.npz", state, config.train.attractor_norm)
     save_config(config, out_dir / "config.yaml")
     save_confusion_csv(np.array(final_report.confusion), out_dir / "confusion.csv")

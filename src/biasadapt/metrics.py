@@ -85,7 +85,7 @@ class MetricsReport:
     gm: float
     acc: float
     per_class_recall: list[float]
-    predicted_distribution: list[float]
+    predicted_distribution: list[float] | None
     confusion: list[list[int]]
     pseudo_recall: list[float | None] | None = None
 
@@ -104,9 +104,13 @@ class MetricsReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def evaluate(state: ModelState, test: Dataset, use_ema: bool = True) -> MetricsReport:
+def evaluate(
+    state: ModelState, test: Dataset, use_ema: bool = True, distribution: bool = True
+) -> MetricsReport:
     """Score the plain classifier path on a fully labeled test set. argmax
-    ties break toward the lowest class index."""
+    ties break toward the lowest class index. distribution=False leaves
+    predicted_distribution None and skips its softmax over every test row,
+    for callers that read only the recall figures."""
     if np.any(test.labels < 0):
         raise ValueError("test set must be fully labeled")
     logits = forward_eval(test.features, state, use_ema=use_ema)
@@ -117,7 +121,9 @@ def evaluate(state: ModelState, test: Dataset, use_ema: bool = True) -> MetricsR
         gm=geometric_mean(cm),
         acc=plain_accuracy(cm),
         per_class_recall=[float(r) for r in per_class_recall(cm)],
-        predicted_distribution=[float(v) for v in predicted_distribution(logits)],
+        predicted_distribution=(
+            [float(v) for v in predicted_distribution(logits)] if distribution else None
+        ),
         confusion=cm.tolist(),
     )
 

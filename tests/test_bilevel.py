@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -426,7 +428,7 @@ class TestTrainLoop:
     def test_zero_iters_returns_initial_state(self):
         d_l, d_u = desk_datasets()
         state, traces = train(quick_config(iters=0), d_l, d_u)
-        assert traces == []
+        assert len(traces) == 0
         assert state.step_count == 0
 
     @pytest.mark.parametrize("mode", ["l2ac", "baseline", "plain_attractor", "single_level"])
@@ -554,6 +556,46 @@ class TestTrainLoop:
         train(quick_config(mode=mode, iters=6), d_l, d_u)
         assert len(calls) == 6 * calls_per_iter
 
+    @pytest.mark.parametrize("mode", ["l2ac", "baseline", "plain_attractor", "single_level"])
+    def test_iteration_arrays_dead_in_eval_hook(self, monkeypatch, mode):
+        """Every array the training forward returns dies with its iteration:
+        none is alive when the eval hook runs."""
+        name = "features_with_cache" if mode == "baseline" else "forward_train"
+        real = getattr(bilevel, name)
+        refs = []
+
+        def watched(*args):
+            out, cache = real(*args)
+            if mode == "baseline":
+                arrays = [out, *cache]
+            else:
+                arrays = [out, cache.z, *cache.feat_cache, cache.u, cache.a]
+            refs.extend(weakref.ref(a) for a in arrays)
+            return out, cache
+
+        monkeypatch.setattr(bilevel, name, watched)
+        d_l, d_u = desk_datasets()
+        live = []
+        train(
+            quick_config(mode=mode, iters=6), d_l, d_u,
+            eval_hook=lambda it, st: live.append(sum(r() is not None for r in refs)),
+            eval_interval=2,
+        )
+        assert refs and live == [0, 0, 0]
+
+    def test_trace_holds_under_100_bytes_per_iteration(self):
+        d_l, d_u = desk_datasets()
+        iters = 2000
+        tracemalloc.start()
+        try:
+            _, traces = train(quick_config(iters=iters), d_l, d_u)
+            held = tracemalloc.get_traced_memory()[0]
+            del traces
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < freed <= 100 * iters
+
     def test_eval_cadence_does_not_perturb_training(self):
         d_l, d_u = desk_datasets()
         _, t1 = train(quick_config(), d_l, d_u, eval_hook=lambda i, s: None, eval_interval=3)
@@ -635,6 +677,16 @@ class TestTraceCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "iter,lower_loss,upper_loss,grad_norm_theta,grad_norm_phi,grad_norm_omega"
         assert len(lines) == 6
+
+    def test_table_rows_are_step_traces(self):
+        d_l, d_u = desk_datasets()
+        _, traces = train(quick_config(iters=5), d_l, d_u)
+        assert traces.array.shape == (5, 8) and not traces.array.flags.writeable
+        rows = list(traces)
+        assert [tr.iteration for tr in rows] == [1, 2, 3, 4, 5]
+        assert all(type(tr.iteration) is int for tr in rows)
+        assert traces[-1] == rows[-1]
+        assert list(traces[1:3]) == rows[1:3]
 
     @pytest.mark.parametrize("mode", ["l2ac", "baseline", "plain_attractor", "single_level"])
     def test_timing_fields_mean_the_same_in_every_mode(self, mode):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from biasadapt import harness
 from biasadapt.cli import main
 from biasadapt.harness import (
     ExperimentConfig,
@@ -13,6 +14,7 @@ from biasadapt.harness import (
     load_config,
     save_config,
 )
+from biasadapt.metrics import evaluate
 
 TINY_TRAIN = {
     "mode": "l2ac",
@@ -82,6 +84,24 @@ class TestConfig:
         assert config.train.lambda_u == 1.0
         assert config.train.attractor_hidden == 256
 
+    @pytest.mark.parametrize(
+        "key,value", [("alpha", "inf"), ("alpha", "fast"), ("alpha", True), ("batch_n", 1.5),
+                      ("batch_n", "12"), ("iters", None), ("extractor_hidden", 8),
+                      ("extractor_hidden", ["8"])],
+    )
+    def test_numeric_keys_typed(self, tmp_path, key, value):
+        payload = tiny_config_dict(tmp_path)
+        payload["train"][key] = value
+        with pytest.raises(ValueError, match=f"train.{key}: expected"):
+            config_from_dict(payload)
+
+    def test_numeric_keys_take_their_type(self, tmp_path):
+        payload = tiny_config_dict(tmp_path, eta=2, alpha="5e-2")
+        config = config_from_dict(payload)
+        assert type(config.train.eta) is float and config.train.eta == 2.0
+        assert config.train.alpha == 0.05
+        assert type(config.train.iters) is int
+
     def test_bad_mode_rejected(self, tmp_path):
         payload = tiny_config_dict(tmp_path)
         payload["train"]["mode"] = "turbo"
@@ -115,6 +135,56 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: iteration ") and "non-finite" in err
         assert "Traceback" not in err
+        # the run keeps the trace of every iteration before the failing one
+        failed_at = int(err.split()[2].rstrip(":"))
+        run = tmp_path / "run"
+        lines = (run / "trace.csv").read_text().splitlines()
+        assert lines[0].startswith("iter,lower_loss")
+        assert len(lines) - 1 == failed_at - 1
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, failed_at))
+        assert not (run / "metrics.json").exists()
+
+    def test_yaml_syntax_error_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("seed: [1\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and "Traceback" not in err
+
+    def test_exponent_without_dot_is_a_float(self, tmp_path, capsys):
+        # PyYAML reads 1e6 as a string; it trains exactly as 1000000.0 does
+        runs = {}
+        for text in ("1e6", "1000000.0"):
+            cfg = write_config(tmp_path, name=f"{text}.yaml")
+            body = cfg.read_text()
+            assert "alpha: 0.05\n" in body
+            out = tmp_path / f"run-{text}"
+            cfg.write_text(body.replace("alpha: 0.05\n", f"alpha: {text}\n"))
+            with np.errstate(all="ignore"):
+                assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+            runs[text] = (capsys.readouterr().err, (out / "trace.csv").read_bytes())
+        assert runs["1e6"] == runs["1000000.0"]
+        assert runs["1e6"][0].startswith("error: iteration ")
+
+    def test_non_numeric_value_rejected_with_its_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("batch_n: 12\n", "batch_n: abc\n"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "train.batch_n" in err and "'abc'" in err
+        assert "Traceback" not in err
+
+    def test_evaluation_hook_skips_the_distribution(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("distribution", True))
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate", spy)
+        payload = harness.run_train(config_from_dict(tiny_config_dict(tmp_path / "run")))
+        assert calls == [False, False, False, True]
+        assert len(payload["final"]["predicted_distribution"]) == TINY_DATA["num_classes"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)

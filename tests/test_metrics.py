@@ -135,6 +135,16 @@ class TestEvaluate:
         assert a.per_class_recall == b.per_class_recall
         np.testing.assert_allclose(a.predicted_distribution, b.predicted_distribution, atol=1e-12)
 
+    def test_distribution_opt_out_changes_nothing_else(self):
+        problem = make_small_problem(make_rng(3), input_dim=4, num_classes=3)
+        test = balanced_test_set()
+        full = evaluate(problem.state, test, use_ema=False)
+        lean = evaluate(problem.state, test, use_ema=False, distribution=False)
+        assert lean.predicted_distribution is None
+        assert full.predicted_distribution is not None
+        lean.predicted_distribution = full.predicted_distribution
+        assert lean == full
+
     def test_requires_labels(self):
         problem = make_small_problem(make_rng(2), input_dim=4, num_classes=3)
         test = balanced_test_set()
