@@ -31,6 +31,7 @@ from .model import (
     ema_update,
     features_backward,
     features_with_cache,
+    forward_features,
     forward_train,
     init_model,
 )
@@ -211,27 +212,27 @@ def _stack_lower_batch(x_l, y_l, pseudo: PseudoBatch | None):
     return x, targets, coeff
 
 
-def _train_logits(x, state: ModelState, norm: str | None, head: bool):
-    """(logits, z, feature cache, u, a) of the residual-head training path,
-    or of the plain classifier path (u and a None) when head is False; the
-    plain path runs no attractor code."""
-    if head:
-        logits, cache = forward_train(x, state, norm)
-        return logits, cache.z, cache.feat_cache, cache.u, cache.a
-    z, feat_cache = features_with_cache(x, state.theta)
-    return classifier_scores(z, state.phi_w, state.phi_b), z, feat_cache, None, None
-
-
 def pseudo_label_logits(x, state: ModelState, config: TrainConfig) -> np.ndarray:
     """Logits the pseudo-labels are read from: the residual-head training
     path when the mode has a head (all but baseline) and pseudo_source is
-    biased, else the plain classifier path."""
-    biased = config.mode != "baseline" and config.pseudo_source == "biased"
-    return _train_logits(x, state, config.attractor_norm, biased)[0]
+    biased, else the plain classifier path, whose extractor runs in row
+    blocks so a whole unlabeled set can be labeled."""
+    if config.mode != "baseline" and config.pseudo_source == "biased":
+        return forward_train(x, state, config.attractor_norm)[0]
+    return classifier_scores(forward_features(x, state.theta), state.phi_w, state.phi_b)
 
 
 def _ce_forward(x, targets, coeff, state: ModelState, norm: str | None, head: bool):
-    logits, z, feat_cache, u, a = _train_logits(x, state, norm, head)
+    """Weighted cross-entropy forward through the residual-head training
+    path, or through the plain classifier path (u and a None) when head is
+    False; the plain path runs no attractor code."""
+    if head:
+        logits, cache = forward_train(x, state, norm)
+        z, feat_cache, u, a = cache.z, cache.feat_cache, cache.u, cache.a
+    else:
+        z, feat_cache = features_with_cache(x, state.theta)
+        logits = classifier_scores(z, state.phi_w, state.phi_b)
+        u = a = None
     loss, p, d_logits = weighted_ce(log_softmax(logits), targets, coeff)
     return loss, UnrollInputs(z, feat_cache, p, coeff, d_logits, u, a)
 
@@ -517,14 +518,18 @@ def train(
         return t, res.loss, upper_val, nt, nphi, nomega, sec_seconds, back_seconds
 
     table = np.empty((config.iters, len(fields(StepTrace))))
-    for t in range(1, config.iters + 1):
-        try:
-            table[t - 1] = iteration(t)
-        except NonFinite as exc:
-            # an overflow inside a kernel, or a non-finite loss or norm
-            raise TrainingDiverged(f"iteration {t}: {exc}", TraceTable(table[: t - 1])) from exc
-        if eval_hook is not None and eval_interval > 0 and t % eval_interval == 0:
-            eval_hook(t, state)
+    # a blow-up is reported by the explicit checks below, not by NumPy's
+    # overflow and invalid-value warnings on the way to it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.iters + 1):
+            try:
+                table[t - 1] = iteration(t)
+            except NonFinite as exc:
+                # an overflow inside a kernel, or a non-finite loss or norm
+                traces = TraceTable(table[: t - 1])
+                raise TrainingDiverged(f"iteration {t}: {exc}", traces) from exc
+            if eval_hook is not None and eval_interval > 0 and t % eval_interval == 0:
+                eval_hook(t, state)
 
     return state, TraceTable(table)
 
@@ -541,5 +546,7 @@ def write_trace_csv(traces: TraceTable, path, include_timings: bool = False) -> 
         cols += ["second_order_seconds", "backward_seconds"]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for iteration, *values in traces.array[:, : len(cols)].tolist():
+        # one row at a time: the table is never copied into Python floats
+        for row in traces.array[:, : len(cols)]:
+            iteration, *values = row.tolist()
             fh.write(",".join([str(int(iteration)), *map(repr, values)]) + "\n")

@@ -232,7 +232,11 @@ def balanced_batch(
     batches from one dataset pass it once computed."""
     if rows is None:
         rows = class_rows(dataset, spec.num_classes)
-    return np.concatenate([r[rng.integers(0, r.size, size=spec.per_class)] for r in rows])
+    # one draw for every class's offsets, the same stream as one
+    # rng.integers(0, r.size, size=per_class) call per class in turn
+    offsets = rng.integers(0, np.repeat([r.size for r in rows], spec.per_class))
+    offsets = offsets.reshape(len(rows), spec.per_class)
+    return np.concatenate([r[o] for r, o in zip(rows, offsets)])
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

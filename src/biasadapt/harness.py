@@ -60,6 +60,8 @@ from .numcore import child_seeds, make_rng
 from .pseudo import PseudoBatch, assign_pseudo_labels
 
 OUT_ROOT_ENV = "BIASADAPT_OUT"
+# what run_train writes into its out_dir, besides the ckpt_*.npz checkpoints
+RUN_ARTIFACTS = ("trace.csv", "metrics.json", "config.yaml", "confusion.csv")
 
 
 @dataclass
@@ -263,6 +265,13 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
     if metrics_path.exists() and not force:
         raise FileExistsError(f"{metrics_path} exists; pass --force to overwrite")
     out_dir.mkdir(parents=True, exist_ok=True)
+    if force:
+        # a forced rerun that diverges must not leave the old run's artifacts
+        # beside its own trace; files run_train does not write are kept
+        for name in RUN_ARTIFACTS:
+            (out_dir / name).unlink(missing_ok=True)
+        for ckpt in out_dir.glob("ckpt_*.npz"):
+            ckpt.unlink()
 
     # master seed child 0 drives data synthesis (build_datasets); child 1
     # seeds the trainer so the two never share a stream. Any train.seed the

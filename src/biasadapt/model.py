@@ -22,6 +22,10 @@ NORM_MODES = ("softmax_input", "l2_input")
 
 CHECKPOINT_VERSION = 1
 
+# rows per extractor pass when scoring a whole dataset (forward_features);
+# training batches are smaller and take one pass
+SCORE_BLOCK_ROWS = 1024
+
 Layer = tuple[np.ndarray, np.ndarray]  # (W: (fan_in, fan_out), b: (fan_out,))
 
 
@@ -113,7 +117,18 @@ def copy_state(state: ModelState) -> ModelState:
 
 
 def forward_features(x: np.ndarray, theta: list[Layer]) -> np.ndarray:
-    z, _ = features_with_cache(x, theta)
+    """Extractor output of every row, computed SCORE_BLOCK_ROWS rows at a
+    time into one (N, feature_dim) array, so no N x hidden activation is ever
+    allocated. Up to one block of rows takes a single features_with_cache
+    call. Every row's output is bit-identical to the whole-batch call at the
+    extractor widths in use (multiples of 8 under OpenBLAS)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] <= SCORE_BLOCK_ROWS:
+        return features_with_cache(x, theta)[0]
+    z = np.empty((x.shape[0], theta[-1][0].shape[1]))
+    for start in range(0, x.shape[0], SCORE_BLOCK_ROWS):
+        stop = start + SCORE_BLOCK_ROWS
+        z[start:stop] = features_with_cache(x[start:stop], theta)[0]
     return z
 
 
@@ -223,7 +238,9 @@ def forward_train(x: np.ndarray, state: ModelState, norm: str) -> tuple[np.ndarr
 
 def forward_eval(x: np.ndarray, state: ModelState, use_ema: bool = False) -> np.ndarray:
     """Evaluation-path logits: extractor + linear classifier only; the
-    attractor is never read."""
+    attractor is never read. The extractor runs in row blocks
+    (forward_features); the classifier product is one whole matmul, since
+    splitting it changes bits at small class counts."""
     if use_ema:
         z = forward_features(x, state.ema_theta)
         return classifier_scores(z, state.ema_phi_w, state.ema_phi_b)

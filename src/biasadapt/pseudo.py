@@ -31,18 +31,18 @@ def augment(
     sigma_strong: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent additive-Gaussian views of x, weak drawn first; each is
-    its fresh noise array scaled and shifted in place, so x is never written."""
+    """Two independent additive-Gaussian views of x, weak drawn first: one
+    fresh noise draw for both views (the same stream as a weak then a strong
+    draw), each half scaled and shifted in place, so x is never written."""
     if not (0.0 <= sigma_weak < sigma_strong):
         raise ValueError(f"need 0 <= sigma_weak < sigma_strong, got {sigma_weak}, {sigma_strong}")
     x = np.asarray(x, dtype=np.float64)
-    views = []
-    for sigma in (sigma_weak, sigma_strong):
-        v = rng.standard_normal(x.shape)
-        v *= sigma
-        v += x
-        views.append(v)
-    return views[0], views[1]
+    weak, strong = rng.standard_normal((2, *x.shape))
+    weak *= sigma_weak
+    weak += x
+    strong *= sigma_strong
+    strong += x
+    return weak, strong
 
 
 def assign_pseudo_labels(

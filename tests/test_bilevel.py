@@ -1,13 +1,15 @@
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from biasadapt import bilevel
+from biasadapt import bilevel, model
 from biasadapt.bilevel import (
     LowerOptimizer,
+    TraceTable,
     TrainConfig,
     TrainingDiverged,
     _lower_backward,
@@ -16,13 +18,22 @@ from biasadapt.bilevel import (
     lower_loss,
     lower_step,
     omega_step,
+    pseudo_label_logits,
     schedule_rates,
     train,
     upper_loss,
     write_trace_csv,
 )
 from biasadapt.data import Dataset, one_hot, synth_gaussian_mixture
-from biasadapt.model import attractor_backward, copy_state, forward_train, init_model
+from biasadapt.model import (
+    SCORE_BLOCK_ROWS,
+    attractor_backward,
+    classifier_scores,
+    copy_state,
+    features_with_cache,
+    forward_train,
+    init_model,
+)
 from biasadapt.numcore import child_seeds, log_softmax, make_rng, relative_diff
 from biasadapt.pseudo import PseudoBatch, assign_pseudo_labels, augment
 from biasadapt.testing import (
@@ -468,8 +479,10 @@ class TestTrainLoop:
 
     def test_divergence_aborts_with_traces(self):
         d_l, d_u = desk_datasets()
-        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as excinfo:
-            train(quick_config(alpha=1e6, iters=400), d_l, d_u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the blow-up is reported, not warned about
+            with pytest.raises(TrainingDiverged) as excinfo:
+                train(quick_config(alpha=1e6, iters=400), d_l, d_u)
         assert len(excinfo.value.traces) >= 1
 
     def test_nonfinite_head_gradient_aborts(self, monkeypatch):
@@ -560,6 +573,8 @@ class TestTrainLoop:
     def test_iteration_arrays_dead_in_eval_hook(self, monkeypatch, mode):
         """Every array the training forward returns dies with its iteration:
         none is alive when the eval hook runs."""
+        # baseline's plain pseudo-label path reaches the extractor through
+        # model.forward_features, so both modules' names are watched there
         name = "features_with_cache" if mode == "baseline" else "forward_train"
         real = getattr(bilevel, name)
         refs = []
@@ -573,7 +588,8 @@ class TestTrainLoop:
             refs.extend(weakref.ref(a) for a in arrays)
             return out, cache
 
-        monkeypatch.setattr(bilevel, name, watched)
+        for module in (bilevel, model) if mode == "baseline" else (bilevel,):
+            monkeypatch.setattr(module, name, watched)
         d_l, d_u = desk_datasets()
         live = []
         train(
@@ -668,6 +684,21 @@ class TestBaselineDifferential:
             assert got.grad_norm_omega == 0.0
 
 
+class TestPseudoLabelLogits:
+    @pytest.mark.parametrize("mode", ["baseline", "l2ac"])
+    def test_plain_path_labels_a_large_set_in_row_blocks(self, alloc_peak, mode):
+        rows, hidden, feature_dim, k = 8 * SCORE_BLOCK_ROWS, 256, 8, 4
+        state = init_model([4, hidden, feature_dim], k, 8, make_rng(9))
+        x = make_rng(10).standard_normal((rows, 4))
+        config = TrainConfig(mode=mode, pseudo_source="plain")
+        z, _ = features_with_cache(x, state.theta)
+        want = classifier_scores(z, state.phi_w, state.phi_b)
+        assert pseudo_label_logits(x, state, config).tobytes() == want.tobytes()
+        peak = alloc_peak(lambda: pseudo_label_logits(x, state, config))
+        # one whole-set pass would add rows * 8 * hidden (16.8 MB here)
+        assert peak <= 1.25 * 8 * (rows * (feature_dim + k) + SCORE_BLOCK_ROWS * hidden)
+
+
 class TestTraceCsv:
     def test_round_trip_columns(self, tmp_path):
         d_l, d_u = desk_datasets()
@@ -705,6 +736,16 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(traces, path, include_timings=True)
         assert "second_order_seconds" in path.read_text().splitlines()[0]
+
+    def test_written_one_row_at_a_time(self, tmp_path, alloc_peak):
+        table = TraceTable(make_rng(8).standard_normal((4000, 8)))
+        path = tmp_path / "trace.csv"
+        # a whole-table .tolist() would hold about 1 MB of Python floats
+        assert alloc_peak(lambda: write_trace_csv(table, path)) < 64 * 1024
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4001
+        first = table.array[0, :6].tolist()
+        assert lines[1] == ",".join([str(int(first[0])), *map(repr, first[1:])])
 
     def test_byte_identical_across_runs(self, tmp_path):
         d_l, d_u = desk_datasets()

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -15,6 +18,8 @@ from biasadapt.harness import (
     save_config,
 )
 from biasadapt.metrics import evaluate
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY_TRAIN = {
     "mode": "l2ac",
@@ -130,8 +135,7 @@ class TestTrainCommand:
 
     def test_divergence_reported_without_traceback(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha=1e6)
-        with np.errstate(all="ignore"):
-            assert main(["train", "--config", str(cfg)]) == 2
+        assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: iteration ") and "non-finite" in err
         assert "Traceback" not in err
@@ -143,6 +147,36 @@ class TestTrainCommand:
         assert len(lines) - 1 == failed_at - 1
         assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, failed_at))
         assert not (run / "metrics.json").exists()
+
+    def test_divergence_prints_one_stderr_line(self, tmp_path):
+        cfg = write_config(tmp_path, alpha=1e6)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+            str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "biasadapt.cli", "train", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: iteration "), proc.stderr
+
+    def test_forced_rerun_that_diverges_leaves_no_stale_artifacts(self, tmp_path, capsys):
+        payload = tiny_config_dict(tmp_path / "run", iters=20)
+        payload["eval"]["ckpt_interval"] = 10
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(yaml.safe_dump(payload))
+        assert main(["train", "--config", str(cfg)]) == 0
+        run = tmp_path / "run"
+        (run / "notes.txt").write_text("kept\n")
+        assert {"metrics.json", "ckpt_final.npz", "ckpt_0000010.npz"} <= set(
+            p.name for p in run.iterdir())
+        payload["train"]["alpha"] = 1e6
+        cfg.write_text(yaml.safe_dump(payload))
+        assert main(["train", "--config", str(cfg), "--force"]) == 2
+        assert sorted(p.name for p in run.iterdir()) == ["notes.txt", "trace.csv"]
+        capsys.readouterr()
+        assert main(["compare", str(run)]) == 2
+        assert "metrics.json" in capsys.readouterr().err
 
     def test_yaml_syntax_error_reported(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -160,8 +194,7 @@ class TestTrainCommand:
             assert "alpha: 0.05\n" in body
             out = tmp_path / f"run-{text}"
             cfg.write_text(body.replace("alpha: 0.05\n", f"alpha: {text}\n"))
-            with np.errstate(all="ignore"):
-                assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
             runs[text] = (capsys.readouterr().err, (out / "trace.csv").read_bytes())
         assert runs["1e6"] == runs["1000000.0"]
         assert runs["1e6"][0].startswith("error: iteration ")

@@ -221,6 +221,8 @@ class TestBalancedBatch:
             got = balanced_batch(ds, spec, cached_rng, rows)
             assert np.array_equal(got, np.concatenate(want))
             assert np.all(ds.labels[got] >= 0)
+        # one draw for all classes leaves the stream where one per class does
+        assert cached_rng.bit_generator.state == inline_rng.bit_generator.state
 
     def test_class_rows_rejects_class_without_labeled_rows(self):
         ds = synth_gaussian_mixture(3, 3, 1.0, [4, 4, 4], make_rng(19))

@@ -16,7 +16,7 @@ from biasadapt.metrics import (
     predicted_distribution,
     pseudo_label_recall,
 )
-from biasadapt.model import init_model
+from biasadapt.model import SCORE_BLOCK_ROWS, init_model
 from biasadapt.numcore import make_rng, softmax
 from biasadapt.testing import make_small_problem
 
@@ -144,6 +144,16 @@ class TestEvaluate:
         assert full.predicted_distribution is not None
         lean.predicted_distribution = full.predicted_distribution
         assert lean == full
+
+    def test_scores_a_large_set_without_rows_x_hidden_arrays(self, alloc_peak):
+        rows, hidden, feature_dim, k = 8 * SCORE_BLOCK_ROWS, 256, 8, 4
+        state = init_model([4, hidden, feature_dim], k, 8, make_rng(5))
+        labels = np.arange(rows) % k
+        test = Dataset(make_rng(6).standard_normal((rows, 4)), labels, labels, k)
+        peak = alloc_peak(lambda: evaluate(state, test, use_ema=False))
+        # features and logits of every row, plus one block's hidden layer;
+        # one whole-set pass would add rows * 8 * hidden (16.8 MB here)
+        assert peak <= 1.25 * 8 * (rows * (feature_dim + k) + SCORE_BLOCK_ROWS * hidden)
 
     def test_requires_labels(self):
         problem = make_small_problem(make_rng(2), input_dim=4, num_classes=3)

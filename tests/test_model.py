@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from biasadapt import model
 from biasadapt.model import (
+    SCORE_BLOCK_ROWS,
     attractor_forward,
     copy_state,
     classifier_scores,
@@ -381,3 +383,33 @@ def test_forward_eval_holds_one_array_per_layer():
         tracemalloc.stop()
     # the hidden ReLU output and z; a kept preactivation would add rows * 8 * 64
     assert peak <= rows * 8 * sum(widths) * 1.05
+
+
+@pytest.mark.parametrize("width", [16, 32, 64])
+def test_blocked_features_match_one_whole_pass_bitwise(width):
+    rows = SCORE_BLOCK_ROWS * 5 // 2
+    state = init_model([16, width, width], 10, 8, make_rng(24))
+    x = make_rng(25).standard_normal((rows, 16))
+    whole, _ = features_with_cache(x, state.theta)
+    z = forward_features(x, state.theta)
+    assert z.shape == whole.shape and z.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("rows,passes", [(1, 1), (SCORE_BLOCK_ROWS, 1),
+                                         (SCORE_BLOCK_ROWS + 1, 2), (3 * SCORE_BLOCK_ROWS, 3)])
+def test_forward_features_passes_per_block(monkeypatch, rows, passes):
+    # a batch of up to one block is one features_with_cache call on x itself
+    state = init_model([3, 5, 4], 2, 4, make_rng(26))
+    x = make_rng(27).standard_normal((rows, 3))
+    seen = []
+
+    def spy(x_block, theta):
+        seen.append(x_block)
+        return features_with_cache(x_block, theta)
+
+    monkeypatch.setattr(model, "features_with_cache", spy)
+    forward_features(x, state.theta)
+    assert [len(b) for b in seen] == [min(SCORE_BLOCK_ROWS, rows - i * SCORE_BLOCK_ROWS)
+                                      for i in range(passes)]
+    if passes == 1:
+        assert seen[0] is x

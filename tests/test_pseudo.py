@@ -27,12 +27,15 @@ class TestAugment:
     def test_views_are_fresh_and_match_additive_noise_bitwise(self):
         x = make_rng(6).standard_normal((5, 3))
         x_before = x.copy()
-        weak, strong = augment(x, 0.0, 0.5, make_rng(7))
+        used = make_rng(7)
+        weak, strong = augment(x, 0.0, 0.5, used)
         assert x.tobytes() == x_before.tobytes()
         assert not np.shares_memory(weak, x) and not np.shares_memory(strong, x)
         rng = make_rng(7)
         assert weak.tobytes() == (x + 0.0 * rng.standard_normal(x.shape)).tobytes()
         assert strong.tobytes() == (x + 0.5 * rng.standard_normal(x.shape)).tobytes()
+        # one draw for both views leaves the stream where two draws do
+        assert rng.bit_generator.state == used.bit_generator.state
 
     def test_order_validation(self):
         with pytest.raises(ValueError, match="sigma"):
