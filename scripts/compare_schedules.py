@@ -27,6 +27,9 @@ def main() -> int:
     args = parser.parse_args()
 
     settings = BenchmarkSettings(iters=args.iters, class_separation=3.5)
+    if args.iters < settings.eval_interval:
+        sys.exit(f"error: --iters {args.iters} is below the evaluation interval "
+                 f"{settings.eval_interval}, so no run would be evaluated")
     d_l, d_u, d_test = build_benchmark_data(settings, args.scenario, args.seed)
 
     for label, overrides in (

@@ -41,6 +41,9 @@ def main() -> int:
         scenarios=tuple(args.scenarios),
         modes=tuple(args.modes),
     )
+    if args.iters < settings.eval_interval:
+        sys.exit(f"error: --iters {args.iters} is below the evaluation interval "
+                 f"{settings.eval_interval}, so no run would be evaluated")
     t0 = time.time()
     results = run_benchmark(settings, progress=print)
     elapsed = time.time() - t0

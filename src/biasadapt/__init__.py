@@ -23,7 +23,6 @@ from .data import (
     class_counts,
     load_csv_dataset,
     save_csv_dataset,
-    split_labeled_unlabeled,
     synth_gaussian_mixture,
 )
 from .metrics import (

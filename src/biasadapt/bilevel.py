@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,6 +94,8 @@ class TrainConfig:
             raise ValueError("loss weights must be >= 0")
         if self.batch_n < 1 or self.batch_m < 0 or self.iters < 0:
             raise ValueError("batch_n must be >= 1, batch_m and iters >= 0")
+        if self.balanced_n < 1:
+            raise ValueError(f"balanced_n must be >= 1, got {self.balanced_n}")
         if not (0.0 <= self.ema_decay <= 1.0):
             raise ValueError("ema_decay must lie in [0, 1]")
         if self.pseudo_mode not in ("hard", "sharpen"):
@@ -280,10 +282,6 @@ def lower_loss(
     return _lower_backward(state, loss, rec)
 
 
-def _theta_phi_arrays(state: ModelState) -> list[np.ndarray]:
-    return [a for pair in state.theta for a in pair] + [state.phi_w, state.phi_b]
-
-
 def _theta_phi_grads(res: LowerLossResult) -> list[np.ndarray]:
     return [g for pair in res.grads_theta for g in pair] + [res.grad_phi_w, res.grad_phi_b]
 
@@ -334,7 +332,7 @@ def lower_step(
     the unroll cache: the classifier gradient's dependence on the head is
     retained via the cached forward quantities; the extractor's dependence is
     dropped by construction."""
-    optimizer.step(_theta_phi_arrays(state), _theta_phi_grads(res), alpha)
+    optimizer.step(state.lower_arrays(), _theta_phi_grads(res), alpha)
     state.step_count += 1
     return UnrollCache(state.step_count, alpha, res.unroll)
 
@@ -438,7 +436,7 @@ def train(
         bal_spec = BalancedBatchSpec(config.balanced_n, k)
         bal_rows = class_rows(d_l, k)
 
-    optimizer = LowerOptimizer(config.lower_optimizer, _theta_phi_arrays(state))
+    optimizer = LowerOptimizer(config.lower_optimizer, state.lower_arrays())
     if head and not hyper:
         omega_opt = LowerOptimizer(config.lower_optimizer, state.omega_arrays())
 
@@ -485,16 +483,9 @@ def train(
 
         if joint:
             upper_val, (v_w, v_b), bal_theta = upper_loss(bal_x, bal_y, state, need_theta=True)
-            lam_b = config.lambda_bal
-            res = replace(
-                res,
-                grads_theta=[
-                    (gw + lam_b * bw, gb + lam_b * bb)
-                    for (gw, gb), (bw, bb) in zip(res.grads_theta, bal_theta)
-                ],
-                grad_phi_w=res.grad_phi_w + lam_b * v_w,
-                grad_phi_b=res.grad_phi_b + lam_b * v_b,
-            )
+            bal_grads = [g for pair in bal_theta for g in pair] + [v_w, v_b]
+            for g, b in zip(_theta_phi_grads(res), bal_grads):
+                g += config.lambda_bal * b
 
         cache = lower_step(state, res, alpha_t, optimizer)
 

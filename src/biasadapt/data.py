@@ -182,18 +182,6 @@ def split_counts(full: Dataset, parts, labeled_flags, rng: np.random.Generator) 
     return outputs
 
 
-def split_labeled_unlabeled(
-    full: Dataset,
-    labeled_counts,
-    unlabeled_counts,
-    rng: np.random.Generator,
-) -> tuple[Dataset, Dataset]:
-    """Disjoint (labeled, unlabeled) split; unlabeled rows get label -1 but
-    keep true_labels for diagnostics."""
-    d_l, d_u = split_counts(full, [labeled_counts, unlabeled_counts], [True, False], rng)
-    return d_l, d_u
-
-
 @dataclass(frozen=True)
 class BalancedBatchSpec:
     """Exactly batch_size / num_classes draws per class."""

@@ -30,7 +30,6 @@ from .bilevel import (
     _hypergrad_unrolled,
     _lower_backward,
     _lower_forward,
-    _theta_phi_arrays,
     lower_step,
     pseudo_label_logits,
     train,
@@ -161,6 +160,10 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 def config_from_dict(payload: dict) -> ExperimentConfig:
     config = _from_dict(ExperimentConfig, payload, "")
     config.train.validate()
+    for name in ("interval", "last_e", "ckpt_interval"):
+        value = getattr(config.eval, name)
+        if value < 0:
+            raise ValueError(f"eval.{name}: expected >= 0, got {value!r}")
     return config
 
 
@@ -310,7 +313,7 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
         "seed": config.seed,
         "iters": config.train.iters,
         "headline": headline,
-        "final": final_report.to_dict(),
+        "final": dataclasses.asdict(final_report),
         "history": [
             {"iter": it, "bacc": r.bacc, "gm": r.gm, "acc": r.acc}
             for it, r in reports
@@ -411,7 +414,7 @@ def bench_overhead(config: ExperimentConfig, reps: int = 30) -> dict:
         backward_times.append(time.perf_counter() - t0)
 
     res = _lower_backward(state, loss, rec)
-    cache = lower_step(state, res, tc.alpha, LowerOptimizer("sgd", _theta_phi_arrays(state)))
+    cache = lower_step(state, res, tc.alpha, LowerOptimizer("sgd", state.lower_arrays()))
     _, upper_grad, _ = upper_loss(bal_x, bal_y, state)
     second_times = []
     for _ in range(reps):
@@ -422,11 +425,7 @@ def bench_overhead(config: ExperimentConfig, reps: int = 30) -> dict:
     t_back = statistics.median(backward_times)
     t_second = statistics.median(second_times)
     phi_params = state.phi_w.size + state.phi_b.size
-    total_params = (
-        sum(w.size + b.size for w, b in state.theta)
-        + phi_params
-        + sum(a.size for a in state.omega_arrays())
-    )
+    total_params = sum(a.size for a in state.lower_arrays() + state.omega_arrays())
     return {
         "backward_seconds": t_back,
         "second_order_seconds": t_second,

@@ -5,7 +5,7 @@ distribution, and the full report."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,19 +89,8 @@ class MetricsReport:
     confusion: list[list[int]]
     pseudo_recall: list[float | None] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "bacc": self.bacc,
-            "gm": self.gm,
-            "acc": self.acc,
-            "per_class_recall": self.per_class_recall,
-            "predicted_distribution": self.predicted_distribution,
-            "confusion": self.confusion,
-            "pseudo_recall": self.pseudo_recall,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def evaluate(

@@ -10,13 +10,14 @@ evaluation only.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .numcore import softmax
+from .numcore import make_rng, softmax
 
 NORM_MODES = ("softmax_input", "l2_input")
 
@@ -58,17 +59,34 @@ class ModelState:
     def extractor_dims(self) -> list[int]:
         return [self.theta[0][0].shape[0]] + [w.shape[1] for w, _ in self.theta]
 
+    def lower_arrays(self) -> list[np.ndarray]:
+        """Extractor layers then classifier: what the lower step and the EMA
+        move."""
+        return [a for layer in self.theta for a in layer] + [self.phi_w, self.phi_b]
+
+    def ema_arrays(self) -> list[np.ndarray]:
+        """The EMA shadows of lower_arrays(), in the same order."""
+        return [a for layer in self.ema_theta for a in layer] + [self.ema_phi_w, self.ema_phi_b]
+
     def omega_arrays(self) -> list[np.ndarray]:
         return [self.omega_w1, self.omega_b1, self.omega_w2, self.omega_b2]
+
+    def named_arrays(self) -> dict[str, np.ndarray]:
+        """Every array under its checkpoint name, in checkpoint order."""
+        named = {}
+        for prefix, layers in (("theta", self.theta), ("ema_theta", self.ema_theta)):
+            for i, (w, b) in enumerate(layers):
+                named[f"{prefix}_w{i}"] = w
+                named[f"{prefix}_b{i}"] = b
+        named.update(phi_w=self.phi_w, phi_b=self.phi_b)
+        named.update(ema_phi_w=self.ema_phi_w, ema_phi_b=self.ema_phi_b)
+        named.update(zip(("omega_w1", "omega_b1", "omega_w2", "omega_b2"), self.omega_arrays()))
+        return named
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
-def _copy_layers(layers: list[Layer]) -> list[Layer]:
-    return [(w.copy(), b.copy()) for w, b in layers]
 
 
 def init_model(dims, num_classes: int, attractor_hidden: int, rng: np.random.Generator) -> ModelState:
@@ -93,27 +111,12 @@ def init_model(dims, num_classes: int, attractor_hidden: int, rng: np.random.Gen
     omega_b1 = np.zeros(attractor_hidden)
     omega_w2 = np.zeros((attractor_hidden, num_classes))
     omega_b2 = np.zeros(num_classes)
-    state = ModelState(theta, phi_w, phi_b, omega_w1, omega_b1, omega_w2, omega_b2)
-    state.ema_theta = _copy_layers(theta)
-    state.ema_phi_w = phi_w.copy()
-    state.ema_phi_b = phi_b.copy()
-    return state
+    ema = copy.deepcopy((theta, phi_w, phi_b))
+    return ModelState(theta, phi_w, phi_b, omega_w1, omega_b1, omega_w2, omega_b2, *ema)
 
 
 def copy_state(state: ModelState) -> ModelState:
-    return ModelState(
-        _copy_layers(state.theta),
-        state.phi_w.copy(),
-        state.phi_b.copy(),
-        state.omega_w1.copy(),
-        state.omega_b1.copy(),
-        state.omega_w2.copy(),
-        state.omega_b2.copy(),
-        _copy_layers(state.ema_theta),
-        state.ema_phi_w.copy(),
-        state.ema_phi_b.copy(),
-        state.step_count,
-    )
+    return copy.deepcopy(state)
 
 
 def forward_features(x: np.ndarray, theta: list[Layer]) -> np.ndarray:
@@ -252,38 +255,15 @@ def ema_update(state: ModelState, decay: float) -> ModelState:
     """shadow <- decay * shadow + (1 - decay) * param for theta and phi."""
     if not (0.0 <= decay <= 1.0):
         raise ValueError(f"decay {decay} outside [0, 1]")
-    for (sw, sb), (w, b) in zip(state.ema_theta, state.theta):
-        sw *= decay
-        sw += (1.0 - decay) * w
-        sb *= decay
-        sb += (1.0 - decay) * b
-    state.ema_phi_w *= decay
-    state.ema_phi_w += (1.0 - decay) * state.phi_w
-    state.ema_phi_b *= decay
-    state.ema_phi_b += (1.0 - decay) * state.phi_b
+    for shadow, param in zip(state.ema_arrays(), state.lower_arrays()):
+        shadow *= decay
+        shadow += (1.0 - decay) * param
     return state
 
 
 def save_checkpoint(path, state: ModelState, norm: str) -> None:
     """Versioned npz checkpoint of every parameter array plus dims and the
     attractor norm mode; round-trips bit-exactly."""
-    arrays = {}
-    for i, (w, b) in enumerate(state.theta):
-        arrays[f"theta_w{i}"] = w
-        arrays[f"theta_b{i}"] = b
-    for i, (w, b) in enumerate(state.ema_theta):
-        arrays[f"ema_theta_w{i}"] = w
-        arrays[f"ema_theta_b{i}"] = b
-    arrays.update(
-        phi_w=state.phi_w,
-        phi_b=state.phi_b,
-        ema_phi_w=state.ema_phi_w,
-        ema_phi_b=state.ema_phi_b,
-        omega_w1=state.omega_w1,
-        omega_b1=state.omega_b1,
-        omega_w2=state.omega_w2,
-        omega_b2=state.omega_b2,
-    )
     meta = {
         "version": CHECKPOINT_VERSION,
         "extractor_dims": state.extractor_dims(),
@@ -293,61 +273,47 @@ def save_checkpoint(path, state: ModelState, norm: str) -> None:
         "step_count": state.step_count,
         "num_theta_layers": len(state.theta),
     }
-    np.savez(Path(path), meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-
-
-def _checkpoint_shapes(meta: dict) -> dict[str, tuple[int, ...]]:
-    """Shape of every array a checkpoint holds, from its metadata."""
-    dims = [int(d) for d in meta["extractor_dims"]]
-    k, hidden = int(meta["num_classes"]), int(meta["attractor_hidden"])
-    shapes = {}
-    for prefix in ("theta", "ema_theta"):
-        for i in range(len(dims) - 1):
-            shapes[f"{prefix}_w{i}"] = (dims[i], dims[i + 1])
-            shapes[f"{prefix}_b{i}"] = (dims[i + 1],)
-    for prefix in ("phi", "ema_phi"):
-        shapes[f"{prefix}_w"] = (dims[-1], k)
-        shapes[f"{prefix}_b"] = (k,)
-    shapes.update(omega_w1=(k, hidden), omega_b1=(hidden,), omega_w2=(hidden, k), omega_b2=(k,))
-    return shapes
+    blob = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(Path(path), meta=blob, **state.named_arrays())
 
 
 def load_checkpoint(path) -> tuple[ModelState, str]:
-    """Inverse of save_checkpoint; raises naming the array when an array is
-    missing or its shape disagrees with the metadata (extractor dims,
-    num_classes, attractor_hidden)."""
+    """Inverse of save_checkpoint: a model of the metadata's shapes (extractor
+    dims, num_classes, attractor_hidden) with each named array copied into
+    its slot. Raises naming the file when the archive has no metadata or the
+    metadata is unreadable or lacks a key, and naming the array when one is
+    missing or its shape disagrees with the metadata."""
     with np.load(Path(path)) as z:
-        meta = json.loads(bytes(z["meta"]).decode())
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        n_layers = meta["num_theta_layers"]
-        if n_layers != len(meta["extractor_dims"]) - 1:
+        if "meta" not in z.files:
+            raise ValueError(f"{path}: not a checkpoint, no meta array")
+        try:
+            meta = json.loads(bytes(z["meta"]).decode())
+            version, norm, step_count = meta["version"], meta["norm"], int(meta["step_count"])
+            dims = [int(d) for d in meta["extractor_dims"]]
+            n_layers = meta["num_theta_layers"]
+            k, hidden = int(meta["num_classes"]), int(meta["attractor_hidden"])
+        except KeyError as exc:
+            raise ValueError(f"{path}: checkpoint meta has no {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: unreadable checkpoint meta: {exc}") from None
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        if n_layers != len(dims) - 1:
             raise ValueError(
-                f"{path}: num_theta_layers {n_layers} does not match "
-                f"extractor_dims {meta['extractor_dims']}"
+                f"{path}: num_theta_layers {n_layers} does not match extractor_dims {dims}"
             )
-        arrays = {}
-        for name, shape in _checkpoint_shapes(meta).items():
+        try:
+            state = init_model(dims, k, hidden, make_rng(0))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        for name, slot in state.named_arrays().items():
             if name not in z.files:
                 raise ValueError(f"{path}: missing array {name}")
-            arrays[name] = z[name]
-            if arrays[name].shape != shape:
+            array = z[name]
+            if array.shape != slot.shape:
                 raise ValueError(
-                    f"{path}: {name} has shape {arrays[name].shape}, metadata implies {shape}"
+                    f"{path}: {name} has shape {array.shape}, metadata implies {slot.shape}"
                 )
-    theta = [(arrays[f"theta_w{i}"], arrays[f"theta_b{i}"]) for i in range(n_layers)]
-    ema_theta = [(arrays[f"ema_theta_w{i}"], arrays[f"ema_theta_b{i}"]) for i in range(n_layers)]
-    state = ModelState(
-        theta,
-        arrays["phi_w"],
-        arrays["phi_b"],
-        arrays["omega_w1"],
-        arrays["omega_b1"],
-        arrays["omega_w2"],
-        arrays["omega_b2"],
-        ema_theta,
-        arrays["ema_phi_w"],
-        arrays["ema_phi_b"],
-        int(meta["step_count"]),
-    )
-    return state, meta["norm"]
+            slot[...] = array
+    state.step_count = step_count
+    return state, norm

@@ -8,7 +8,6 @@ import numpy as np
 
 from .bilevel import (
     LowerOptimizer,
-    _theta_phi_arrays,
     _theta_phi_grads,
     lower_loss,
     lower_step,
@@ -129,13 +128,13 @@ def check_eval_ignores_head(rng) -> Check:
 def check_theta_isolation(rng) -> Check:
     problem = make_small_problem(rng)
     work = copy_state(problem.state)
-    opt = LowerOptimizer("sgd", _theta_phi_arrays(work))
+    opt = LowerOptimizer("sgd", work.lower_arrays())
     res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
     cache = lower_step(work, res, problem.alpha, opt)
-    snapshot = flatten_arrays(_theta_phi_arrays(work))
+    snapshot = flatten_arrays(work.lower_arrays())
     _, upper_grad, _ = upper_loss(problem.bal_x, problem.bal_y, work)
     omega_step(work, cache, upper_grad, eta=0.5)
-    ok = np.array_equal(flatten_arrays(_theta_phi_arrays(work)), snapshot)
+    ok = np.array_equal(flatten_arrays(work.lower_arrays()), snapshot)
     return ("head_step_theta_isolation", bool(ok), "extractor and classifier bitwise unchanged")
 
 

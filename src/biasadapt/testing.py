@@ -17,7 +17,7 @@ from .bilevel import (
     LowerOptimizer,
     _hypergrad_unrolled,
     _stack_lower_batch,
-    _theta_phi_arrays,
+    _theta_phi_grads,
     lower_loss,
     lower_step,
     upper_loss,
@@ -135,13 +135,9 @@ def frozen_u_lower_value(problem: SmallProblem, state: ModelState) -> float:
 
 
 def _block_arrays(state: ModelState, block: str) -> list[np.ndarray]:
-    if block == "theta":
-        return [a for pair in state.theta for a in pair]
-    if block == "phi":
-        return [state.phi_w, state.phi_b]
-    if block == "omega":
-        return state.omega_arrays()
-    raise ValueError(block)
+    """The arrays of one parameter block ("theta", "phi" or "omega"), in
+    checkpoint order."""
+    return [a for name, a in state.named_arrays().items() if name.startswith(f"{block}_")]
 
 
 def _set_block(state: ModelState, block: str, flat: np.ndarray) -> None:
@@ -210,7 +206,7 @@ def omega_grad_closed_form(
     """
     work = copy_state(state)
     res = lower_loss(x_l, y_l, pseudo, work, norm)
-    lower_step(work, res, alpha, LowerOptimizer("sgd", _theta_phi_arrays(work)))
+    lower_step(work, res, alpha, LowerOptimizer("sgd", work.lower_arrays()))
     _, (v_w, v_b), _ = upper_loss(bal_x, bal_y, work)
 
     ui = res.unroll
@@ -256,18 +252,14 @@ def hypergrad_fd(
     head is dropped by construction) and phi'(omega) re-runs the lower
     gradient at the perturbed head."""
     res0 = lower_loss(x_l, y_l, pseudo, state, norm)
-    theta_prime = [
-        (w - alpha * gw, b - alpha * gb)
-        for (w, b), (gw, gb) in zip(state.theta, res0.grads_theta)
-    ]
 
     def bal_at(omega_flat: np.ndarray) -> float:
         work = copy_state(state)
         _set_block(work, "omega", omega_flat)
         res = lower_loss(x_l, y_l, pseudo, work, norm)
-        work.theta = [(w.copy(), b.copy()) for w, b in theta_prime]
-        work.phi_w = state.phi_w - alpha * res.grad_phi_w
-        work.phi_b = state.phi_b - alpha * res.grad_phi_b
+        res.grads_theta = res0.grads_theta
+        for p, g in zip(work.lower_arrays(), _theta_phi_grads(res)):
+            p -= alpha * g
         loss, _, _ = upper_loss(bal_x, bal_y, work)
         return loss
 
@@ -279,7 +271,7 @@ def unrolled_hypergrad(problem: SmallProblem) -> list[np.ndarray]:
     """Route A: SGD lower step, balanced gradient at the stepped classifier,
     backward-on-backward through the classifier-gradient expression."""
     work = copy_state(problem.state)
-    opt = LowerOptimizer("sgd", _theta_phi_arrays(work))
+    opt = LowerOptimizer("sgd", work.lower_arrays())
     res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
     cache = lower_step(work, res, problem.alpha, opt)
     _, upper_grad, _ = upper_loss(problem.bal_x, problem.bal_y, work)

@@ -14,7 +14,6 @@ from biasadapt.bilevel import (
     TrainingDiverged,
     _lower_backward,
     _lower_forward,
-    _theta_phi_arrays,
     lower_loss,
     lower_step,
     omega_step,
@@ -121,9 +120,9 @@ class TestLowerStep:
         problem = make_small_problem(make_rng(3))
         work = copy_state(problem.state)
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-        before = flat(_theta_phi_arrays(work)).copy()
-        lower_step(work, res, 0.0, LowerOptimizer("sgd", _theta_phi_arrays(work)))
-        assert np.array_equal(flat(_theta_phi_arrays(work)), before)
+        before = flat(work.lower_arrays()).copy()
+        lower_step(work, res, 0.0, LowerOptimizer("sgd", work.lower_arrays()))
+        assert np.array_equal(flat(work.lower_arrays()), before)
 
     def test_zero_gradients_no_change(self):
         problem = make_small_problem(make_rng(4))
@@ -134,10 +133,10 @@ class TestLowerStep:
             pair[1][...] = 0.0
         res.grad_phi_w[...] = 0.0
         res.grad_phi_b[...] = 0.0
-        before = flat(_theta_phi_arrays(work)).copy()
+        before = flat(work.lower_arrays()).copy()
         for kind in ("sgd", "adam"):
-            lower_step(work, res, 0.1, LowerOptimizer(kind, _theta_phi_arrays(work)))
-            assert np.array_equal(flat(_theta_phi_arrays(work)), before)
+            lower_step(work, res, 0.1, LowerOptimizer(kind, work.lower_arrays()))
+            assert np.array_equal(flat(work.lower_arrays()), before)
 
     def test_sgd_step_hand_arithmetic(self):
         problem = make_small_problem(make_rng(5))
@@ -145,7 +144,7 @@ class TestLowerStep:
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
         expected_w = work.phi_w - 0.05 * res.grad_phi_w
         expected_t0 = work.theta[0][0] - 0.05 * res.grads_theta[0][0]
-        lower_step(work, res, 0.05, LowerOptimizer("sgd", _theta_phi_arrays(work)))
+        lower_step(work, res, 0.05, LowerOptimizer("sgd", work.lower_arrays()))
         assert np.array_equal(work.phi_w, expected_w)
         assert np.array_equal(work.theta[0][0], expected_t0)
         assert np.array_equal(work.omega_w2, problem.state.omega_w2)
@@ -194,7 +193,7 @@ class TestOmegaStep:
     def test_eta_zero_no_change(self):
         problem = make_small_problem(make_rng(10))
         work = copy_state(problem.state)
-        opt = LowerOptimizer("sgd", _theta_phi_arrays(work))
+        opt = LowerOptimizer("sgd", work.lower_arrays())
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
         cache = lower_step(work, res, problem.alpha, opt)
         _, upper_grad, _ = upper_loss(problem.bal_x, problem.bal_y, work)
@@ -205,7 +204,7 @@ class TestOmegaStep:
     def test_zero_upper_gradient_no_change(self):
         problem = make_small_problem(make_rng(11))
         work = copy_state(problem.state)
-        opt = LowerOptimizer("sgd", _theta_phi_arrays(work))
+        opt = LowerOptimizer("sgd", work.lower_arrays())
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
         cache = lower_step(work, res, problem.alpha, opt)
         zero_grad = (np.zeros_like(work.phi_w), np.zeros_like(work.phi_b))
@@ -217,7 +216,7 @@ class TestOmegaStep:
     def test_stale_cache_rejected(self):
         problem = make_small_problem(make_rng(12))
         work = copy_state(problem.state)
-        opt = LowerOptimizer("sgd", _theta_phi_arrays(work))
+        opt = LowerOptimizer("sgd", work.lower_arrays())
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
         cache = lower_step(work, res, problem.alpha, opt)
         res2 = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
@@ -229,7 +228,7 @@ class TestOmegaStep:
     def test_theta_bitwise_unchanged_by_head_step(self):
         problem = make_small_problem(make_rng(13))
         work = copy_state(problem.state)
-        opt = LowerOptimizer("sgd", _theta_phi_arrays(work))
+        opt = LowerOptimizer("sgd", work.lower_arrays())
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
         cache = lower_step(work, res, problem.alpha, opt)
         theta_bits = [(w.copy(), b.copy()) for w, b in work.theta]
@@ -371,7 +370,7 @@ class TestClosedFormOracle:
 
             work = copy_state(state)
             res = lower_loss(problem.x_l, problem.y_l, None, work, problem.norm)
-            lower_step(work, res, problem.alpha, LowerOptimizer("sgd", _theta_phi_arrays(work)))
+            lower_step(work, res, problem.alpha, LowerOptimizer("sgd", work.lower_arrays()))
             _, (v_w, v_b), _ = upper_loss(problem.bal_x, problem.bal_y, work)
             ui = res.unroll
             p_i = ui.p[0]

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -107,6 +108,13 @@ class TestConfig:
         assert config.train.alpha == 0.05
         assert type(config.train.iters) is int
 
+    @pytest.mark.parametrize("key", ["interval", "last_e", "ckpt_interval"])
+    def test_negative_eval_values_rejected_with_their_key(self, tmp_path, key):
+        payload = tiny_config_dict(tmp_path)
+        payload["eval"][key] = -2
+        with pytest.raises(ValueError, match=f"eval.{key}: expected >= 0, got -2"):
+            config_from_dict(payload)
+
     def test_bad_mode_rejected(self, tmp_path):
         payload = tiny_config_dict(tmp_path)
         payload["train"]["mode"] = "turbo"
@@ -177,6 +185,13 @@ class TestTrainCommand:
         capsys.readouterr()
         assert main(["compare", str(run)]) == 2
         assert "metrics.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, -6])
+    def test_balanced_n_below_one_rejected(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, balanced_n=value)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: balanced_n must be >= 1, got {value}\n"
 
     def test_yaml_syntax_error_reported(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -327,6 +342,11 @@ class TestEvalCommand:
         assert report["bacc"] == payload["final"]["bacc"]
         assert report["confusion"] == payload["final"]["confusion"]
 
+    def test_eval_rejects_an_archive_that_is_not_a_checkpoint(self, tmp_path, capsys):
+        archive = tmp_path / "x.npz"
+        np.savez(archive, weights=np.zeros(3))
+        assert main(["eval", "--ckpt", str(archive), "--test", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {archive}: not a checkpoint, no meta array\n"
 
     @pytest.mark.parametrize(
         "dim,classes,message",

@@ -15,7 +15,6 @@ from biasadapt.data import (
     one_hot,
     save_csv_dataset,
     split_counts,
-    split_labeled_unlabeled,
     synth_gaussian_mixture,
 )
 from biasadapt.numcore import make_rng
@@ -134,21 +133,21 @@ class TestSplits:
         return synth_gaussian_mixture(2, 3, 2.0, [5, 5], make_rng(3))
 
     def test_basic_split(self):
-        d_l, d_u = split_labeled_unlabeled(self.make_pool(), [2, 2], [3, 3], make_rng(4))
+        d_l, d_u = split_counts(self.make_pool(), [[2, 2], [3, 3]], [True, False], make_rng(4))
         assert len(d_l) == 4 and len(d_u) == 6
         assert np.all(d_u.labels == -1)
         assert np.all(d_l.labels >= 0)
 
     def test_subsets_share_no_memory_with_pool(self):
         pool = self.make_pool()
-        d_l, d_u = split_labeled_unlabeled(pool, [2, 2], [3, 3], make_rng(4))
+        d_l, d_u = split_counts(pool, [[2, 2], [3, 3]], [True, False], make_rng(4))
         for d in (d_l, d_u):
             assert not np.shares_memory(d.features, pool.features)
             assert not np.shares_memory(d.true_labels, pool.true_labels)
         assert not np.shares_memory(d_l.labels, d_l.true_labels)
 
     def test_empty_unlabeled(self):
-        d_l, d_u = split_labeled_unlabeled(self.make_pool(), [2, 2], [0, 0], make_rng(4))
+        d_l, d_u = split_counts(self.make_pool(), [[2, 2], [0, 0]], [True, False], make_rng(4))
         assert len(d_u) == 0
 
     def test_disjoint_partition(self):
@@ -162,14 +161,14 @@ class TestSplits:
 
     def test_insufficient_rows_names_class(self):
         with pytest.raises(ValueError, match="class 1"):
-            split_labeled_unlabeled(self.make_pool(), [2, 4], [2, 3], make_rng(4))
+            split_counts(self.make_pool(), [[2, 4], [2, 3]], [True, False], make_rng(4))
 
     def test_reversed_scenario_structure(self):
         # labeled head-heavy, unlabeled tail-heavy
         counts_l = class_counts(ImbalanceProfile("longtail", 100.0, 50, 4))
         counts_u = class_counts(ImbalanceProfile("reversed_longtail", 100.0, 50, 4))
         pool = synth_gaussian_mixture(4, 4, 2.0, counts_l + counts_u, make_rng(7))
-        d_l, d_u = split_labeled_unlabeled(pool, counts_l, counts_u, make_rng(8))
+        d_l, d_u = split_counts(pool, [counts_l, counts_u], [True, False], make_rng(8))
         lc = d_l.per_class_counts()
         uc = d_u.per_class_counts()
         assert lc[0] == lc.max() and uc[3] == uc.max()

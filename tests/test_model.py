@@ -1,3 +1,6 @@
+import dataclasses
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -193,6 +196,34 @@ class TestEma:
             ema_update(state, 1.5)
 
 
+def _held_arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _held_arrays(item)
+
+
+def test_named_arrays_hold_every_array_and_copies_share_none():
+    state = init_model([3, 4, 5, 2], 3, 6, make_rng(21))
+    state.step_count = 5
+    named = state.named_arrays()
+    held = [a for f in dataclasses.fields(state) for a in _held_arrays(getattr(state, f.name))]
+    assert sorted(map(id, held)) == sorted(map(id, named.values()))
+    assert len(set(map(id, held))) == len(held)
+    # lower_arrays and ema_arrays pair each parameter with its own shadow
+    name_of = {id(a): name for name, a in named.items()}
+    lower = [name_of[id(a)] for a in state.lower_arrays()]
+    assert lower == [n for n in named if n.startswith(("theta_", "phi_"))]
+    assert [name_of[id(a)] for a in state.ema_arrays()] == [f"ema_{n}" for n in lower]
+
+    copied = copy_state(state)
+    assert copied.step_count == 5
+    assert list(copied.named_arrays()) == list(named)
+    for a, b in zip(named.values(), copied.named_arrays().values()):
+        assert np.array_equal(a, b) and not np.shares_memory(a, b)
+
+
 class TestStopGradient:
     def test_phi_gradient_matches_frozen_u_fd(self):
         # the engine treats the attractor input as constant; finite
@@ -234,6 +265,30 @@ class TestStopGradient:
 
 
 class TestCheckpoint:
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        state = make_small_problem(make_rng(14), hidden=(3, 2)).state
+        state.step_count = 17
+        ema_update(state, 0.5)
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        save_checkpoint(first, state, "l2_input")
+        save_checkpoint(second, *load_checkpoint(first))
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("drop", ["meta", "norm", "num_classes"])
+    def test_missing_metadata_names_the_file(self, tmp_path, drop):
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, make_small_problem(make_rng(16)).state, "softmax_input")
+        data = dict(np.load(path))
+        if drop == "meta":
+            del data["meta"]
+        else:
+            meta = json.loads(bytes(data["meta"]).decode())
+            del meta[drop]
+            data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{drop}"):
+            load_checkpoint(path)
+
     def test_round_trip_exact(self, tmp_path):
         problem = make_small_problem(make_rng(14))
         state = problem.state
@@ -254,9 +309,23 @@ class TestCheckpoint:
             forward_train(x, back, norm)[0], forward_train(x, state, norm)[0]
         )
 
-    def test_version_check(self, tmp_path):
-        import json
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"not json",
+            b"[1, 2]",
+            b'{"version": 1, "norm": "l2_input", "step_count": null}',
+            b'{"version": 1, "norm": "l2_input", "step_count": 0, "extractor_dims": 5}',
+        ],
+    )
+    def test_unreadable_metadata_names_the_file(self, tmp_path, blob):
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, meta=np.frombuffer(blob, dtype=np.uint8))
+        message = f"^{re.escape(str(path))}: unreadable checkpoint meta"
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
 
+    def test_version_check(self, tmp_path):
         problem = make_small_problem(make_rng(16))
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, problem.state, "softmax_input")
@@ -279,8 +348,6 @@ class TestCheckpoint:
         ],
     )
     def test_shape_mismatch_names_the_array(self, tmp_path, name, shape, meta_key, meta_value):
-        import json
-
         problem = make_small_problem(make_rng(16))
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, problem.state, "softmax_input")
