@@ -10,7 +10,8 @@ scored every 25 iterations), where the arrays are large enough for BLAS to
 block them. Each of the 24 runs goes through harness.run_train into a
 temporary directory with --iters iterations. Running this on two
 commits and diffing the output shows whether a change kept the artifacts
-byte-identical.
+byte-identical. tests/golden_outputs.json pins the table at 100 iterations,
+and tests/test_scripts.py reruns it through `output_digests`.
 
     python scripts/output_hashes.py --iters 600
 """
@@ -22,6 +23,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +74,34 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def build_provenance() -> dict:
+    """The NumPy and BLAS build the digests depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def output_digests(iters: int):
+    """Run every (config, mode, optimizer) for `iters` iterations in a
+    temporary directory; yield (config, mode, optimizer, {artifact: sha256})
+    in table order."""
+    with open(ROOT / "configs" / "example.yaml") as fh:
+        configs = {
+            "example": yaml.safe_load(fh),
+            "crit9-biased": CRIT9_BIASED,
+            "paper-scale": PAPER_SCALE,
+        }
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, base in configs.items():
+            for mode in MODES:
+                for opt in OPTIMIZERS:
+                    out = Path(tmp) / f"{label}_{mode}_{opt}"
+                    payload = copy.deepcopy(base)
+                    payload["train"].update(mode=mode, lower_optimizer=opt, iters=iters)
+                    payload["eval"]["out_dir"] = str(out)
+                    run_train(config_from_dict(payload))
+                    yield label, mode, opt, {name: _sha256(out / name) for name in ARTIFACTS}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -79,26 +109,10 @@ def main() -> int:
     parser.add_argument("--iters", type=int, default=600)
     args = parser.parse_args()
 
-    with open(ROOT / "configs" / "example.yaml") as fh:
-        configs = {
-            "example": yaml.safe_load(fh),
-            "crit9-biased": CRIT9_BIASED,
-            "paper-scale": PAPER_SCALE,
-        }
-
     print(f"| config@{args.iters} | mode | opt | " + " | ".join(ARTIFACTS) + " |")
     print("|---|---|---|" + "---|" * len(ARTIFACTS))
-    with tempfile.TemporaryDirectory() as tmp:
-        for label, base in configs.items():
-            for mode in MODES:
-                for opt in OPTIMIZERS:
-                    out = Path(tmp) / f"{label}_{mode}_{opt}"
-                    payload = copy.deepcopy(base)
-                    payload["train"].update(mode=mode, lower_optimizer=opt, iters=args.iters)
-                    payload["eval"]["out_dir"] = str(out)
-                    run_train(config_from_dict(payload))
-                    digests = " | ".join(_sha256(out / name) for name in ARTIFACTS)
-                    print(f"| {label} | {mode} | {opt} | {digests} |", flush=True)
+    for label, mode, opt, digests in output_digests(args.iters):
+        print(f"| {label} | {mode} | {opt} | " + " | ".join(digests.values()) + " |", flush=True)
     return 0
 
 

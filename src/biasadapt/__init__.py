@@ -20,6 +20,7 @@ from .data import (
     Dataset,
     ImbalanceProfile,
     balanced_batch,
+    balanced_index,
     class_counts,
     load_csv_dataset,
     save_csv_dataset,
@@ -44,8 +45,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .numcore import cross_entropy, grad_check, make_rng, softmax
+from .numcore import cross_entropy, make_rng, softmax
 from .pseudo import PseudoBatch, assign_pseudo_labels, augment
-from .testing import omega_grad_closed_form
 
 __all__ = [name for name in dir() if not name.startswith("_")]

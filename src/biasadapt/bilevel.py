@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import BalancedBatchSpec, Dataset, balanced_batch, class_rows, one_hot
+from .data import BalancedBatchSpec, Dataset, balanced_batch, balanced_index, one_hot
 from .model import (
     ModelState,
     attractor_backward,
@@ -208,8 +208,8 @@ def _stack_lower_batch(x_l, y_l, pseudo: PseudoBatch | None):
         coeff = np.full(n, 1.0 / n)
         return x_l, y_l, coeff
     m = len(pseudo)
-    x = np.vstack([x_l, pseudo.x_strong])
-    targets = np.vstack([y_l, pseudo.y_hat])
+    x = np.concatenate([x_l, pseudo.x_strong])
+    targets = np.concatenate([y_l, pseudo.y_hat])
     coeff = np.concatenate([np.full(n, 1.0 / n), pseudo.lam / m])
     return x, targets, coeff
 
@@ -389,9 +389,9 @@ def omega_step(state: ModelState, cache: UnrollCache, upper_grad, eta: float) ->
 
 
 def _block_norms(res: LowerLossResult, omega_grads) -> tuple[float, float, float]:
-    sq_theta = sum(float(np.sum(np.square(g))) for pair in res.grads_theta for g in pair)
-    sq_phi = float(np.sum(np.square(res.grad_phi_w))) + float(np.sum(np.square(res.grad_phi_b)))
-    sq_omega = sum(float(np.sum(np.square(g))) for g in omega_grads)
+    sq_theta = sum(float(np.square(g).sum()) for pair in res.grads_theta for g in pair)
+    sq_phi = float(np.square(res.grad_phi_w).sum()) + float(np.square(res.grad_phi_b).sum())
+    sq_omega = sum(float(np.square(g).sum()) for g in omega_grads)
     return math.sqrt(sq_theta), math.sqrt(sq_phi), math.sqrt(sq_omega)
 
 
@@ -434,7 +434,7 @@ def train(
         if config.balanced_n % k != 0:
             raise ValueError(f"balanced_n {config.balanced_n} not divisible by {k} classes")
         bal_spec = BalancedBatchSpec(config.balanced_n, k)
-        bal_rows = class_rows(d_l, k)
+        bal_index = balanced_index(d_l, bal_spec)
 
     optimizer = LowerOptimizer(config.lower_optimizer, state.lower_arrays())
     if head and not hyper:
@@ -471,7 +471,7 @@ def train(
             pseudo = PseudoBatch(x_weak, x_strong, y_hat, lam)
 
         if joint or hyper:
-            bal_idx = balanced_batch(d_l, bal_spec, batch_rng, bal_rows)
+            bal_idx = balanced_batch(d_l, bal_spec, batch_rng, bal_index)
             bal_x = x_all_l[bal_idx]
             bal_y = y_all_l[bal_idx]
 
@@ -526,12 +526,9 @@ def train(
 
 
 def write_trace_csv(traces: TraceTable, path, include_timings: bool = False) -> None:
-    """One row per iteration. Timing columns are opt-in: they vary run to
-    run, and the default trace must be byte-identical for equal seeds.
-    backward_seconds is the lower backward pass in every mode (in l2ac
-    through extractor and classifier only, see StepTrace);
-    second_order_seconds is the omega_step head update in l2ac and 0 in the
-    other modes."""
+    """One row per iteration. Timing columns (see StepTrace) are opt-in:
+    they vary run to run, and the default trace must be byte-identical for
+    equal seeds."""
     cols = list(TRACE_COLUMNS)
     if include_timings:
         cols += ["second_order_seconds", "backward_seconds"]

@@ -208,23 +208,29 @@ def class_rows(dataset: Dataset, num_classes: int) -> list[np.ndarray]:
     return rows
 
 
+def balanced_index(dataset: Dataset, spec: BalancedBatchSpec) -> tuple[np.ndarray, ...]:
+    """(flat, low, high): every labeled row, class by class, and for each
+    draw of a balanced batch the span [low, high) of its class in flat."""
+    rows = class_rows(dataset, spec.num_classes)
+    sizes = np.array([r.size for r in rows])
+    low = np.repeat(np.cumsum(sizes) - sizes, spec.per_class)
+    return np.concatenate(rows), low, low + np.repeat(sizes, spec.per_class)
+
+
 def balanced_batch(
     dataset: Dataset,
     spec: BalancedBatchSpec,
     rng: np.random.Generator,
-    rows: list[np.ndarray] | None = None,
+    index: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Exactly stratified class-aware sample: per_class indices per class,
-    drawn with replacement within each class. rows is class_rows(dataset,
-    spec.num_classes), computed here when not given; callers drawing many
-    batches from one dataset pass it once computed."""
-    if rows is None:
-        rows = class_rows(dataset, spec.num_classes)
-    # one draw for every class's offsets, the same stream as one
-    # rng.integers(0, r.size, size=per_class) call per class in turn
-    offsets = rng.integers(0, np.repeat([r.size for r in rows], spec.per_class))
-    offsets = offsets.reshape(len(rows), spec.per_class)
-    return np.concatenate([r[o] for r, o in zip(rows, offsets)])
+    drawn with replacement within each class. index is
+    balanced_index(dataset, spec), built here when not given; callers
+    drawing many batches from one dataset pass it once built."""
+    flat, low, high = balanced_index(dataset, spec) if index is None else index
+    # one draw for every class's positions, the same stream as one
+    # rng.integers(0, size, size=per_class) call per class in turn
+    return flat[rng.integers(low, high)]
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -282,7 +282,8 @@ def load_checkpoint(path) -> tuple[ModelState, str]:
     dims, num_classes, attractor_hidden) with each named array copied into
     its slot. Raises naming the file when the archive has no metadata or the
     metadata is unreadable or lacks a key, and naming the array when one is
-    missing or its shape disagrees with the metadata."""
+    missing, its shape disagrees with the metadata or it holds a non-finite
+    value (the scoring kernels do not scan for one)."""
     with np.load(Path(path)) as z:
         if "meta" not in z.files:
             raise ValueError(f"{path}: not a checkpoint, no meta array")
@@ -314,6 +315,8 @@ def load_checkpoint(path) -> tuple[ModelState, str]:
                 raise ValueError(
                     f"{path}: {name} has shape {array.shape}, metadata implies {slot.shape}"
                 )
+            if not np.all(np.isfinite(array)):
+                raise ValueError(f"{path}: {name} holds non-finite values")
             slot[...] = array
     state.step_count = step_count
     return state, norm

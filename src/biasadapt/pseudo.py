@@ -63,11 +63,12 @@ def assign_pseudo_labels(
     if mode not in ("hard", "sharpen"):
         raise ValueError(f"unknown pseudo-label mode {mode!r}")
     p = softmax(logits_weak)
-    confident = p.max(axis=1) >= tau
-    lam = np.where(confident, float(lambda_u), 0.0)
+    rows = np.arange(p.shape[0])
+    top = p.argmax(axis=1)
+    lam = np.where(p[rows, top] >= tau, float(lambda_u), 0.0)
     if mode == "hard":
         y_hat = np.zeros_like(p)
-        y_hat[np.arange(p.shape[0]), p.argmax(axis=1)] = 1.0
+        y_hat[rows, top] = 1.0
     else:
         if temperature <= 0.0:
             raise ValueError(f"temperature must be > 0, got {temperature}")

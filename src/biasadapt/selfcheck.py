@@ -15,13 +15,16 @@ from .bilevel import (
     upper_loss,
 )
 from .model import copy_state, forward_eval, forward_train
-from .numcore import cross_entropy, flatten_arrays, grad_check, make_rng, relative_diff, softmax
+from .numcore import cross_entropy, make_rng, softmax
 from .pseudo import PseudoBatch
 from .testing import (
     closed_form_hypergrad,
     fd_hypergrad,
+    flatten_arrays,
+    grad_check,
     lower_fd_errors,
     make_small_problem,
+    relative_diff,
     unrolled_hypergrad,
     upper_fd_error,
 )

@@ -1,7 +1,8 @@
-"""Small randomized problem instances, gradient-check helpers and the two
-head-hypergradient oracles, shared by the test suite and the selfcheck
-command. The oracles (`omega_grad_closed_form`, `hypergrad_fd`) recompute
-the chain independently of the training engine in `bilevel`.
+"""Small randomized problem instances, the gradient-check helpers (central
+differences, flattening, relative error) and the two head-hypergradient
+oracles, shared by the test suite and the selfcheck command. The oracles
+(`omega_grad_closed_form`, `hypergrad_fd`) recompute the chain independently
+of the training engine in `bilevel`.
 
 Instances are resampled until every ReLU preactivation sits away from its
 kink, so central differences stay valid at epsilon scale.
@@ -9,6 +10,7 @@ kink, so central differences stay valid at epsilon scale.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +34,65 @@ from .model import (
     forward_train,
     init_model,
 )
-from .numcore import (
-    fd_gradient, flatten_arrays, grad_check, log_softmax, unflatten_like, weighted_ce
-)
+from .numcore import log_softmax, weighted_ce
 from .pseudo import PseudoBatch
 
 KINK_MARGIN = 1e-3
+
+
+def fd_gradient(
+    value: Callable[[np.ndarray], float], point: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a flat vector."""
+    point = np.asarray(point, dtype=np.float64).ravel()
+    grad = np.empty_like(point)
+    for i in range(point.size):
+        delta = np.zeros_like(point)
+        delta[i] = epsilon
+        grad[i] = (value(point + delta) - value(point - delta)) / (2.0 * epsilon)
+    return grad
+
+
+def grad_check(
+    f: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    point: np.ndarray,
+    epsilon: float = 1e-6,
+) -> float:
+    """Max relative error between f's analytic gradient and central differences.
+
+    f maps a flat parameter vector to (value, gradient). Per-coordinate error
+    is |analytic - numeric| / max(1, |analytic|, |numeric|).
+    """
+    if not (1e-8 <= epsilon <= 1e-3):
+        raise ValueError(f"epsilon {epsilon} outside [1e-8, 1e-3]")
+    point = np.asarray(point, dtype=np.float64).ravel()
+    analytic = np.asarray(f(point)[1], dtype=np.float64).ravel()
+    numeric = fd_gradient(lambda x: f(x)[0], point, epsilon)
+    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+    return float(np.max(np.abs(analytic - numeric) / denom, initial=0.0))
+
+
+def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def unflatten_like(flat: np.ndarray, templates: Sequence[np.ndarray]) -> list[np.ndarray]:
+    out = []
+    start = 0
+    for t in templates:
+        out.append(flat[start : start + t.size].reshape(t.shape))
+        start += t.size
+    if start != flat.size:
+        raise ValueError(f"flat vector has {flat.size} entries, templates need {start}")
+    return out
+
+
+def relative_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a-b| / max(1e-12, max|a|, max|b|), used to compare gradient routes."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    denom = max(1e-12, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(a - b))) / denom
 
 
 @dataclass

@@ -33,13 +33,14 @@ from biasadapt.model import (
     forward_train,
     init_model,
 )
-from biasadapt.numcore import child_seeds, log_softmax, make_rng, relative_diff
+from biasadapt.numcore import child_seeds, log_softmax, make_rng
 from biasadapt.pseudo import PseudoBatch, assign_pseudo_labels, augment
 from biasadapt.testing import (
     closed_form_hypergrad,
     fd_hypergrad,
     make_small_problem,
     omega_grad_closed_form,
+    relative_diff,
     unrolled_hypergrad,
 )
 
@@ -482,7 +483,29 @@ class TestTrainLoop:
             warnings.simplefilter("error")  # the blow-up is reported, not warned about
             with pytest.raises(TrainingDiverged) as excinfo:
                 train(quick_config(alpha=1e6, iters=400), d_l, d_u)
-        assert len(excinfo.value.traces) >= 1
+        # the stepped extractor and classifier overflow the balanced loss first
+        assert str(excinfo.value).startswith("iteration 5: non-finite upper_loss")
+        assert [t.iteration for t in excinfo.value.traces] == [1, 2, 3, 4]
+
+    def test_head_step_blowup_names_grad_norm_omega(self):
+        # driven by the config alone: this eta throws the head out in its
+        # first step, where the saturated softmax holds it (its hypergradient
+        # is exactly 0 from then on); its fixed correction then drives the
+        # extractor off, and the hypergradient, which contracts the lower
+        # features with the balanced gradient, is the first checked value to
+        # go non-finite
+        d_l, d_u = desk_datasets()
+        config = quick_config(eta=1e7, iters=60, attractor_norm="l2_input")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as excinfo:
+                train(config, d_l, d_u)
+        message = str(excinfo.value)
+        assert "non-finite grad_norm_omega" in message
+        failed_at = int(message.split()[1].rstrip(":"))
+        traces = excinfo.value.traces
+        assert [t.iteration for t in traces] == list(range(1, failed_at))
+        assert all(math.isfinite(t.grad_norm_omega) for t in traces)
 
     def test_nonfinite_head_gradient_aborts(self, monkeypatch):
         # the head step itself succeeds; only the gradient it reports is inf

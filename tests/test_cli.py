@@ -348,6 +348,31 @@ class TestEvalCommand:
         assert main(["eval", "--ckpt", str(archive), "--test", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == f"error: {archive}: not a checkpoint, no meta array\n"
 
+    def test_eval_rejects_a_checkpoint_holding_nan(self, tmp_path):
+        # the scoring kernels do not scan for NaN, so loading must
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        with np.load(tmp_path / "run" / "ckpt_final.npz") as z:
+            arrays = dict(z)
+        arrays["ema_phi_w"][0, 0] = np.nan
+        ckpt = tmp_path / "nan.npz"
+        np.savez(ckpt, **arrays)
+        from biasadapt.data import save_csv_dataset
+        from biasadapt.harness import build_datasets
+
+        test_csv = tmp_path / "test.csv"
+        save_csv_dataset(build_datasets(load_config(cfg))[2], test_csv)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+            str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "biasadapt.cli", "eval", "--ckpt", str(ckpt),
+             "--test", str(test_csv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {ckpt}: ema_phi_w holds non-finite values\n"
+
     @pytest.mark.parametrize(
         "dim,classes,message",
         [

@@ -8,6 +8,7 @@ from biasadapt.data import (
     Dataset,
     ImbalanceProfile,
     balanced_batch,
+    balanced_index,
     class_counts,
     class_means_on_sphere,
     class_rows,
@@ -210,14 +211,14 @@ class TestBalancedBatch:
         ds = Dataset(full.features, np.where(hidden, -1, full.labels), full.true_labels, 4)
         assert np.any(ds.labels == -1)
         spec = BalancedBatchSpec(8, 4)
-        rows = class_rows(ds, 4)
+        index = balanced_index(ds, spec)
         cached_rng, inline_rng = make_rng(18), make_rng(18)
         for _ in range(20):
             want = []
             for k in range(4):
                 scan = np.flatnonzero(ds.labels == k)
                 want.append(scan[inline_rng.integers(0, scan.size, size=spec.per_class)])
-            got = balanced_batch(ds, spec, cached_rng, rows)
+            got = balanced_batch(ds, spec, cached_rng, index)
             assert np.array_equal(got, np.concatenate(want))
             assert np.all(ds.labels[got] >= 0)
         # one draw for all classes leaves the stream where one per class does

@@ -23,8 +23,8 @@ from biasadapt.model import (
     normalize_scores,
     save_checkpoint,
 )
-from biasadapt.numcore import grad_check, make_rng
-from biasadapt.testing import make_small_problem
+from biasadapt.numcore import make_rng
+from biasadapt.testing import grad_check, make_small_problem
 
 
 class TestInit:

@@ -7,14 +7,13 @@ from biasadapt.numcore import (
     LOG_FLOOR,
     NonFinite,
     cross_entropy,
-    fd_gradient,
-    grad_check,
     log_softmax,
     make_rng,
     safe_log,
     softmax,
     weighted_ce,
 )
+from biasadapt.testing import fd_gradient, grad_check
 
 # softmax([1,2,3]) evaluated by direct exp/sum before the build
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479767, 0.6652409557748219]
@@ -35,15 +34,25 @@ class TestSoftmax:
         np.testing.assert_allclose(out[0], SOFTMAX_123, rtol=1e-15)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            softmax(np.array([[np.nan, 0.0]]))
-        with pytest.raises(ValueError, match="non-finite"):
-            softmax(np.array([[np.inf, 0.0]]))
+        # the training kernels do not scan; cross_entropy is the checked entry
+        target = np.array([[1.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite logits"):
+            cross_entropy(np.array([[np.nan, 0.0]]), target)
+        with pytest.raises(ValueError, match="non-finite logits"):
+            cross_entropy(np.array([[np.inf, 0.0]]), target)
 
     def test_nonfinite_input_raises_nonfinite(self):
         with pytest.raises(NonFinite):
-            log_softmax(np.array([[np.inf, 0.0]]))
+            cross_entropy(np.array([[np.inf, 0.0]]), np.array([[1.0, 0.0]]))
         assert issubclass(NonFinite, ValueError)
+        # unchecked, a non-finite row comes out as a NaN row and leaves the
+        # other rows alone, so a training loss built on it is NaN
+        x = np.array([[np.inf, 0.0], [1.0, 2.0], [np.nan, 0.0]])
+        with np.errstate(invalid="ignore"):
+            for kernel in (softmax, log_softmax):
+                out = kernel(x)
+                assert np.isnan(out[[0, 2]]).all()
+                assert np.array_equal(out[1], kernel(x[1:2])[0])
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="classes"):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -26,6 +27,29 @@ def test_output_hashes_prints_one_row_per_combination():
     for row in rows:
         digests = [cell.strip(" |") for cell in row[3:]]
         assert len(digests) == 3 and all(len(d) == 64 for d in digests)
+
+
+def test_outputs_match_the_pinned_digests():
+    # the bits of every artifact, pinned; a change that alters them on
+    # purpose re-pins tests/golden_outputs.json and says why
+    golden = json.loads((ROOT / "tests" / "golden_outputs.json").read_text())
+    spec = importlib.util.spec_from_file_location(
+        "output_hashes", ROOT / "scripts" / "output_hashes.py")
+    hashes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hashes)
+    build = hashes.build_provenance()
+    pinned = {key: golden["provenance"][key] for key in build}
+    assert build == pinned, f"digests pinned on {pinned}, this build is {build}"
+    differ, seen = [], []
+    for label, mode, opt, digests in hashes.output_digests(golden["iters"]):
+        key = f"{label}/{mode}/{opt}"
+        seen.append(key)
+        differ += [
+            f"{key}/{name}" for name, digest in digests.items()
+            if golden["digests"][key][name] != digest
+        ]
+    assert not differ, "artifacts differ from the pinned digests: " + ", ".join(differ)
+    assert seen == list(golden["digests"])
 
 
 def test_perfbench_patches_resolve():
