@@ -8,6 +8,10 @@ unroll; (iii) balanced cross-entropy at the stepped parameters through the
 plain classifier path; (iv) a backward-on-backward step on the head
 parameters that differentiates only the classifier-gradient expression.
 
+One record, `LowerPass`, carries the lower pass from (i) to (iv). Every
+gradient list is flat, in `ModelState.lower_arrays()` (extractor layers, then
+classifier) or `omega_arrays()` (head) order.
+
 This module holds the training path only. The oracles that check the head
 hypergradient, a closed form and central differences of the composite map,
 live in `testing`. A non-finite kernel input, loss or gradient norm ends the
@@ -19,12 +23,13 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import BalancedBatchSpec, Dataset, balanced_batch, balanced_index, one_hot
 from .model import (
+    NORM_MODES,
     ModelState,
     attractor_backward,
     classifier_scores,
@@ -104,14 +109,19 @@ class TrainConfig:
             raise ValueError(f"unknown pseudo source {self.pseudo_source!r}")
         if not (0.0 <= self.sigma_weak < self.sigma_strong):
             raise ValueError("need 0 <= sigma_weak < sigma_strong")
+        if self.attractor_norm not in NORM_MODES:
+            raise ValueError(f"unknown attractor_norm {self.attractor_norm!r}")
+        if self.pseudo_mode == "sharpen" and not self.sharpen_temperature > 0:
+            raise ValueError(f"sharpen_temperature must be > 0, got {self.sharpen_temperature}")
 
 
 @dataclass
 class StepTrace:
     """One training iteration. upper_loss is the balanced loss (NaN in modes
-    without one); grad_norm_omega is the norm of the gradient the head moved
-    along (0 in baseline). backward_seconds times the lower backward pass in
-    every mode: through extractor, classifier and head in plain_attractor and
+    without one). The norms are those of the extractor and classifier
+    gradients the lower step took and of the gradient the head moved along
+    (0 in baseline). backward_seconds times the lower backward pass in every
+    mode: through extractor, classifier and head in plain_attractor and
     single_level, through extractor and classifier only in l2ac (whose head
     moves along the hypergradient alone) and in baseline (no head).
     second_order_seconds times the backward-on-backward head step
@@ -170,15 +180,15 @@ def schedule_rates(config: TrainConfig, t: int) -> tuple[float, float]:
 
 
 @dataclass
-class UnrollInputs:
-    """Per-sample record of one cross-entropy forward pass: features and the
-    extractor cache, probabilities, per-row loss coefficients, the
-    logit gradient, and the attractor's (stop-gradient) input u and hidden
-    ReLU output a, which the head gradients need. u and a are None on the
-    plain (no attractor) path. In l2ac the record feeds the extractor and
-    classifier lower backward and the head hypergradient; the head's own
-    lower gradient is never formed there."""
+class LowerPass:
+    """One lower pass. lower_forward records the loss, features z, the
+    extractor's layer inputs, probabilities p, per-row loss coefficients, the
+    logit gradient, and the head's stop-gradient input u and ReLU output a
+    (None on the plain path). lower_backward adds `grads` (extractor and
+    classifier) and `grads_omega` (the head's, empty when not formed);
+    lower_step stamps the iteration and alpha that the unroll reads."""
 
+    loss: float
     z: np.ndarray
     feat_cache: list
     p: np.ndarray
@@ -186,16 +196,10 @@ class UnrollInputs:
     d_logits: np.ndarray
     u: np.ndarray | None
     a: np.ndarray | None
-
-
-@dataclass
-class LowerLossResult:
-    loss: float
-    grads_theta: list
-    grad_phi_w: np.ndarray
-    grad_phi_b: np.ndarray
-    grads_omega: list
-    unroll: UnrollInputs
+    grads: list = field(default_factory=list)
+    grads_omega: list = field(default_factory=list)
+    step_count: int | None = None
+    alpha: float = math.nan
 
 
 def _stack_lower_batch(x_l, y_l, pseudo: PseudoBatch | None):
@@ -205,8 +209,7 @@ def _stack_lower_batch(x_l, y_l, pseudo: PseudoBatch | None):
     if n == 0:
         raise ValueError("labeled batch must be non-empty")
     if pseudo is None or len(pseudo) == 0:
-        coeff = np.full(n, 1.0 / n)
-        return x_l, y_l, coeff
+        return x_l, y_l, np.full(n, 1.0 / n)
     m = len(pseudo)
     x = np.concatenate([x_l, pseudo.x_strong])
     targets = np.concatenate([y_l, pseudo.y_hat])
@@ -224,7 +227,7 @@ def pseudo_label_logits(x, state: ModelState, config: TrainConfig) -> np.ndarray
     return classifier_scores(forward_features(x, state.theta), state.phi_w, state.phi_b)
 
 
-def _ce_forward(x, targets, coeff, state: ModelState, norm: str | None, head: bool):
+def _ce_forward(x, targets, coeff, state: ModelState, norm: str | None, head: bool) -> LowerPass:
     """Weighted cross-entropy forward through the residual-head training
     path, or through the plain classifier path (u and a None) when head is
     False; the plain path runs no attractor code."""
@@ -236,54 +239,42 @@ def _ce_forward(x, targets, coeff, state: ModelState, norm: str | None, head: bo
         logits = classifier_scores(z, state.phi_w, state.phi_b)
         u = a = None
     loss, p, d_logits = weighted_ce(log_softmax(logits), targets, coeff)
-    return loss, UnrollInputs(z, feat_cache, p, coeff, d_logits, u, a)
+    return LowerPass(loss, z, feat_cache, p, coeff, d_logits, u, a)
 
 
-def _lower_forward(x_l, y_l, pseudo, state: ModelState, norm: str, head: bool = True):
-    x, targets, coeff = _stack_lower_batch(x_l, y_l, pseudo)
-    return _ce_forward(x, targets, coeff, state, norm, head)
+def lower_forward(x_l, y_l, pseudo, state: ModelState, norm: str, head: bool = True) -> LowerPass:
+    """A fresh LowerPass of the labeled rows stacked with the pseudo batch."""
+    return _ce_forward(*_stack_lower_batch(x_l, y_l, pseudo), state, norm, head)
 
 
-def _classifier_backward(z, feat_cache, d_logits, state: ModelState, need_theta: bool):
-    """(dW_phi, db_phi, extractor grads or None) of a loss whose logit
-    gradient is d_logits, through the linear classifier and the extractor."""
-    g_w = z.T @ d_logits
-    g_b = d_logits.sum(axis=0)
-    grads_theta = None
-    if need_theta:
-        d_z = d_logits @ state.phi_w.T
-        grads_theta, _ = features_backward(feat_cache, state.theta, d_z)
-    return g_w, g_b, grads_theta
+def _classifier_backward(rec: LowerPass, state: ModelState, need_theta: bool) -> list[np.ndarray]:
+    """[dW_phi, db_phi] of a loss whose logit gradient is rec.d_logits, with
+    the extractor's gradients in front when need_theta."""
+    g_w = rec.z.T @ rec.d_logits
+    g_b = rec.d_logits.sum(axis=0)
+    if not need_theta:
+        return [g_w, g_b]
+    return features_backward(rec.feat_cache, state.theta, rec.d_logits @ state.phi_w.T) + [g_w, g_b]
 
 
-def _lower_backward(
-    state: ModelState, loss: float, rec: UnrollInputs, need_omega: bool = True
-) -> LowerLossResult:
-    """Gradients of the stacked lower loss w.r.t. extractor, classifier and
-    (on the head path, when need_omega) attractor. The logit gradient feeds
-    both the classifier scores (direct shortcut) and the attractor output;
-    the attractor input is stop-gradient so no second path reaches the
-    classifier, and the extractor and classifier gradients do not depend on
-    need_omega. Without the head or need_omega, grads_omega is empty."""
-    grads_omega = []
+def lower_backward(state: ModelState, rec: LowerPass, need_omega: bool = True) -> LowerPass:
+    """Fill rec with the lower loss's gradients w.r.t. extractor, classifier
+    and (on the head path, when need_omega) attractor, and return it. The
+    logit gradient feeds both the classifier scores (direct shortcut) and the
+    attractor output; the attractor input is stop-gradient so no second path
+    reaches the classifier, and grads does not depend on need_omega."""
+    rec.grads_omega = []
     if need_omega and rec.u is not None:
-        grads_omega = attractor_backward(state, rec.u, rec.a, rec.d_logits)
-    g_w, g_b, grads_theta = _classifier_backward(rec.z, rec.feat_cache, rec.d_logits, state, True)
-    return LowerLossResult(loss, grads_theta, g_w, g_b, grads_omega, rec)
+        rec.grads_omega = attractor_backward(state, rec.u, rec.a, rec.d_logits)
+    rec.grads = _classifier_backward(rec, state, True)
+    return rec
 
 
-def lower_loss(
-    x_l, y_l, pseudo: PseudoBatch | None, state: ModelState, norm: str, head: bool = True
-) -> LowerLossResult:
+def lower_loss(x_l, y_l, pseudo, state: ModelState, norm: str, head: bool = True) -> LowerPass:
     """Lower-level loss and its analytic gradients w.r.t. every parameter
     block, through the residual-head training path (or the plain classifier
     path when head is False)."""
-    loss, rec = _lower_forward(x_l, y_l, pseudo, state, norm, head)
-    return _lower_backward(state, loss, rec)
-
-
-def _theta_phi_grads(res: LowerLossResult) -> list[np.ndarray]:
-    return [g for pair in res.grads_theta for g in pair] + [res.grad_phi_w, res.grad_phi_b]
+    return lower_backward(state, lower_forward(x_l, y_l, pseudo, state, norm, head))
 
 
 class LowerOptimizer:
@@ -315,26 +306,15 @@ class LowerOptimizer:
             p -= alpha * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-@dataclass
-class UnrollCache:
-    step_count: int
-    alpha: float
-    inputs: UnrollInputs
-
-
-def lower_step(
-    state: ModelState,
-    res: LowerLossResult,
-    alpha: float,
-    optimizer: LowerOptimizer,
-) -> UnrollCache:
-    """Update extractor and classifier in place (head untouched) and package
-    the unroll cache: the classifier gradient's dependence on the head is
-    retained via the cached forward quantities; the extractor's dependence is
-    dropped by construction."""
-    optimizer.step(state.lower_arrays(), _theta_phi_grads(res), alpha)
+def lower_step(state: ModelState, rec: LowerPass, alpha: float, optimizer: LowerOptimizer) -> LowerPass:
+    """Update extractor and classifier in place (head untouched) and stamp
+    rec with the iteration and alpha for the unroll: the classifier
+    gradient's dependence on the head is retained via the recorded forward
+    quantities; the extractor's dependence is dropped by construction."""
+    optimizer.step(state.lower_arrays(), rec.grads, alpha)
     state.step_count += 1
-    return UnrollCache(state.step_count, alpha, res.unroll)
+    rec.step_count, rec.alpha = state.step_count, alpha
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -342,43 +322,39 @@ def lower_step(
 
 
 def upper_loss(x, y, state: ModelState, need_theta: bool = False):
-    """Mean cross-entropy of the plain (no attractor) path at the state's
-    current parameters, with the gradient w.r.t. the classifier; extractor
-    gradients only on request (joint single-level mode)."""
+    """(loss, grads): mean cross-entropy of the plain (no attractor) path at
+    the state's current parameters and its gradient [dW_phi, db_phi], with
+    the extractor's in front on request (joint single-level mode)."""
     coeff = np.full(x.shape[0], 1.0 / x.shape[0])
-    loss, rec = _ce_forward(x, y, coeff, state, None, head=False)
-    v_w, v_b, grads_theta = _classifier_backward(rec.z, rec.feat_cache, rec.d_logits, state, need_theta)
-    return loss, (v_w, v_b), grads_theta
+    rec = _ce_forward(x, y, coeff, state, None, head=False)
+    return rec.loss, _classifier_backward(rec, state, need_theta)
 
 
-def _hypergrad_unrolled(state: ModelState, cache: UnrollCache, upper_grad) -> list[np.ndarray]:
+def _hypergrad_unrolled(state: ModelState, rec: LowerPass, upper_grad) -> list[np.ndarray]:
     """Backward-on-backward through the classifier-gradient expression only.
 
     With v the balanced gradient at the stepped classifier, the scalar
-    s(omega) = <g_phi(omega), v> is differentiated at the cached point: the
+    s(omega) = <g_phi(omega), v> is differentiated at the recorded point: the
     per-sample contraction r_i = V_w^T z_i + v_b flows back through the
     softmax Jacobian into the attractor output, then through the attractor
     arrays (its input is a stop-gradient constant). The hypergradient is
     -alpha times that, matching a gradient-descent lower step.
     """
     v_w, v_b = upper_grad
-    ui = cache.inputs
-    r = ui.z @ v_w + v_b
-    d_xi = ui.coeff[:, None] * r
-    tmp = ui.p * d_xi
-    d_delta = tmp - ui.p * tmp.sum(axis=1, keepdims=True)
-    s_grads = attractor_backward(state, ui.u, ui.a, d_delta)
-    return [-cache.alpha * g for g in s_grads]
+    r = rec.z @ v_w + v_b
+    d_xi = rec.coeff[:, None] * r
+    tmp = rec.p * d_xi
+    d_delta = tmp - rec.p * tmp.sum(axis=1, keepdims=True)
+    s_grads = attractor_backward(state, rec.u, rec.a, d_delta)
+    return [-rec.alpha * g for g in s_grads]
 
 
-def omega_step(state: ModelState, cache: UnrollCache, upper_grad, eta: float) -> list[np.ndarray]:
+def omega_step(state: ModelState, rec: LowerPass, upper_grad, eta: float) -> list[np.ndarray]:
     """Descend the head parameters along the unrolled hypergradient; returns
     the hypergradient arrays. Never touches the extractor or classifier."""
-    if cache.step_count != state.step_count:
-        raise ValueError(
-            f"stale unroll cache: iteration {cache.step_count} vs state {state.step_count}"
-        )
-    hyper = _hypergrad_unrolled(state, cache, upper_grad)
+    if rec.step_count != state.step_count:
+        raise ValueError(f"stale lower pass: iteration {rec.step_count} vs state {state.step_count}")
+    hyper = _hypergrad_unrolled(state, rec, upper_grad)
     for arr, g in zip(state.omega_arrays(), hyper):
         arr -= eta * g
     return hyper
@@ -388,11 +364,12 @@ def omega_step(state: ModelState, cache: UnrollCache, upper_grad, eta: float) ->
 # training loop
 
 
-def _block_norms(res: LowerLossResult, omega_grads) -> tuple[float, float, float]:
-    sq_theta = sum(float(np.square(g).sum()) for pair in res.grads_theta for g in pair)
-    sq_phi = float(np.square(res.grad_phi_w).sum()) + float(np.square(res.grad_phi_b).sum())
+def _block_norms(grads, omega_grads) -> tuple[float, float, float]:
+    """Extractor, classifier and head gradient norms; grads is in
+    lower_arrays() order, so the classifier's two arrays come last."""
+    sq = [float(np.square(g).sum()) for g in grads]
     sq_omega = sum(float(np.square(g).sum()) for g in omega_grads)
-    return math.sqrt(sq_theta), math.sqrt(sq_phi), math.sqrt(sq_omega)
+    return math.sqrt(sum(sq[:-2])), math.sqrt(sq[-2] + sq[-1]), math.sqrt(sq_omega)
 
 
 def _sample_rows(rng: np.random.Generator, n_rows: int, size: int) -> np.ndarray:
@@ -463,50 +440,48 @@ def train(
             u_idx = _sample_rows(batch_rng, len(d_u), config.batch_m)
             x_u = d_u.features[u_idx]
             x_weak, x_strong = augment(x_u, config.sigma_weak, config.sigma_strong, aug_rng)
-            logits_weak = pseudo_label_logits(x_weak, state, config)
             y_hat, lam = assign_pseudo_labels(
-                logits_weak, config.tau, config.lambda_u, config.pseudo_mode,
-                config.sharpen_temperature,
+                pseudo_label_logits(x_weak, state, config), config.tau, config.lambda_u,
+                config.pseudo_mode, config.sharpen_temperature,
             )
-            pseudo = PseudoBatch(x_weak, x_strong, y_hat, lam)
+            pseudo = PseudoBatch(x_strong, y_hat, lam)
 
         if joint or hyper:
             bal_idx = balanced_batch(d_l, bal_spec, batch_rng, bal_index)
             bal_x = x_all_l[bal_idx]
             bal_y = y_all_l[bal_idx]
 
-        loss_val, rec = _lower_forward(x_l, y_l, pseudo, state, config.attractor_norm, head)
+        rec = lower_forward(x_l, y_l, pseudo, state, config.attractor_norm, head)
         t0 = time.perf_counter()
-        res = _lower_backward(state, loss_val, rec, need_omega=head and not hyper)
+        lower_backward(state, rec, need_omega=head and not hyper)
         back_seconds = time.perf_counter() - t0
-        head_grads = res.grads_omega
+        head_grads = rec.grads_omega
 
         if joint:
-            upper_val, (v_w, v_b), bal_theta = upper_loss(bal_x, bal_y, state, need_theta=True)
-            bal_grads = [g for pair in bal_theta for g in pair] + [v_w, v_b]
-            for g, b in zip(_theta_phi_grads(res), bal_grads):
+            upper_val, bal_grads = upper_loss(bal_x, bal_y, state, need_theta=True)
+            for g, b in zip(rec.grads, bal_grads):
                 g += config.lambda_bal * b
 
-        cache = lower_step(state, res, alpha_t, optimizer)
+        lower_step(state, rec, alpha_t, optimizer)
 
         if hyper:
-            upper_val, upper_grad, _ = upper_loss(bal_x, bal_y, state)
+            upper_val, upper_grad = upper_loss(bal_x, bal_y, state)
             t0 = time.perf_counter()
-            head_grads = omega_step(state, cache, upper_grad, eta_t)
+            head_grads = omega_step(state, rec, upper_grad, eta_t)
             sec_seconds = time.perf_counter() - t0
         elif head:
             omega_opt.step(state.omega_arrays(), head_grads, alpha_t)
 
         # upper_loss is NaN by definition in modes without a balanced loss;
         # a finite sum of squares means every gradient entry is finite
-        nt, nphi, nomega = _block_norms(res, head_grads)
-        checked = (res.loss, upper_val if joint or hyper else 0.0, nt, nphi, nomega)
+        nt, nphi, nomega = _block_norms(rec.grads, head_grads)
+        checked = (rec.loss, upper_val if joint or hyper else 0.0, nt, nphi, nomega)
         for name, value in zip(TRACE_COLUMNS[1:], checked):
             if not math.isfinite(value):
                 raise NonFinite(f"non-finite {name} ({value})")
 
         ema_update(state, config.ema_decay)
-        return t, res.loss, upper_val, nt, nphi, nomega, sec_seconds, back_seconds
+        return t, rec.loss, upper_val, nt, nphi, nomega, sec_seconds, back_seconds
 
     table = np.empty((config.iters, len(fields(StepTrace))))
     # a blow-up is reported by the explicit checks below, not by NumPy's

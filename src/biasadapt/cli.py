@@ -14,8 +14,8 @@ import argparse
 import json
 import sys
 
-from .bilevel import TrainingDiverged
-from .data import ImbalanceProfile
+from .bilevel import MODES, TrainingDiverged
+from .data import PROFILE_KINDS, ImbalanceProfile
 from .harness import (
     bench_overhead,
     load_config,
@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="synthesize a dataset CSV from an imbalance profile")
-    g.add_argument("--kind", required=True, choices=("longtail", "step", "reversed_longtail", "uniform"))
+    g.add_argument("--kind", required=True, choices=PROFILE_KINDS)
     g.add_argument("--gamma", type=float, default=100.0)
     g.add_argument("--n1", type=int, required=True)
     g.add_argument("--classes", type=int, required=True)
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train from a YAML experiment config")
     t.add_argument("--config", required=True)
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--mode", choices=("l2ac", "baseline", "plain_attractor", "single_level"), default=None)
+    t.add_argument("--mode", choices=MODES, default=None)
     t.add_argument("--iters", type=int, default=None)
     t.add_argument("--out", default=None)
     t.add_argument("--force", action="store_true")

@@ -154,22 +154,20 @@ def features_with_cache(x: np.ndarray, theta: list[Layer]):
     return h, inputs
 
 
-def features_backward(inputs, theta: list[Layer], d_out: np.ndarray, need_dx: bool = False):
+def features_backward(inputs, theta: list[Layer], d_out: np.ndarray) -> list[np.ndarray]:
     """Backprop d_out through the extractor given features_with_cache's layer
-    inputs; returns per-layer (dW, db) and optionally the gradient w.r.t. the
-    input. Each hidden ReLU is gated by its output (relu(h) > 0 is the same
-    mask as h > 0, at +-0.0 and NaN too); the cache is never written."""
-    grads: list[Layer] = [None] * len(theta)  # type: ignore[list-item]
+    inputs; returns the extractor's gradients flat, in lower_arrays() order
+    (dW0, db0, dW1, ...). Each hidden ReLU is gated by its output (relu(h) > 0
+    is the same mask as h > 0, at +-0.0 and NaN too); the cache is never
+    written."""
+    grads: list[np.ndarray] = [None] * (2 * len(theta))  # type: ignore[list-item]
     d = d_out
     for li in range(len(theta) - 1, -1, -1):
-        w, _ = theta[li]
-        grads[li] = (inputs[li].T @ d, d.sum(axis=0))
-        if li > 0 or need_dx:
-            d = d @ w.T
-            if li > 0:
-                d *= inputs[li] > 0.0
-    dx = d if need_dx else None
-    return grads, dx
+        grads[2 * li : 2 * li + 2] = inputs[li].T @ d, d.sum(axis=0)
+        if li > 0:
+            d = d @ theta[li][0].T
+            d *= inputs[li] > 0.0
+    return grads
 
 
 def classifier_scores(z: np.ndarray, phi_w: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
@@ -281,9 +279,10 @@ def load_checkpoint(path) -> tuple[ModelState, str]:
     """Inverse of save_checkpoint: a model of the metadata's shapes (extractor
     dims, num_classes, attractor_hidden) with each named array copied into
     its slot. Raises naming the file when the archive has no metadata or the
-    metadata is unreadable or lacks a key, and naming the array when one is
-    missing, its shape disagrees with the metadata or it holds a non-finite
-    value (the scoring kernels do not scan for one)."""
+    metadata is unreadable, lacks a key or names an unknown attractor norm,
+    and naming the array when one is missing, its shape disagrees with the
+    metadata or it holds a non-finite value (the scoring kernels do not scan
+    for one)."""
     with np.load(Path(path)) as z:
         if "meta" not in z.files:
             raise ValueError(f"{path}: not a checkpoint, no meta array")
@@ -299,6 +298,8 @@ def load_checkpoint(path) -> tuple[ModelState, str]:
             raise ValueError(f"{path}: unreadable checkpoint meta: {exc}") from None
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        if norm not in NORM_MODES:
+            raise ValueError(f"{path}: unknown attractor norm {norm!r} in checkpoint meta")
         if n_layers != len(dims) - 1:
             raise ValueError(
                 f"{path}: num_theta_layers {n_layers} does not match extractor_dims {dims}"

@@ -12,17 +12,16 @@ from .numcore import safe_log, softmax
 
 @dataclass
 class PseudoBatch:
-    """One unlabeled mini-batch ready for the lower-level loss: two augmented
-    views, per-row targets y_hat (one-hot or sharpened), and per-row loss
-    weights lam (0 for masked-out rows)."""
+    """One unlabeled mini-batch ready for the lower-level loss: the strong
+    view, per-row targets y_hat (one-hot or sharpened, read from the weak
+    view), and per-row loss weights lam (0 for masked-out rows)."""
 
-    x_weak: np.ndarray
     x_strong: np.ndarray
     y_hat: np.ndarray
     lam: np.ndarray
 
     def __len__(self) -> int:
-        return self.x_weak.shape[0]
+        return self.x_strong.shape[0]
 
 
 def augment(

@@ -6,24 +6,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bilevel import (
-    LowerOptimizer,
-    _theta_phi_grads,
-    lower_loss,
-    lower_step,
-    omega_step,
-    upper_loss,
-)
+from .bilevel import LowerOptimizer, lower_loss, lower_step, omega_step, upper_loss
 from .model import copy_state, forward_eval, forward_train
 from .numcore import cross_entropy, make_rng, softmax
 from .pseudo import PseudoBatch
 from .testing import (
-    closed_form_hypergrad,
-    fd_hypergrad,
     flatten_arrays,
     grad_check,
+    hypergrad_fd,
     lower_fd_errors,
     make_small_problem,
+    omega_grad_closed_form,
     relative_diff,
     unrolled_hypergrad,
     upper_fd_error,
@@ -75,7 +68,7 @@ def check_hypergrad_oracle(rng, trials: int = 100) -> Check:
             norm="softmax_input" if rng.random() < 0.5 else "l2_input",
         )
         a = flatten_arrays(unrolled_hypergrad(problem))
-        b = flatten_arrays(closed_form_hypergrad(problem))
+        b = flatten_arrays(omega_grad_closed_form(problem))
         worst = max(worst, relative_diff(a, b))
     return ("hypergrad_unrolled_vs_closed_form", worst < 1e-6, f"max rel err {worst:.3e}")
 
@@ -85,7 +78,7 @@ def check_hypergrad_fd(rng, trials: int = 5) -> Check:
     for _ in range(trials):
         problem = make_small_problem(rng)
         a = flatten_arrays(unrolled_hypergrad(problem))
-        c = flatten_arrays(fd_hypergrad(problem))
+        c = flatten_arrays(hypergrad_fd(problem))
         worst = max(worst, relative_diff(a, c))
     return ("hypergrad_vs_composite_fd", worst < 1e-5, f"max rel err {worst:.3e}")
 
@@ -93,12 +86,12 @@ def check_hypergrad_fd(rng, trials: int = 5) -> Check:
 def check_masking(rng) -> Check:
     problem = make_small_problem(rng, mask_some=False)
     pseudo = problem.pseudo
-    masked = PseudoBatch(pseudo.x_weak, pseudo.x_strong, pseudo.y_hat, np.zeros(len(pseudo)))
+    masked = PseudoBatch(pseudo.x_strong, pseudo.y_hat, np.zeros(len(pseudo)))
     with_masked = lower_loss(problem.x_l, problem.y_l, masked, problem.state, problem.norm)
     labeled_only = lower_loss(problem.x_l, problem.y_l, None, problem.state, problem.norm)
     same = with_masked.loss == labeled_only.loss and np.array_equal(
-        flatten_arrays(_theta_phi_grads(with_masked) + with_masked.grads_omega),
-        flatten_arrays(_theta_phi_grads(labeled_only) + labeled_only.grads_omega),
+        flatten_arrays(with_masked.grads + with_masked.grads_omega),
+        flatten_arrays(labeled_only.grads + labeled_only.grads_omega),
     )
     return ("masking_soundness", bool(same), "fully masked batch contributes zero")
 
@@ -132,11 +125,11 @@ def check_theta_isolation(rng) -> Check:
     problem = make_small_problem(rng)
     work = copy_state(problem.state)
     opt = LowerOptimizer("sgd", work.lower_arrays())
-    res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-    cache = lower_step(work, res, problem.alpha, opt)
+    rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
+    lower_step(work, rec, problem.alpha, opt)
     snapshot = flatten_arrays(work.lower_arrays())
-    _, upper_grad, _ = upper_loss(problem.bal_x, problem.bal_y, work)
-    omega_step(work, cache, upper_grad, eta=0.5)
+    _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
+    omega_step(work, rec, upper_grad, eta=0.5)
     ok = np.array_equal(flatten_arrays(work.lower_arrays()), snapshot)
     return ("head_step_theta_isolation", bool(ok), "extractor and classifier bitwise unchanged")
 

@@ -19,7 +19,6 @@ from .bilevel import (
     LowerOptimizer,
     _hypergrad_unrolled,
     _stack_lower_batch,
-    _theta_phi_grads,
     lower_loss,
     lower_step,
     upper_loss,
@@ -167,7 +166,7 @@ def make_small_problem(
             lam = np.ones(n_unlabeled)
             if mask_some:
                 lam[rng.random(n_unlabeled) < 0.3] = 0.0
-            pseudo = PseudoBatch(x_u.copy(), x_u, y_hat, lam)
+            pseudo = PseudoBatch(x_u, y_hat, lam)
         bal_n = 2 * num_classes
         bal_x = rng.standard_normal((bal_n, input_dim))
         bal_y = one_hot(np.tile(np.arange(num_classes), 2), num_classes)
@@ -216,12 +215,8 @@ def _block_fd_error(state: ModelState, block: str, value, analytic: np.ndarray, 
 def lower_fd_errors(problem: SmallProblem, eps: float = 1e-6) -> dict[str, float]:
     """Max relative error of the analytic lower-loss gradients vs central
     differences, per parameter block (attractor input frozen throughout)."""
-    res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, problem.state, problem.norm)
-    analytic = {
-        "theta": [g for pair in res.grads_theta for g in pair],
-        "phi": [res.grad_phi_w, res.grad_phi_b],
-        "omega": res.grads_omega,
-    }
+    rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, problem.state, problem.norm)
+    analytic = {"theta": rec.grads[:-2], "phi": rec.grads[-2:], "omega": rec.grads_omega}
     return {
         block: _block_fd_error(
             problem.state, block, lambda work: frozen_u_lower_value(problem, work),
@@ -233,90 +228,71 @@ def lower_fd_errors(problem: SmallProblem, eps: float = 1e-6) -> dict[str, float
 
 def upper_fd_error(problem: SmallProblem, eps: float = 1e-6) -> float:
     """Finite-difference check of the balanced-loss classifier gradient."""
-    _, (v_w, v_b), _ = upper_loss(problem.bal_x, problem.bal_y, problem.state)
+    _, grads = upper_loss(problem.bal_x, problem.bal_y, problem.state)
     return _block_fd_error(
         problem.state, "phi", lambda work: upper_loss(problem.bal_x, problem.bal_y, work)[0],
-        flatten_arrays([v_w, v_b]), eps,
+        flatten_arrays(grads), eps,
     )
 
 
-def omega_grad_closed_form(
-    x_l,
-    y_l,
-    pseudo: PseudoBatch | None,
-    bal_x,
-    bal_y,
-    state: ModelState,
-    norm: str,
-    alpha: float,
-) -> list[np.ndarray]:
-    """Independent oracle for the head hypergradient (SGD lower step only).
+def omega_grad_closed_form(problem: SmallProblem) -> list[np.ndarray]:
+    """Route B: an independent oracle for the head hypergradient (SGD lower
+    step only).
 
-    Recomputes the whole chain from raw batches: lower gradients at the given
-    state, the SGD step, the balanced gradient at the stepped parameters, and
-    then assembles per sample i the vector G_i = J_i (V_w^T z_i + v_b) (J_i
-    the softmax Jacobian at the pre-step logits) and the explicit K x P
-    Jacobian of the head output w.r.t. its parameters, accumulating
-    -alpha * sum_i coeff_i * M_i^T G_i.
+    Recomputes the whole chain from the raw batches: lower gradients at the
+    problem's state, the SGD step, the balanced gradient at the stepped
+    parameters, and then assembles per sample i the vector G_i = J_i (V_w^T
+    z_i + v_b) (J_i the softmax Jacobian at the pre-step logits) and the
+    explicit K x P Jacobian of the head output w.r.t. its parameters,
+    accumulating -alpha * sum_i coeff_i * M_i^T G_i.
     """
+    state, alpha = problem.state, problem.alpha
     work = copy_state(state)
-    res = lower_loss(x_l, y_l, pseudo, work, norm)
-    lower_step(work, res, alpha, LowerOptimizer("sgd", work.lower_arrays()))
-    _, (v_w, v_b), _ = upper_loss(bal_x, bal_y, work)
+    rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
+    lower_step(work, rec, alpha, LowerOptimizer("sgd", work.lower_arrays()))
+    _, (v_w, v_b) = upper_loss(problem.bal_x, problem.bal_y, work)
 
-    ui = res.unroll
     k = state.num_classes
     hidden = state.attractor_hidden
     total = sum(a.size for a in state.omega_arrays())
     accum = np.zeros(total)
     w2 = state.omega_w2
-    for i in range(ui.z.shape[0]):
-        if ui.coeff[i] == 0.0:
+    for i in range(rec.z.shape[0]):
+        if rec.coeff[i] == 0.0:
             continue
-        p_i = ui.p[i]
+        p_i = rec.p[i]
         jac_softmax = np.diag(p_i) - np.outer(p_i, p_i)
-        g_i = jac_softmax @ (v_w.T @ ui.z[i] + v_b)
-        gate = (ui.a[i] > 0.0).astype(np.float64)
+        g_i = jac_softmax @ (v_w.T @ rec.z[i] + v_b)
+        gate = (rec.a[i] > 0.0).astype(np.float64)
         m_rows = np.empty((k, total))
         for c in range(k):
-            d_w1 = np.outer(ui.u[i], gate * w2[:, c])
+            d_w1 = np.outer(rec.u[i], gate * w2[:, c])
             d_b1 = gate * w2[:, c]
             d_w2 = np.zeros((hidden, k))
-            d_w2[:, c] = ui.a[i]
+            d_w2[:, c] = rec.a[i]
             d_b2 = np.zeros(k)
             d_b2[c] = 1.0
             m_rows[c] = flatten_arrays([d_w1, d_b1, d_w2, d_b2])
-        accum += ui.coeff[i] * (m_rows.T @ g_i)
+        accum += rec.coeff[i] * (m_rows.T @ g_i)
     return unflatten_like(-alpha * accum, state.omega_arrays())
 
 
-def hypergrad_fd(
-    x_l,
-    y_l,
-    pseudo: PseudoBatch | None,
-    bal_x,
-    bal_y,
-    state: ModelState,
-    norm: str,
-    alpha: float,
-    eps: float = 1e-6,
-) -> list[np.ndarray]:
-    """Central-difference hypergradient of the composite map
+def hypergrad_fd(problem: SmallProblem, eps: float = 1e-6) -> list[np.ndarray]:
+    """Route C: central-difference hypergradient of the composite map
     omega -> balanced loss at (theta' fixed, phi' (omega)), where theta' is
     the SGD-stepped extractor at the unperturbed head (its dependence on the
     head is dropped by construction) and phi'(omega) re-runs the lower
     gradient at the perturbed head."""
-    res0 = lower_loss(x_l, y_l, pseudo, state, norm)
+    state = problem.state
+    theta_grads = lower_loss(problem.x_l, problem.y_l, problem.pseudo, state, problem.norm).grads[:-2]
 
     def bal_at(omega_flat: np.ndarray) -> float:
         work = copy_state(state)
         _set_block(work, "omega", omega_flat)
-        res = lower_loss(x_l, y_l, pseudo, work, norm)
-        res.grads_theta = res0.grads_theta
-        for p, g in zip(work.lower_arrays(), _theta_phi_grads(res)):
-            p -= alpha * g
-        loss, _, _ = upper_loss(bal_x, bal_y, work)
-        return loss
+        rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
+        for p, g in zip(work.lower_arrays(), theta_grads + rec.grads[-2:]):
+            p -= problem.alpha * g
+        return upper_loss(problem.bal_x, problem.bal_y, work)[0]
 
     grad = fd_gradient(bal_at, flatten_arrays(state.omega_arrays()), eps)
     return unflatten_like(grad, state.omega_arrays())
@@ -327,24 +303,7 @@ def unrolled_hypergrad(problem: SmallProblem) -> list[np.ndarray]:
     backward-on-backward through the classifier-gradient expression."""
     work = copy_state(problem.state)
     opt = LowerOptimizer("sgd", work.lower_arrays())
-    res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-    cache = lower_step(work, res, problem.alpha, opt)
-    _, upper_grad, _ = upper_loss(problem.bal_x, problem.bal_y, work)
-    return _hypergrad_unrolled(work, cache, upper_grad)
-
-
-def _oracle_args(problem: SmallProblem) -> tuple:
-    return (
-        problem.x_l, problem.y_l, problem.pseudo, problem.bal_x, problem.bal_y,
-        problem.state, problem.norm, problem.alpha,
-    )
-
-
-def closed_form_hypergrad(problem: SmallProblem) -> list[np.ndarray]:
-    """Route B: the per-sample inner-product oracle."""
-    return omega_grad_closed_form(*_oracle_args(problem))
-
-
-def fd_hypergrad(problem: SmallProblem, eps: float = 1e-6) -> list[np.ndarray]:
-    """Route C: central differences through the composite map."""
-    return hypergrad_fd(*_oracle_args(problem), eps=eps)
+    rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
+    lower_step(work, rec, problem.alpha, opt)
+    _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
+    return _hypergrad_unrolled(work, rec, upper_grad)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -12,8 +13,8 @@ from biasadapt.bilevel import (
     TraceTable,
     TrainConfig,
     TrainingDiverged,
-    _lower_backward,
-    _lower_forward,
+    lower_backward,
+    lower_forward,
     lower_loss,
     lower_step,
     omega_step,
@@ -29,6 +30,7 @@ from biasadapt.model import (
     attractor_backward,
     classifier_scores,
     copy_state,
+    features_backward,
     features_with_cache,
     forward_train,
     init_model,
@@ -36,12 +38,21 @@ from biasadapt.model import (
 from biasadapt.numcore import child_seeds, log_softmax, make_rng
 from biasadapt.pseudo import PseudoBatch, assign_pseudo_labels, augment
 from biasadapt.testing import (
-    closed_form_hypergrad,
-    fd_hypergrad,
+    SmallProblem,
+    flatten_arrays,
+    grad_check,
+    hypergrad_fd,
     make_small_problem,
     omega_grad_closed_form,
     relative_diff,
+    unflatten_like,
     unrolled_hypergrad,
+)
+
+# extractor depths 0, 1 and 2: where the flat gradient layout's
+# extractor/classifier boundary falls
+over_depths = pytest.mark.parametrize(
+    "hidden", [(), (3,), (3, 3)], ids=lambda hidden: f"depth{len(hidden)}"
 )
 
 
@@ -76,36 +87,34 @@ class TestLowerLoss:
             problem.x_l, problem.y_l, problem.pseudo, state, problem.norm, head=False
         )
         assert res.loss == plain.loss
-        assert np.array_equal(res.grad_phi_w, plain.grad_phi_w)
-        assert np.array_equal(res.grad_phi_b, plain.grad_phi_b)
-        assert len(res.grads_theta) == len(plain.grads_theta)
-        for got, want in zip(res.grads_theta, plain.grads_theta):
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+        assert len(res.grads) == len(plain.grads)
+        for got, want in zip(res.grads, plain.grads):
+            assert np.array_equal(got, want)
         assert plain.grads_omega == []
-        assert plain.unroll.u is None and plain.unroll.a is None
+        assert plain.u is None and plain.a is None
 
     def test_skipping_head_gradient_keeps_other_gradients_bitwise(self):
         problem = make_small_problem(make_rng(7))
-        loss, rec = _lower_forward(
-            problem.x_l, problem.y_l, problem.pseudo, problem.state, problem.norm
-        )
-        full = _lower_backward(problem.state, loss, rec)
-        lean = _lower_backward(problem.state, loss, rec, need_omega=False)
-        assert len(full.grads_omega) == 4 and lean.grads_omega == []
-        assert lean.loss == full.loss
-        assert np.array_equal(lean.grad_phi_w, full.grad_phi_w)
-        assert np.array_equal(lean.grad_phi_b, full.grad_phi_b)
-        assert len(lean.grads_theta) == len(full.grads_theta)
-        for got, want in zip(lean.grads_theta, full.grads_theta):
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+        rec = lower_forward(problem.x_l, problem.y_l, problem.pseudo, problem.state, problem.norm)
+        # lower_backward fills the record in place: keep the first pass's
+        # gradients as copies, so two backward passes are compared
+        full = lower_backward(problem.state, rec)
+        full_loss, full_grads = full.loss, [g.copy() for g in full.grads]
+        full_omega = [g.copy() for g in full.grads_omega]
+        lean = lower_backward(problem.state, rec, need_omega=False)
+        assert len(full_omega) == 4 and lean.grads_omega == []
+        assert lean.loss == full_loss
+        assert len(lean.grads) == len(full_grads)
+        for got, want in zip(lean.grads, full_grads):
+            assert np.array_equal(got, want)
 
-    def test_gradients_fd_on_spec_instance(self):
+    @over_depths
+    def test_gradients_fd_on_spec_instance(self, hidden):
         from biasadapt.testing import lower_fd_errors
 
         problem = make_small_problem(
-            make_rng(1), input_dim=3, feature_dim=3, num_classes=3, attractor_hidden=4
+            make_rng(1), input_dim=3, hidden=hidden, feature_dim=3, num_classes=3,
+            attractor_hidden=4,
         )
         errs = lower_fd_errors(problem)
         assert max(errs.values()) < 1e-6
@@ -129,11 +138,8 @@ class TestLowerStep:
         problem = make_small_problem(make_rng(4))
         work = copy_state(problem.state)
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-        for pair in res.grads_theta:
-            pair[0][...] = 0.0
-            pair[1][...] = 0.0
-        res.grad_phi_w[...] = 0.0
-        res.grad_phi_b[...] = 0.0
+        for g in res.grads:
+            g[...] = 0.0
         before = flat(work.lower_arrays()).copy()
         for kind in ("sgd", "adam"):
             lower_step(work, res, 0.1, LowerOptimizer(kind, work.lower_arrays()))
@@ -143,8 +149,8 @@ class TestLowerStep:
         problem = make_small_problem(make_rng(5))
         work = copy_state(problem.state)
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-        expected_w = work.phi_w - 0.05 * res.grad_phi_w
-        expected_t0 = work.theta[0][0] - 0.05 * res.grads_theta[0][0]
+        expected_w = work.phi_w - 0.05 * res.grads[-2]
+        expected_t0 = work.theta[0][0] - 0.05 * res.grads[0]
         lower_step(work, res, 0.05, LowerOptimizer("sgd", work.lower_arrays()))
         assert np.array_equal(work.phi_w, expected_w)
         assert np.array_equal(work.theta[0][0], expected_t0)
@@ -171,14 +177,14 @@ class TestUpperLoss:
         state.phi_b = np.zeros(2)
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         y = one_hot(np.array([0, 1, 0, 1]), 2)
-        loss, _, _ = upper_loss(x, y, state)
+        loss, _ = upper_loss(x, y, state)
         assert abs(loss) < 1e-9
 
     def test_permutation_invariance(self):
         problem = make_small_problem(make_rng(7))
-        loss_a, (vw_a, vb_a), _ = upper_loss(problem.bal_x, problem.bal_y, problem.state)
+        loss_a, (vw_a, vb_a) = upper_loss(problem.bal_x, problem.bal_y, problem.state)
         perm = make_rng(8).permutation(problem.bal_x.shape[0])
-        loss_b, (vw_b, vb_b), _ = upper_loss(
+        loss_b, (vw_b, vb_b) = upper_loss(
             problem.bal_x[perm], problem.bal_y[perm], problem.state
         )
         assert abs(loss_a - loss_b) < 1e-12
@@ -189,6 +195,27 @@ class TestUpperLoss:
 
         assert upper_fd_error(make_small_problem(make_rng(9))) < 1e-6
 
+    @over_depths
+    def test_extractor_gradient_fd(self, hidden):
+        # single_level's balanced extractor gradient: upper_loss under
+        # need_theta puts the extractor's arrays in front of the classifier's
+        problem = make_small_problem(make_rng(19), hidden=hidden)
+        state, bal_x, bal_y = problem.state, problem.bal_x, problem.bal_y
+        loss, grads = upper_loss(bal_x, bal_y, state, need_theta=True)
+        plain_loss, plain_grads = upper_loss(bal_x, bal_y, state)
+        assert loss == plain_loss
+        assert all(np.array_equal(g, h) for g, h in zip(grads[-2:], plain_grads))
+        n_theta = 2 * len(state.theta)
+
+        def f(flat):
+            work = copy_state(state)
+            arrays = work.lower_arrays()[:n_theta]
+            for a, value in zip(arrays, unflatten_like(flat, arrays)):
+                a[...] = value
+            return upper_loss(bal_x, bal_y, work)[0], flatten_arrays(grads[:n_theta])
+
+        assert grad_check(f, flatten_arrays(state.lower_arrays()[:n_theta])) < 1e-6
+
 
 class TestOmegaStep:
     def test_eta_zero_no_change(self):
@@ -196,10 +223,10 @@ class TestOmegaStep:
         work = copy_state(problem.state)
         opt = LowerOptimizer("sgd", work.lower_arrays())
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-        cache = lower_step(work, res, problem.alpha, opt)
-        _, upper_grad, _ = upper_loss(problem.bal_x, problem.bal_y, work)
+        rec = lower_step(work, res, problem.alpha, opt)
+        _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
         before = flat(work.omega_arrays()).copy()
-        omega_step(work, cache, upper_grad, eta=0.0)
+        omega_step(work, rec, upper_grad, eta=0.0)
         assert np.array_equal(flat(work.omega_arrays()), before)
 
     def test_zero_upper_gradient_no_change(self):
@@ -207,10 +234,10 @@ class TestOmegaStep:
         work = copy_state(problem.state)
         opt = LowerOptimizer("sgd", work.lower_arrays())
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-        cache = lower_step(work, res, problem.alpha, opt)
-        zero_grad = (np.zeros_like(work.phi_w), np.zeros_like(work.phi_b))
+        rec = lower_step(work, res, problem.alpha, opt)
+        zero_grad = [np.zeros_like(work.phi_w), np.zeros_like(work.phi_b)]
         before = flat(work.omega_arrays()).copy()
-        hyper = omega_step(work, cache, zero_grad, eta=0.7)
+        hyper = omega_step(work, rec, zero_grad, eta=0.7)
         assert np.array_equal(flat(work.omega_arrays()), before)
         assert all(np.all(h == 0.0) for h in hyper)
 
@@ -219,34 +246,63 @@ class TestOmegaStep:
         work = copy_state(problem.state)
         opt = LowerOptimizer("sgd", work.lower_arrays())
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-        cache = lower_step(work, res, problem.alpha, opt)
+        rec = lower_step(work, res, problem.alpha, opt)
         res2 = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
         lower_step(work, res2, problem.alpha, opt)
-        _, upper_grad, _ = upper_loss(problem.bal_x, problem.bal_y, work)
+        _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
         with pytest.raises(ValueError, match="stale"):
-            omega_step(work, cache, upper_grad, eta=0.1)
+            omega_step(work, rec, upper_grad, eta=0.1)
 
     def test_theta_bitwise_unchanged_by_head_step(self):
         problem = make_small_problem(make_rng(13))
         work = copy_state(problem.state)
         opt = LowerOptimizer("sgd", work.lower_arrays())
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-        cache = lower_step(work, res, problem.alpha, opt)
+        rec = lower_step(work, res, problem.alpha, opt)
         theta_bits = [(w.copy(), b.copy()) for w, b in work.theta]
-        _, upper_grad, _ = upper_loss(problem.bal_x, problem.bal_y, work)
-        omega_step(work, cache, upper_grad, eta=2.0)
+        _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
+        omega_step(work, rec, upper_grad, eta=2.0)
         for (w, b), (w0, b0) in zip(work.theta, theta_bits):
             assert np.array_equal(w, w0) and np.array_equal(b, b0)
 
 
+@over_depths
+def test_every_gradient_list_is_in_parameter_order(hidden):
+    """Each gradient list comes back flat, shape for shape in the order of
+    lower_arrays() (extractor layers, then classifier) or omega_arrays()."""
+    problem = make_small_problem(make_rng(20), hidden=hidden)
+    state = copy_state(problem.state)
+    lower = [a.shape for a in state.lower_arrays()]
+    head = [a.shape for a in state.omega_arrays()]
+
+    def shapes(grads):
+        return [g.shape for g in grads]
+
+    z, cache = features_with_cache(problem.x_l, state.theta)
+    assert shapes(features_backward(cache, state.theta, np.ones_like(z))) == lower[:-2]
+    for on_head in (False, True):  # the head path's record feeds the head step below
+        rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, state, problem.norm, on_head)
+        assert shapes(rec.grads) == lower
+        assert shapes(rec.grads_omega) == (head if on_head else [])
+    assert shapes(upper_loss(problem.bal_x, problem.bal_y, state)[1]) == lower[-2:]
+    assert shapes(upper_loss(problem.bal_x, problem.bal_y, state, need_theta=True)[1]) == lower
+    for route in (unrolled_hypergrad, omega_grad_closed_form, hypergrad_fd):
+        assert shapes(route(problem)) == head
+    lower_step(state, rec, problem.alpha, LowerOptimizer("sgd", state.lower_arrays()))
+    hyper = omega_step(state, rec, upper_loss(problem.bal_x, problem.bal_y, state)[1], 0.1)
+    assert shapes(hyper) == head
+
+
 class TestClosedFormOracle:
-    def test_matches_unrolled_over_random_instances(self):
+    @over_depths
+    def test_matches_unrolled_over_random_instances(self, hidden):
         rng = make_rng(14)
         worst = 0.0
         for _ in range(30):
             problem = make_small_problem(
                 rng,
                 input_dim=int(rng.integers(2, 5)),
+                hidden=hidden,
                 feature_dim=int(rng.integers(2, 5)),
                 num_classes=int(rng.integers(2, 5)),
                 attractor_hidden=int(rng.integers(1, 5)),
@@ -254,7 +310,7 @@ class TestClosedFormOracle:
                 n_unlabeled=int(rng.integers(0, 7)),
             )
             a = flat(unrolled_hypergrad(problem))
-            b = flat(closed_form_hypergrad(problem))
+            b = flat(omega_grad_closed_form(problem))
             worst = max(worst, relative_diff(a, b))
         assert worst < 1e-6
 
@@ -264,7 +320,7 @@ class TestClosedFormOracle:
         for _ in range(3):
             problem = make_small_problem(rng)
             a = flat(unrolled_hypergrad(problem))
-            c = flat(fd_hypergrad(problem))
+            c = flat(hypergrad_fd(problem))
             worst = max(worst, relative_diff(a, c))
         assert worst < 1e-5
 
@@ -334,30 +390,14 @@ class TestClosedFormOracle:
         expected_w2 = -alpha * a_ * np.array([[g1, g2]])
         expected_b2 = -alpha * np.array([g1, g2])
 
-        got = omega_grad_closed_form(
-            x, y, None, bal_x, bal_y, state, "softmax_input", alpha
-        )
+        problem = SmallProblem(state, "softmax_input", alpha, x, y, None, bal_x, bal_y)
+        got = omega_grad_closed_form(problem)
         np.testing.assert_allclose(got[0], expected_w1, rtol=1e-12)
         np.testing.assert_allclose(got[1], expected_b1, rtol=1e-12)
         np.testing.assert_allclose(got[2], expected_w2, rtol=1e-12)
         np.testing.assert_allclose(got[3], expected_b2, rtol=1e-12)
 
-        unrolled = unrolled_hypergrad(
-            type(
-                "P",
-                (),
-                dict(
-                    state=state,
-                    norm="softmax_input",
-                    alpha=alpha,
-                    x_l=x,
-                    y_l=y,
-                    pseudo=None,
-                    bal_x=bal_x,
-                    bal_y=bal_y,
-                ),
-            )()
-        )
+        unrolled = unrolled_hypergrad(problem)
         assert relative_diff(flat(unrolled), flat(got)) < 1e-12
 
     def test_update_moves_head_output_along_g(self):
@@ -367,16 +407,15 @@ class TestClosedFormOracle:
         for _ in range(10):
             problem = make_small_problem(rng, n_labeled=1, n_unlabeled=0)
             state = problem.state
-            hyper = closed_form_hypergrad(problem)
+            hyper = omega_grad_closed_form(problem)
 
             work = copy_state(state)
-            res = lower_loss(problem.x_l, problem.y_l, None, work, problem.norm)
-            lower_step(work, res, problem.alpha, LowerOptimizer("sgd", work.lower_arrays()))
-            _, (v_w, v_b), _ = upper_loss(problem.bal_x, problem.bal_y, work)
-            ui = res.unroll
-            p_i = ui.p[0]
+            rec = lower_loss(problem.x_l, problem.y_l, None, work, problem.norm)
+            lower_step(work, rec, problem.alpha, LowerOptimizer("sgd", work.lower_arrays()))
+            _, (v_w, v_b) = upper_loss(problem.bal_x, problem.bal_y, work)
+            p_i = rec.p[0]
             jac = np.diag(p_i) - np.outer(p_i, p_i)
-            g_i = jac @ (v_w.T @ ui.z[0] + v_b)
+            g_i = jac @ (v_w.T @ rec.z[0] + v_b)
 
             eta = 1e-4
             before, _ = forward_train(problem.x_l, state, problem.norm)
@@ -390,15 +429,9 @@ class TestClosedFormOracle:
     def test_masked_samples_do_not_contribute(self):
         problem = make_small_problem(make_rng(18), mask_some=False)
         pseudo = problem.pseudo
-        masked = PseudoBatch(pseudo.x_weak, pseudo.x_strong, pseudo.y_hat, np.zeros(len(pseudo)))
-        with_masked = omega_grad_closed_form(
-            problem.x_l, problem.y_l, masked,
-            problem.bal_x, problem.bal_y, problem.state, problem.norm, problem.alpha,
-        )
-        without = omega_grad_closed_form(
-            problem.x_l, problem.y_l, None,
-            problem.bal_x, problem.bal_y, problem.state, problem.norm, problem.alpha,
-        )
+        masked = PseudoBatch(pseudo.x_strong, pseudo.y_hat, np.zeros(len(pseudo)))
+        with_masked = omega_grad_closed_form(dataclasses.replace(problem, pseudo=masked))
+        without = omega_grad_closed_form(dataclasses.replace(problem, pseudo=None))
         for a, b in zip(with_masked, without):
             assert np.array_equal(a, b)
 
@@ -511,8 +544,8 @@ class TestTrainLoop:
         # the head step itself succeeds; only the gradient it reports is inf
         real_step = bilevel.omega_step
 
-        def blow_up_at_3(state, cache, upper_grad, eta):
-            hyper = real_step(state, cache, upper_grad, eta)
+        def blow_up_at_3(state, rec, upper_grad, eta):
+            hyper = real_step(state, rec, upper_grad, eta)
             if state.step_count == 3:
                 return [np.full_like(g, np.inf) for g in hyper]
             return hyper
@@ -689,9 +722,9 @@ class TestBaselineDifferential:
             g_w = z.T @ d_logits
             g_b = d_logits.sum(axis=0)
             d_z = d_logits @ state.phi_w.T
-            g_theta, _ = features_backward(cache, state.theta, d_z)
+            g_theta = features_backward(cache, state.theta, d_z)
 
-            for (w, b), (gw, gb) in zip(state.theta, g_theta):
+            for (w, b), gw, gb in zip(state.theta, g_theta[::2], g_theta[1::2]):
                 w -= config.alpha * gw
                 b -= config.alpha * gb
             state.phi_w -= config.alpha * g_w

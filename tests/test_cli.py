@@ -19,6 +19,8 @@ from biasadapt.harness import (
     save_config,
 )
 from biasadapt.metrics import evaluate
+from biasadapt.model import init_model, save_checkpoint
+from biasadapt.numcore import make_rng
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -192,6 +194,25 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: balanced_n must be >= 1, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"attractor_norm": "bogus"}, "unknown attractor_norm 'bogus'"),
+            ({"attractor_norm": "l2ac"}, "unknown attractor_norm 'l2ac'"),
+            ({"pseudo_mode": "sharpen", "sharpen_temperature": 0},
+             "sharpen_temperature must be > 0, got 0.0"),
+        ],
+    )
+    def test_unrunnable_norm_or_temperature_rejected_before_any_artifact(
+        self, tmp_path, capsys, overrides, message
+    ):
+        # baseline never reads the norm, and the temperature is first read
+        # at iteration 1: both must fail at validation, before the run starts
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(cfg), "--mode", "baseline"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_yaml_syntax_error_reported(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -372,6 +393,14 @@ class TestEvalCommand:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: {ckpt}: ema_phi_w holds non-finite values\n"
+
+    def test_eval_rejects_a_checkpoint_with_an_unknown_norm(self, tmp_path, capsys):
+        ckpt = tmp_path / "bogus.npz"
+        save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0)), "bogus")
+        assert main(["eval", "--ckpt", str(ckpt), "--test", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: unknown attractor norm 'bogus' in checkpoint meta\n"
+        )
 
     @pytest.mark.parametrize(
         "dim,classes,message",

@@ -84,6 +84,64 @@ def test_perfbench_patches_resolve():
     assert pkg.bilevel.forward_train is original
 
 
+def test_perfbench_spans_fire(tmp_path):
+    # a span that never fires reads as a zero layer metric (a traced function
+    # called under another name) or fails every repeat (a moved entry); each
+    # one must fire in a short run of every mode and of the benchmark grid
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import tracer as tracer_mod
+        import worker
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    import biasadapt.benchmark
+    import biasadapt.bilevel
+    import biasadapt.data
+    import biasadapt.harness
+    import biasadapt.metrics
+    import biasadapt.model
+    import biasadapt.numcore
+    import biasadapt.pseudo
+
+    pkg = biasadapt
+
+    class Recording(tracer_mod.Tracer):
+        def __init__(self):
+            super().__init__()
+            self.installed = set()
+
+        def span(self, owner, attr, name, **kwargs):
+            self.installed.add(name)
+            super().span(owner, attr, name, **kwargs)
+
+    tracer = Recording()
+    try:
+        worker.install_entry(tracer, pkg)
+        worker.install_layers(tracer, pkg)
+        for mode in pkg.bilevel.MODES:
+            pkg.harness.run_train(pkg.harness.config_from_dict({
+                "seed": 3,
+                "data": {
+                    "dim": 5, "num_classes": 3,
+                    "labeled_profile": {"kind": "longtail", "gamma": 3.0, "n1": 12},
+                    "unlabeled_profile": {"kind": "uniform", "gamma": 1.0, "n1": 12},
+                    "test_per_class": 10,
+                },
+                "train": {
+                    "mode": mode, "iters": 4, "batch_n": 6, "batch_m": 6, "balanced_n": 6,
+                    "tau": 0.0, "extractor_hidden": [8], "feature_dim": 4,
+                    "attractor_hidden": 4,
+                },
+                "eval": {"interval": 2, "last_e": 1, "out_dir": str(tmp_path / mode)},
+            }))
+        pkg.benchmark.run_benchmark(pkg.benchmark.BenchmarkSettings(
+            seeds=(1,), scenarios=("matched",), iters=4, eval_interval=2, last_e=1))
+    finally:
+        tracer.restore()
+    assert len(tracer.installed) == 22
+    assert sorted(tracer.installed - set(tracer.names)) == []
+
+
 @pytest.mark.parametrize(
     "script,args",
     [
