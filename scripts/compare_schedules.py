@@ -46,7 +46,7 @@ def main() -> int:
             eval_interval=settings.eval_interval,
         )
         result = headline_means(reports[-settings.last_e :])
-        upper_tail = float(np.mean([t.upper_loss for t in traces[-200:]]))
+        upper_tail = float(np.mean(traces["upper_loss"][-200:]))
         print(
             f"{label:10s} bACC {result['bacc']:.4f} GM {result['gm']:.4f} "
             f"min-recall {result['min_recall']:.4f} upper-loss tail {upper_tail:.4f}"

@@ -4,8 +4,7 @@ head on the linear classifier, and a bi-level optimizer whose second-order
 step unrolls only the classifier gradient."""
 
 from .bilevel import (
-    StepTrace,
-    TraceTable,
+    TRACE_DTYPE,
     TrainConfig,
     TrainingDiverged,
     lower_loss,

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,9 +45,19 @@ from .pseudo import PseudoBatch, assign_pseudo_labels, augment
 MODES = ("l2ac", "baseline", "plain_attractor", "single_level")
 SCHEDULES = ("constant", "theorem_f")
 OPTIMIZERS = ("sgd", "adam")
-TRACE_COLUMNS = (
-    "iter", "lower_loss", "upper_loss", "grad_norm_theta", "grad_norm_phi", "grad_norm_omega"
-)
+# One trace row per iteration: `iter`, the five columns of every trace.csv,
+# then two opt-in timings. upper_loss is the balanced loss (NaN in modes
+# without one). The norms are those of the extractor and classifier gradients
+# the lower step took and of the gradient the head moved along (0 in
+# baseline). backward_seconds times the lower backward pass in every mode:
+# through extractor, classifier and head in plain_attractor and single_level,
+# through extractor and classifier only in l2ac (whose head moves along the
+# hypergradient alone) and in baseline (no head). second_order_seconds times
+# the backward-on-backward head step (omega_step) in l2ac and is 0 elsewhere.
+TRACE_DTYPE = np.dtype([("iter", np.int64)] + [(name, np.float64) for name in (
+    "lower_loss", "upper_loss", "grad_norm_theta", "grad_norm_phi", "grad_norm_omega",
+    "second_order_seconds", "backward_seconds",
+)])
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -91,16 +100,27 @@ class TrainConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.lower_optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.lower_optimizer!r}")
-        if self.alpha <= 0 or self.eta <= 0:
-            raise ValueError("alpha and eta must be > 0")
+        # written as `not value > bound` so that NaN fails
+        positive = ["alpha", "eta"]
+        if self.schedule == "theorem_f":
+            positive += ["c1", "c2"]
+        if self.pseudo_mode == "sharpen":
+            positive.append("sharpen_temperature")
+        for name in positive:
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("lambda_u", "lambda_bal"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (0.0 <= self.tau <= 1.0):
             raise ValueError("tau must lie in [0, 1]")
-        if self.lambda_u < 0 or self.lambda_bal < 0:
-            raise ValueError("loss weights must be >= 0")
         if self.batch_n < 1 or self.batch_m < 0 or self.iters < 0:
             raise ValueError("batch_n must be >= 1, batch_m and iters >= 0")
-        if self.balanced_n < 1:
-            raise ValueError(f"balanced_n must be >= 1, got {self.balanced_n}")
+        for name in ("balanced_n", "feature_dim", "attractor_hidden"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not all(width >= 1 for width in self.extractor_hidden):
+            raise ValueError(f"extractor_hidden widths must be >= 1, got {list(self.extractor_hidden)}")
         if not (0.0 <= self.ema_decay <= 1.0):
             raise ValueError("ema_decay must lie in [0, 1]")
         if self.pseudo_mode not in ("hard", "sharpen"):
@@ -111,56 +131,13 @@ class TrainConfig:
             raise ValueError("need 0 <= sigma_weak < sigma_strong")
         if self.attractor_norm not in NORM_MODES:
             raise ValueError(f"unknown attractor_norm {self.attractor_norm!r}")
-        if self.pseudo_mode == "sharpen" and not self.sharpen_temperature > 0:
-            raise ValueError(f"sharpen_temperature must be > 0, got {self.sharpen_temperature}")
-
-
-@dataclass
-class StepTrace:
-    """One training iteration. upper_loss is the balanced loss (NaN in modes
-    without one). The norms are those of the extractor and classifier
-    gradients the lower step took and of the gradient the head moved along
-    (0 in baseline). backward_seconds times the lower backward pass in every
-    mode: through extractor, classifier and head in plain_attractor and
-    single_level, through extractor and classifier only in l2ac (whose head
-    moves along the hypergradient alone) and in baseline (no head).
-    second_order_seconds times the backward-on-backward head step
-    (omega_step) in l2ac and is 0 in the other modes."""
-
-    iteration: int
-    lower_loss: float
-    upper_loss: float
-    grad_norm_theta: float
-    grad_norm_phi: float
-    grad_norm_omega: float
-    second_order_seconds: float
-    backward_seconds: float
-
-
-class TraceTable(Sequence):
-    """A run's trace as one read-only (iterations, 8) float64 array, `array`,
-    whose columns are StepTrace's fields in order. Indexing gives a StepTrace
-    row, slicing a TraceTable."""
-
-    def __init__(self, array: np.ndarray):
-        self.array = array.view()
-        self.array.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.array.shape[0]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return TraceTable(self.array[index])
-        iteration, *values = self.array[index].tolist()
-        return StepTrace(int(iteration), *values)
 
 
 class TrainingDiverged(RuntimeError):
     """A non-finite value ended training; traces holds the completed
-    iterations."""
+    iterations, a read-only TRACE_DTYPE table."""
 
-    def __init__(self, message: str, traces: TraceTable):
+    def __init__(self, message: str, traces: np.ndarray):
         super().__init__(message)
         self.traces = traces
 
@@ -384,11 +361,12 @@ def train(
     d_u: Dataset | None,
     eval_hook=None,
     eval_interval: int = 0,
-) -> tuple[ModelState, TraceTable]:
+) -> tuple[ModelState, np.ndarray]:
     """Run the configured number of iterations and return the final state
-    plus one trace row per iteration. Deterministic given config.seed: the
-    seed fans out into separate init / batch-sampling / augmentation streams.
-    The unlabeled dataset's hidden true labels are never read here.
+    plus a read-only TRACE_DTYPE table, one row per iteration. Deterministic
+    given config.seed: the seed fans out into separate init / batch-sampling /
+    augmentation streams. The unlabeled dataset's hidden true labels are
+    never read here.
     """
     config.validate()
     k = d_l.num_classes
@@ -476,14 +454,14 @@ def train(
         # a finite sum of squares means every gradient entry is finite
         nt, nphi, nomega = _block_norms(rec.grads, head_grads)
         checked = (rec.loss, upper_val if joint or hyper else 0.0, nt, nphi, nomega)
-        for name, value in zip(TRACE_COLUMNS[1:], checked):
+        for name, value in zip(TRACE_DTYPE.names[1:6], checked):
             if not math.isfinite(value):
                 raise NonFinite(f"non-finite {name} ({value})")
 
         ema_update(state, config.ema_decay)
         return t, rec.loss, upper_val, nt, nphi, nomega, sec_seconds, back_seconds
 
-    table = np.empty((config.iters, len(fields(StepTrace))))
+    table = np.empty(config.iters, TRACE_DTYPE)
     # a blow-up is reported by the explicit checks below, not by NumPy's
     # overflow and invalid-value warnings on the way to it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -492,24 +470,22 @@ def train(
                 table[t - 1] = iteration(t)
             except NonFinite as exc:
                 # an overflow inside a kernel, or a non-finite loss or norm
-                traces = TraceTable(table[: t - 1])
-                raise TrainingDiverged(f"iteration {t}: {exc}", traces) from exc
+                table.flags.writeable = False
+                raise TrainingDiverged(f"iteration {t}: {exc}", table[: t - 1]) from exc
             if eval_hook is not None and eval_interval > 0 and t % eval_interval == 0:
                 eval_hook(t, state)
 
-    return state, TraceTable(table)
+    table.flags.writeable = False
+    return state, table
 
 
-def write_trace_csv(traces: TraceTable, path, include_timings: bool = False) -> None:
-    """One row per iteration. Timing columns (see StepTrace) are opt-in:
-    they vary run to run, and the default trace must be byte-identical for
-    equal seeds."""
-    cols = list(TRACE_COLUMNS)
-    if include_timings:
-        cols += ["second_order_seconds", "backward_seconds"]
+def write_trace_csv(traces: np.ndarray, path, include_timings: bool = False) -> None:
+    """One row per iteration of a TRACE_DTYPE table. The timing columns are
+    opt-in: they vary run to run, and the default trace must be
+    byte-identical for equal seeds."""
+    cols = list(TRACE_DTYPE.names if include_timings else TRACE_DTYPE.names[:6])
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        # one row at a time: the table is never copied into Python floats
-        for row in traces.array[:, : len(cols)]:
-            iteration, *values = row.tolist()
-            fh.write(",".join([str(int(iteration)), *map(repr, values)]) + "\n")
+        # one row at a time: the table is never copied into Python numbers
+        for row in traces[cols]:
+            fh.write(",".join(map(repr, row.item())) + "\n")

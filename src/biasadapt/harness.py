@@ -105,13 +105,13 @@ class ExperimentConfig:
 
 
 def _number(kind: type, value, key: str):
-    """value as an int for an int key, or as a float for a float key, which
-    also takes an int or a string that parses to a finite float (PyYAML reads
-    `1e6` as a string); raises naming the key and the value."""
+    """value as an int for an int key, or as a finite float for a float key,
+    which also takes an int or a string that parses to one (PyYAML reads `1e6`
+    as a string); raises naming the key and the value."""
     if not isinstance(value, bool):
-        if isinstance(value, int) or (kind is float and isinstance(value, float)):
+        if isinstance(value, int):
             return kind(value)
-        if kind is float and isinstance(value, str):
+        if kind is float and isinstance(value, (float, str)):
             try:
                 number = float(value)
             except ValueError:
@@ -129,17 +129,12 @@ def _from_dict(cls, payload: dict, path: str):
     kwargs = {}
     for name, value in payload.items():
         sub = f"{path}.{name}" if path else name
-        if isinstance(value, dict):
-            sub_cls = {
-                "data": DataConfig,
-                "train": TrainConfig,
-                "eval": EvalConfig,
-                "labeled_profile": ProfileSpec,
-                "unlabeled_profile": ProfileSpec,
-            }.get(name)
-            if sub_cls is None:
-                raise ValueError(f"unexpected mapping at {sub}")
-            kwargs[name] = _from_dict(sub_cls, value, sub)
+        if dataclasses.is_dataclass(fields[name]):
+            if not isinstance(value, dict):
+                raise ValueError(f"{sub}: expected a mapping, got {value!r}")
+            kwargs[name] = _from_dict(fields[name], value, sub)
+        elif isinstance(value, dict):
+            raise ValueError(f"unexpected mapping at {sub}")
         elif name == "extractor_hidden":
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{sub}: expected a list of int, got {value!r}")
@@ -267,6 +262,14 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
     metrics_path = out_dir / "metrics.json"
     if metrics_path.exists() and not force:
         raise FileExistsError(f"{metrics_path} exists; pass --force to overwrite")
+
+    # master seed child 0 drives data synthesis (build_datasets); child 1
+    # seeds the trainer so the two never share a stream. Any train.seed the
+    # config carries is overwritten here: it is derived, not read.
+    config.train.seed = child_seeds(config.seed, 2)[1]
+    # the data is built first, so a run that fails on its input neither
+    # creates out_dir nor clears the previous run's artifacts
+    d_l, d_u, d_test = build_datasets(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     if force:
         # a forced rerun that diverges must not leave the old run's artifacts
@@ -275,12 +278,6 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
             (out_dir / name).unlink(missing_ok=True)
         for ckpt in out_dir.glob("ckpt_*.npz"):
             ckpt.unlink()
-
-    # master seed child 0 drives data synthesis (build_datasets); child 1
-    # seeds the trainer so the two never share a stream. Any train.seed the
-    # config carries is overwritten here: it is derived, not read.
-    config.train.seed = child_seeds(config.seed, 2)[1]
-    d_l, d_u, d_test = build_datasets(config)
     reports: list[tuple[int, MetricsReport]] = []
 
     def hook(iteration, state):

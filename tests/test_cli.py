@@ -83,6 +83,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="warp_speed"):
             config_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("seed",), {"value": 1}, "unexpected mapping at seed"),
+            (("train", "alpha"), {"value": 1}, r"unexpected mapping at train\.alpha"),
+            (("data", "dim"), {"value": 1}, r"unexpected mapping at data\.dim"),
+            (("train",), None, "train: expected a mapping, got None"),
+            (("data", "labeled_profile"), 5, r"data\.labeled_profile: expected a mapping, got 5"),
+        ],
+    )
+    def test_section_and_scalar_keys_keep_their_shape(self, tmp_path, path, value, message):
+        payload = tiny_config_dict(tmp_path)
+        section = payload
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config_from_dict(payload)
+
     def test_defaults_materialize(self):
         config = ExperimentConfig()
         assert config.train.alpha == 2e-3
@@ -188,6 +207,26 @@ class TestTrainCommand:
         assert main(["compare", str(run)]) == 2
         assert "metrics.json" in capsys.readouterr().err
 
+    def test_forced_rerun_that_fails_on_its_input_keeps_the_previous_run(
+        self, tmp_path, capsys
+    ):
+        from biasadapt.data import save_csv_dataset
+
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        run = tmp_path / "run"
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        assert "metrics.json" in before
+        labeled, missing = tmp_path / "labeled.csv", tmp_path / "missing.csv"
+        save_csv_dataset(harness.build_datasets(load_config(cfg))[0], labeled)
+        payload = tiny_config_dict(run)
+        payload["data"].update(labeled_csv=str(labeled), test_csv=str(missing))
+        cfg.write_text(yaml.safe_dump(payload))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--force"]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
     @pytest.mark.parametrize("value", [0, -6])
     def test_balanced_n_below_one_rejected(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, balanced_n=value)
@@ -202,13 +241,22 @@ class TestTrainCommand:
             ({"attractor_norm": "l2ac"}, "unknown attractor_norm 'l2ac'"),
             ({"pseudo_mode": "sharpen", "sharpen_temperature": 0},
              "sharpen_temperature must be > 0, got 0.0"),
+            ({"alpha": float("nan")}, "train.alpha: expected float, got nan"),
+            ({"lambda_bal": float("nan")}, "train.lambda_bal: expected float, got nan"),
+            ({"eta": float("inf")}, "train.eta: expected float, got inf"),
+            ({"schedule": "theorem_f", "c1": 0}, "c1 must be > 0, got 0.0"),
+            ({"schedule": "theorem_f", "c2": -1.0}, "c2 must be > 0, got -1.0"),
+            ({"feature_dim": 0}, "feature_dim must be >= 1, got 0"),
+            ({"attractor_hidden": 0}, "attractor_hidden must be >= 1, got 0"),
+            ({"extractor_hidden": [0]}, "extractor_hidden widths must be >= 1, got [0]"),
         ],
     )
     def test_unrunnable_norm_or_temperature_rejected_before_any_artifact(
         self, tmp_path, capsys, overrides, message
     ):
-        # baseline never reads the norm, and the temperature is first read
-        # at iteration 1: both must fail at validation, before the run starts
+        # baseline never reads the norm, the temperature is first read at
+        # iteration 1 and the widths in init_model: all must fail at
+        # validation, before the run starts
         cfg = write_config(tmp_path, **overrides)
         assert main(["train", "--config", str(cfg), "--mode", "baseline"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
