@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Print the sha256 of trace.csv, metrics.json and ckpt_final.npz for every
-training mode x lower optimizer x config, as a markdown table.
+training mode x config, as a markdown table.
 
 Three configs: configs/example.yaml; the determinism-criterion config of
 tests/test_acceptance.py with pseudo_source biased, pseudo_mode sharpen and
 attractor_norm l2_input; and the CIFAR-10-LT-shaped paper_scale config of
 perfbench/run.py (head width 256, 512-row lower batches, 10k test rows
 scored every 25 iterations), where the arrays are large enough for BLAS to
-block them. Each of the 24 runs goes through harness.run_train into a
+block them. Each of the 12 runs goes through harness.run_train into a
 temporary directory with --iters iterations. Running this on two
 commits and diffing the output shows whether a change kept the artifacts
 byte-identical. tests/golden_outputs.json pins the table at 100 iterations,
@@ -33,7 +33,6 @@ from biasadapt.harness import config_from_dict, run_train
 
 ARTIFACTS = ("trace.csv", "metrics.json", "ckpt_final.npz")
 MODES = ("baseline", "plain_attractor", "single_level", "l2ac")
-OPTIMIZERS = ("sgd", "adam")
 CRIT9_BIASED = {
     "seed": 11,
     "data": {
@@ -81,9 +80,8 @@ def build_provenance() -> dict:
 
 
 def output_digests(iters: int):
-    """Run every (config, mode, optimizer) for `iters` iterations in a
-    temporary directory; yield (config, mode, optimizer, {artifact: sha256})
-    in table order."""
+    """Run every (config, mode) for `iters` iterations in a temporary
+    directory; yield (config, mode, {artifact: sha256}) in table order."""
     with open(ROOT / "configs" / "example.yaml") as fh:
         configs = {
             "example": yaml.safe_load(fh),
@@ -93,13 +91,12 @@ def output_digests(iters: int):
     with tempfile.TemporaryDirectory() as tmp:
         for label, base in configs.items():
             for mode in MODES:
-                for opt in OPTIMIZERS:
-                    out = Path(tmp) / f"{label}_{mode}_{opt}"
-                    payload = copy.deepcopy(base)
-                    payload["train"].update(mode=mode, lower_optimizer=opt, iters=iters)
-                    payload["eval"]["out_dir"] = str(out)
-                    run_train(config_from_dict(payload))
-                    yield label, mode, opt, {name: _sha256(out / name) for name in ARTIFACTS}
+                out = Path(tmp) / f"{label}_{mode}"
+                payload = copy.deepcopy(base)
+                payload["train"].update(mode=mode, iters=iters)
+                payload["eval"]["out_dir"] = str(out)
+                run_train(config_from_dict(payload))
+                yield label, mode, {name: _sha256(out / name) for name in ARTIFACTS}
 
 
 def main() -> int:
@@ -109,10 +106,10 @@ def main() -> int:
     parser.add_argument("--iters", type=int, default=600)
     args = parser.parse_args()
 
-    print(f"| config@{args.iters} | mode | opt | " + " | ".join(ARTIFACTS) + " |")
-    print("|---|---|---|" + "---|" * len(ARTIFACTS))
-    for label, mode, opt, digests in output_digests(args.iters):
-        print(f"| {label} | {mode} | {opt} | " + " | ".join(digests.values()) + " |", flush=True)
+    print(f"| config@{args.iters} | mode | " + " | ".join(ARTIFACTS) + " |")
+    print("|---|---|" + "---|" * len(ARTIFACTS))
+    for label, mode, digests in output_digests(args.iters):
+        print(f"| {label} | {mode} | " + " | ".join(digests.values()) + " |", flush=True)
     return 0
 
 

@@ -15,7 +15,6 @@ from .bilevel import (
     upper_loss,
 )
 from .data import (
-    BalancedBatchSpec,
     Dataset,
     ImbalanceProfile,
     balanced_batch,

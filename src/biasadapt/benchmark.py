@@ -52,7 +52,6 @@ def benchmark_train_config(settings: BenchmarkSettings, mode: str, seed: int) ->
         iters=settings.iters,
         alpha=0.08,
         eta=3.0,
-        lower_optimizer="sgd",
         tau=0.8,
         lambda_u=1.0,
         batch_n=64,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BalancedBatchSpec, Dataset, balanced_batch, balanced_index, one_hot
+from .data import Dataset, balanced_batch, balanced_index, one_hot
 from .model import (
     NORM_MODES,
     ModelState,
@@ -44,7 +44,6 @@ from .pseudo import PseudoBatch, assign_pseudo_labels, augment
 
 MODES = ("l2ac", "baseline", "plain_attractor", "single_level")
 SCHEDULES = ("constant", "theorem_f")
-OPTIMIZERS = ("sgd", "adam")
 # One trace row per iteration: `iter`, the five columns of every trace.csv,
 # then two opt-in timings. upper_loss is the balanced loss (NaN in modes
 # without one). The norms are those of the extractor and classifier gradients
@@ -58,10 +57,6 @@ TRACE_DTYPE = np.dtype([("iter", np.int64)] + [(name, np.float64) for name in (
     "lower_loss", "upper_loss", "grad_norm_theta", "grad_norm_phi", "grad_norm_omega",
     "second_order_seconds", "backward_seconds",
 )])
-
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -79,7 +74,6 @@ class TrainConfig:
     schedule: str = "constant"
     c1: float = 1.0
     c2: float = 1.0
-    lower_optimizer: str = "sgd"
     lambda_bal: float = 1.0
     pseudo_mode: str = "hard"
     pseudo_source: str = "plain"
@@ -98,8 +92,6 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.lower_optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.lower_optimizer!r}")
         # written as `not value > bound` so that NaN fails
         positive = ["alpha", "eta"]
         if self.schedule == "theorem_f":
@@ -255,32 +247,13 @@ def lower_loss(x_l, y_l, pseudo, state: ModelState, norm: str, head: bool = True
 
 
 class LowerOptimizer:
-    """Plain SGD, or Adam (beta1 0.9, beta2 0.999, eps 1e-8) with moment
-    slots for a fixed list of parameter arrays."""
-
-    def __init__(self, kind: str, templates: list[np.ndarray]):
-        if kind not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {kind!r}")
-        self.kind = kind
-        if kind == "adam":
-            self.m = [np.zeros_like(a) for a in templates]
-            self.v = [np.zeros_like(a) for a in templates]
-            self.t = 0
+    """Plain SGD, in place: each array moves by -alpha times its gradient.
+    train steps the extractor and classifier with it and, in plain_attractor
+    and single_level, the head too."""
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray], alpha: float) -> None:
-        if self.kind == "sgd":
-            for p, g in zip(arrays, grads):
-                p -= alpha * g
-            return
-        self.t += 1
-        c1 = 1.0 - ADAM_BETA1**self.t
-        c2 = 1.0 - ADAM_BETA2**self.t
-        for p, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * np.square(g)
-            p -= alpha * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        for p, g in zip(arrays, grads):
+            p -= alpha * g
 
 
 def lower_step(state: ModelState, rec: LowerPass, alpha: float, optimizer: LowerOptimizer) -> LowerPass:
@@ -355,6 +328,16 @@ def _sample_rows(rng: np.random.Generator, n_rows: int, size: int) -> np.ndarray
     return rng.integers(0, n_rows, size=size)
 
 
+def balanced_sampler(config: TrainConfig, d_l: Dataset):
+    """balanced_index(d_l, balanced_n) in the modes with a balanced loss
+    (l2ac, single_level), else None. train builds it, and harness.run_train
+    calls it before touching its out_dir, so a balanced_n the class count
+    does not divide, or a class without labeled rows, fails there first."""
+    if config.mode in ("l2ac", "single_level"):
+        return balanced_index(d_l, config.balanced_n)
+    return None
+
+
 def train(
     config: TrainConfig,
     d_l: Dataset,
@@ -385,15 +368,8 @@ def train(
     head = config.mode != "baseline"
     joint = config.mode == "single_level"
     hyper = config.mode == "l2ac"
-    if joint or hyper:
-        if config.balanced_n % k != 0:
-            raise ValueError(f"balanced_n {config.balanced_n} not divisible by {k} classes")
-        bal_spec = BalancedBatchSpec(config.balanced_n, k)
-        bal_index = balanced_index(d_l, bal_spec)
-
-    optimizer = LowerOptimizer(config.lower_optimizer, state.lower_arrays())
-    if head and not hyper:
-        omega_opt = LowerOptimizer(config.lower_optimizer, state.omega_arrays())
+    bal_index = balanced_sampler(config, d_l)
+    optimizer = LowerOptimizer()
 
     x_all_l = d_l.features
     y_all_l = one_hot(d_l.labels, k)
@@ -424,8 +400,8 @@ def train(
             )
             pseudo = PseudoBatch(x_strong, y_hat, lam)
 
-        if joint or hyper:
-            bal_idx = balanced_batch(d_l, bal_spec, batch_rng, bal_index)
+        if bal_index is not None:
+            bal_idx = balanced_batch(bal_index, batch_rng)
             bal_x = x_all_l[bal_idx]
             bal_y = y_all_l[bal_idx]
 
@@ -448,7 +424,7 @@ def train(
             head_grads = omega_step(state, rec, upper_grad, eta_t)
             sec_seconds = time.perf_counter() - t0
         elif head:
-            omega_opt.step(state.omega_arrays(), head_grads, alpha_t)
+            optimizer.step(state.omega_arrays(), head_grads, alpha_t)
 
         # upper_loss is NaN by definition in modes without a balanced loss;
         # a finite sum of squares means every gradient entry is finite

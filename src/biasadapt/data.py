@@ -4,7 +4,7 @@ labeled/unlabeled splits, class-balanced batches, CSV round-trip."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -182,54 +182,29 @@ def split_counts(full: Dataset, parts, labeled_flags, rng: np.random.Generator) 
     return outputs
 
 
-@dataclass(frozen=True)
-class BalancedBatchSpec:
-    """Exactly batch_size / num_classes draws per class."""
-
-    batch_size: int
-    num_classes: int
-    per_class: int = field(init=False)
-
-    def __post_init__(self):
-        if self.batch_size % self.num_classes != 0:
-            raise ValueError(
-                f"batch size {self.batch_size} not divisible by {self.num_classes} classes"
-            )
-        object.__setattr__(self, "per_class", self.batch_size // self.num_classes)
-
-
-def class_rows(dataset: Dataset, num_classes: int) -> list[np.ndarray]:
-    """Indices of the labeled rows of each class 0..num_classes-1; raises
-    naming the first class that has none."""
-    rows = [np.flatnonzero(dataset.labels == k) for k in range(num_classes)]
-    for k, r in enumerate(rows):
-        if r.size == 0:
-            raise ValueError(f"class {k} has no labeled rows")
-    return rows
-
-
-def balanced_index(dataset: Dataset, spec: BalancedBatchSpec) -> tuple[np.ndarray, ...]:
+def balanced_index(dataset: Dataset, batch_size: int) -> tuple[np.ndarray, ...]:
     """(flat, low, high): every labeled row, class by class, and for each
-    draw of a balanced batch the span [low, high) of its class in flat."""
-    rows = class_rows(dataset, spec.num_classes)
+    draw of a balanced batch of batch_size rows the span [low, high) of its
+    class in flat. Raises when the class count does not divide batch_size
+    (the config's balanced_n) or naming the first class without labeled
+    rows."""
+    k = dataset.num_classes
+    if batch_size % k != 0:
+        raise ValueError(f"balanced_n {batch_size} not divisible by {k} classes")
+    rows = [np.flatnonzero(dataset.labels == c) for c in range(k)]
     sizes = np.array([r.size for r in rows])
-    low = np.repeat(np.cumsum(sizes) - sizes, spec.per_class)
-    return np.concatenate(rows), low, low + np.repeat(sizes, spec.per_class)
+    if not sizes.all():
+        raise ValueError(f"class {int(np.argmin(sizes))} has no labeled rows")
+    low = np.repeat(np.cumsum(sizes) - sizes, batch_size // k)
+    return np.concatenate(rows), low, low + np.repeat(sizes, batch_size // k)
 
 
-def balanced_batch(
-    dataset: Dataset,
-    spec: BalancedBatchSpec,
-    rng: np.random.Generator,
-    index: tuple[np.ndarray, ...] | None = None,
-) -> np.ndarray:
-    """Exactly stratified class-aware sample: per_class indices per class,
-    drawn with replacement within each class. index is
-    balanced_index(dataset, spec), built here when not given; callers
-    drawing many batches from one dataset pass it once built."""
-    flat, low, high = balanced_index(dataset, spec) if index is None else index
-    # one draw for every class's positions, the same stream as one
-    # rng.integers(0, size, size=per_class) call per class in turn
+def balanced_batch(index: tuple[np.ndarray, ...], rng: np.random.Generator) -> np.ndarray:
+    """Exactly stratified class-aware sample from index = balanced_index(...):
+    the same number of rows per class, drawn with replacement within each
+    class. One draw for every class's positions is the same stream as one
+    rng.integers(0, size, size=per_class) call per class in turn."""
+    flat, low, high = index
     return flat[rng.integers(low, high)]
 
 

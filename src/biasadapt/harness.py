@@ -28,6 +28,7 @@ from .bilevel import (
     TrainConfig,
     TrainingDiverged,
     _hypergrad_unrolled,
+    balanced_sampler,
     lower_backward,
     lower_forward,
     lower_step,
@@ -155,6 +156,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 def config_from_dict(payload: dict) -> ExperimentConfig:
     config = _from_dict(ExperimentConfig, payload, "")
     config.train.validate()
+    if not config.data.test_csv and config.data.test_per_class < 1:
+        raise ValueError(f"data.test_per_class: expected >= 1, got {config.data.test_per_class!r}")
     for name in ("interval", "last_e", "ckpt_interval"):
         value = getattr(config.eval, name)
         if value < 0:
@@ -267,9 +270,11 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
     # seeds the trainer so the two never share a stream. Any train.seed the
     # config carries is overwritten here: it is derived, not read.
     config.train.seed = child_seeds(config.seed, 2)[1]
-    # the data is built first, so a run that fails on its input neither
-    # creates out_dir nor clears the previous run's artifacts
+    # the data is built and the balanced sampler checked first, so a run
+    # that fails on its input neither creates out_dir nor clears the
+    # previous run's artifacts
     d_l, d_u, d_test = build_datasets(config)
+    balanced_sampler(config.train, d_l)
     out_dir.mkdir(parents=True, exist_ok=True)
     if force:
         # a forced rerun that diverges must not leave the old run's artifacts
@@ -410,7 +415,7 @@ def bench_overhead(config: ExperimentConfig, reps: int = 30) -> dict:
         lower_backward(state, rec)
         backward_times.append(time.perf_counter() - t0)
 
-    lower_step(state, rec, tc.alpha, LowerOptimizer("sgd", state.lower_arrays()))
+    lower_step(state, rec, tc.alpha, LowerOptimizer())
     _, upper_grad = upper_loss(bal_x, bal_y, state)
     second_times = []
     for _ in range(reps):

@@ -124,9 +124,8 @@ def check_eval_ignores_head(rng) -> Check:
 def check_theta_isolation(rng) -> Check:
     problem = make_small_problem(rng)
     work = copy_state(problem.state)
-    opt = LowerOptimizer("sgd", work.lower_arrays())
     rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-    lower_step(work, rec, problem.alpha, opt)
+    lower_step(work, rec, problem.alpha, LowerOptimizer())
     snapshot = flatten_arrays(work.lower_arrays())
     _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
     omega_step(work, rec, upper_grad, eta=0.5)

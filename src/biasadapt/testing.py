@@ -236,8 +236,7 @@ def upper_fd_error(problem: SmallProblem, eps: float = 1e-6) -> float:
 
 
 def omega_grad_closed_form(problem: SmallProblem) -> list[np.ndarray]:
-    """Route B: an independent oracle for the head hypergradient (SGD lower
-    step only).
+    """Route B: an independent oracle for the head hypergradient.
 
     Recomputes the whole chain from the raw batches: lower gradients at the
     problem's state, the SGD step, the balanced gradient at the stepped
@@ -249,7 +248,7 @@ def omega_grad_closed_form(problem: SmallProblem) -> list[np.ndarray]:
     state, alpha = problem.state, problem.alpha
     work = copy_state(state)
     rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-    lower_step(work, rec, alpha, LowerOptimizer("sgd", work.lower_arrays()))
+    lower_step(work, rec, alpha, LowerOptimizer())
     _, (v_w, v_b) = upper_loss(problem.bal_x, problem.bal_y, work)
 
     k = state.num_classes
@@ -302,8 +301,7 @@ def unrolled_hypergrad(problem: SmallProblem) -> list[np.ndarray]:
     """Route A: SGD lower step, balanced gradient at the stepped classifier,
     backward-on-backward through the classifier-gradient expression."""
     work = copy_state(problem.state)
-    opt = LowerOptimizer("sgd", work.lower_arrays())
     rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-    lower_step(work, rec, problem.alpha, opt)
+    lower_step(work, rec, problem.alpha, LowerOptimizer())
     _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
     return _hypergrad_unrolled(work, rec, upper_grad)

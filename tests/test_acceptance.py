@@ -14,10 +14,10 @@ from biasadapt.benchmark import (
     run_benchmark,
 )
 from biasadapt.data import (
-    BalancedBatchSpec,
     Dataset,
     ImbalanceProfile,
     balanced_batch,
+    balanced_index,
     class_counts,
     synth_gaussian_mixture,
 )
@@ -100,10 +100,10 @@ def test_criterion_5_dataset_recipes():
     reversed_ok = rev.tolist() == lt.tolist()[::-1]
 
     ds = synth_gaussian_mixture(5, 4, 2.0, [9, 7, 5, 3, 1], make_rng(11))
-    spec = BalancedBatchSpec(20, 5)
     rng = make_rng(12)
     stratified_ok = all(
-        np.bincount(ds.labels[balanced_batch(ds, spec, rng)], minlength=5).tolist() == [4] * 5
+        np.bincount(ds.labels[balanced_batch(balanced_index(ds, 20), rng)], minlength=5).tolist()
+        == [4] * 5
         for _ in range(50)
     )
     report(
@@ -152,6 +152,7 @@ def benchmark_results():
     return results
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_benchmark(benchmark_results):
     settings = benchmark_results["settings"]
 

@@ -227,6 +227,49 @@ class TestTrainCommand:
         assert str(missing) in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
+    @pytest.mark.parametrize(
+        "section,edit,message",
+        [
+            ("train", {"balanced_n": 10}, "balanced_n 10 not divisible by 4 classes"),
+            ("data", None, "class 1 has no labeled rows"),  # a labeled_csv without class 1
+            ("data", {"test_per_class": 0}, "data.test_per_class: expected >= 1, got 0"),
+            ("data", {"test_per_class": -3}, "data.test_per_class: expected >= 1, got -3"),
+            ("train", {"lower_optimizer": "sgd"},
+             "unknown config key(s) ['lower_optimizer'] under train"),
+            ("train", {"lower_optimizer": "adam"},
+             "unknown config key(s) ['lower_optimizer'] under train"),
+        ],
+        ids=["balanced_n", "empty_class", "test_per_class=0", "test_per_class=-3",
+             "lower_optimizer=sgd", "lower_optimizer=adam"],
+    )
+    def test_input_error_stops_before_the_out_dir(self, tmp_path, capsys, section, edit, message):
+        # a forced rerun keeps every file of the previous run, and a fresh
+        # out_dir is never created
+        from biasadapt.data import Dataset, save_csv_dataset
+
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        run, fresh = tmp_path / "run", tmp_path / "fresh"
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        if edit is None:
+            d_l, _, d_test = harness.build_datasets(load_config(cfg))
+            keep = d_l.labels != 1
+            edit = {"labeled_csv": str(tmp_path / "labeled.csv"), "test_csv": str(tmp_path / "test.csv")}
+            save_csv_dataset(
+                Dataset(d_l.features[keep], d_l.labels[keep], d_l.true_labels[keep], 4),
+                edit["labeled_csv"])
+            save_csv_dataset(d_test, edit["test_csv"])
+        payload = tiny_config_dict(run)
+        payload[section].update(edit)
+        for out, force in ((run, ["--force"]), (fresh, [])):
+            payload["eval"]["out_dir"] = str(out)
+            cfg.write_text(yaml.safe_dump(payload))
+            capsys.readouterr()
+            assert main(["train", "--config", str(cfg), *force]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+        assert not fresh.exists()
+
     @pytest.mark.parametrize("value", [0, -6])
     def test_balanced_n_below_one_rejected(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, balanced_n=value)

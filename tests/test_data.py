@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biasadapt.data import (
-    BalancedBatchSpec,
     Dataset,
     ImbalanceProfile,
     balanced_batch,
     balanced_index,
     class_counts,
     class_means_on_sphere,
-    class_rows,
     load_csv_dataset,
     one_hot,
     save_csv_dataset,
@@ -182,27 +180,25 @@ class TestBalancedBatch:
 
     def test_exact_stratification(self):
         ds = self.make_labeled()
-        spec = BalancedBatchSpec(10, 5)
-        idx = balanced_batch(ds, spec, make_rng(11))
+        idx = balanced_batch(balanced_index(ds, 10), make_rng(11))
         counts = np.bincount(ds.labels[idx], minlength=5)
         assert counts.tolist() == [2, 2, 2, 2, 2]
 
     def test_replacement_forced_for_singleton_class(self):
         ds = self.make_labeled()
-        spec = BalancedBatchSpec(15, 5)
-        idx = balanced_batch(ds, spec, make_rng(12))
+        idx = balanced_batch(balanced_index(ds, 15), make_rng(12))
         singleton_row = np.flatnonzero(ds.labels == 4)[0]
         assert np.sum(idx == singleton_row) == 3
 
     def test_batch_size_divisibility(self):
-        with pytest.raises(ValueError, match="divisible"):
-            BalancedBatchSpec(7, 5)
+        with pytest.raises(ValueError, match="^balanced_n 7 not divisible by 5 classes$"):
+            balanced_index(self.make_labeled(), 7)
 
     def test_missing_class_rejected(self):
         ds = synth_gaussian_mixture(2, 3, 1.0, [4, 4], make_rng(13))
         ds = Dataset(ds.features, np.where(ds.labels == 1, -1, ds.labels), ds.true_labels, 2)
         with pytest.raises(ValueError, match="class 1"):
-            balanced_batch(ds, BalancedBatchSpec(4, 2), make_rng(14))
+            balanced_index(ds, 4)
 
     def test_cached_class_rows_match_per_call_scan(self):
         full = synth_gaussian_mixture(4, 3, 1.0, [12, 7, 5, 3], make_rng(16))
@@ -210,34 +206,33 @@ class TestBalancedBatch:
         hidden[np.flatnonzero(full.labels == 3)[0]] = False  # keep class 3 labeled
         ds = Dataset(full.features, np.where(hidden, -1, full.labels), full.true_labels, 4)
         assert np.any(ds.labels == -1)
-        spec = BalancedBatchSpec(8, 4)
-        index = balanced_index(ds, spec)
+        index = balanced_index(ds, 8)
         cached_rng, inline_rng = make_rng(18), make_rng(18)
         for _ in range(20):
             want = []
             for k in range(4):
                 scan = np.flatnonzero(ds.labels == k)
-                want.append(scan[inline_rng.integers(0, scan.size, size=spec.per_class)])
-            got = balanced_batch(ds, spec, cached_rng, index)
+                want.append(scan[inline_rng.integers(0, scan.size, size=2)])
+            got = balanced_batch(index, cached_rng)
             assert np.array_equal(got, np.concatenate(want))
             assert np.all(ds.labels[got] >= 0)
         # one draw for all classes leaves the stream where one per class does
         assert cached_rng.bit_generator.state == inline_rng.bit_generator.state
 
-    def test_class_rows_rejects_class_without_labeled_rows(self):
+    def test_index_rejects_class_without_labeled_rows(self):
         ds = synth_gaussian_mixture(3, 3, 1.0, [4, 4, 4], make_rng(19))
         ds = Dataset(ds.features, np.where(ds.labels == 2, -1, ds.labels), ds.true_labels, 3)
         with pytest.raises(ValueError, match="class 2 has no labeled rows"):
-            class_rows(ds, 3)
+            balanced_index(ds, 3)
 
     def test_within_class_uniform(self):
         ds = self.make_labeled()
-        spec = BalancedBatchSpec(5, 5)
+        index = balanced_index(ds, 5)
         rng = make_rng(15)
         hits = np.zeros(len(ds))
         draws = 10_000
         for _ in range(draws):
-            np.add.at(hits, balanced_batch(ds, spec, rng), 1)
+            np.add.at(hits, balanced_batch(index, rng), 1)
         # class frequency is exact by construction; rows within a class
         # should be hit uniformly
         for k in range(5):

@@ -22,10 +22,10 @@ def test_output_hashes_prints_one_row_per_combination():
         capture_output=True, text=True, check=True, timeout=300,
     ).stdout
     rows = [line.split(" | ") for line in out.splitlines()[2:]]
-    assert len(rows) == 24
-    assert len({tuple(r[:3]) for r in rows}) == 24
+    assert len(rows) == 12
+    assert len({tuple(r[:2]) for r in rows}) == 12
     for row in rows:
-        digests = [cell.strip(" |") for cell in row[3:]]
+        digests = [cell.strip(" |") for cell in row[2:]]
         assert len(digests) == 3 and all(len(d) == 64 for d in digests)
 
 
@@ -41,8 +41,8 @@ def test_outputs_match_the_pinned_digests():
     pinned = {key: golden["provenance"][key] for key in build}
     assert build == pinned, f"digests pinned on {pinned}, this build is {build}"
     differ, seen = [], []
-    for label, mode, opt, digests in hashes.output_digests(golden["iters"]):
-        key = f"{label}/{mode}/{opt}"
+    for label, mode, digests in hashes.output_digests(golden["iters"]):
+        key = f"{label}/{mode}"
         seen.append(key)
         differ += [
             f"{key}/{name}" for name, digest in digests.items()
