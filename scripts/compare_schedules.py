@@ -45,7 +45,7 @@ def main() -> int:
             ),
             eval_interval=settings.eval_interval,
         )
-        result = headline_means(reports[-settings.last_e :])
+        result = headline_means(reports, settings.last_e)
         upper_tail = float(np.mean(traces["upper_loss"][-200:]))
         print(
             f"{label:10s} bACC {result['bacc']:.4f} GM {result['gm']:.4f} "

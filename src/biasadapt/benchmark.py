@@ -145,11 +145,10 @@ def run_single(
         reports.append(evaluate(state, d_test, use_ema=True, distribution=False))
 
     train(config, d_l, d_u, eval_hook=hook, eval_interval=eval_interval)
-    tail = reports[-last_e:] if last_e > 0 else reports
     return {
         "mode": config.mode,
         "seed": config.seed,
-        **headline_means(tail),
+        **headline_means(reports, last_e),
         "final_bacc": reports[-1].bacc,
         "evals": len(reports),
     }

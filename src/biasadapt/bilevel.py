@@ -21,7 +21,6 @@ run with `TrainingDiverged`.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,18 +43,12 @@ from .pseudo import PseudoBatch, assign_pseudo_labels, augment
 
 MODES = ("l2ac", "baseline", "plain_attractor", "single_level")
 SCHEDULES = ("constant", "theorem_f")
-# One trace row per iteration: `iter`, the five columns of every trace.csv,
-# then two opt-in timings. upper_loss is the balanced loss (NaN in modes
-# without one). The norms are those of the extractor and classifier gradients
-# the lower step took and of the gradient the head moved along (0 in
-# baseline). backward_seconds times the lower backward pass in every mode:
-# through extractor, classifier and head in plain_attractor and single_level,
-# through extractor and classifier only in l2ac (whose head moves along the
-# hypergradient alone) and in baseline (no head). second_order_seconds times
-# the backward-on-backward head step (omega_step) in l2ac and is 0 elsewhere.
+# One trace row per iteration, the columns of trace.csv: `iter`, then the
+# lower and balanced losses (upper_loss is NaN in modes without one) and the
+# norms of the extractor and classifier gradients the lower step took and of
+# the gradient the head moved along (0 in baseline).
 TRACE_DTYPE = np.dtype([("iter", np.int64)] + [(name, np.float64) for name in (
     "lower_loss", "upper_loss", "grad_norm_theta", "grad_norm_phi", "grad_norm_omega",
-    "second_order_seconds", "backward_seconds",
 )])
 
 
@@ -84,7 +77,6 @@ class TrainConfig:
     feature_dim: int = 32
     attractor_hidden: int = 256
     attractor_norm: str = "softmax_input"
-    log_timings: bool = False
     seed: int = 0  # harness.run_train derives it from ExperimentConfig.seed
 
     def validate(self) -> None:
@@ -192,16 +184,16 @@ def pseudo_label_logits(x, state: ModelState, config: TrainConfig) -> np.ndarray
     biased, else the plain classifier path, whose extractor runs in row
     blocks so a whole unlabeled set can be labeled."""
     if config.mode != "baseline" and config.pseudo_source == "biased":
-        return forward_train(x, state, config.attractor_norm)[0]
+        return forward_train(x, state)[0]
     return classifier_scores(forward_features(x, state.theta), state.phi_w, state.phi_b)
 
 
-def _ce_forward(x, targets, coeff, state: ModelState, norm: str | None, head: bool) -> LowerPass:
+def _ce_forward(x, targets, coeff, state: ModelState, head: bool) -> LowerPass:
     """Weighted cross-entropy forward through the residual-head training
     path, or through the plain classifier path (u and a None) when head is
     False; the plain path runs no attractor code."""
     if head:
-        logits, cache = forward_train(x, state, norm)
+        logits, cache = forward_train(x, state)
         z, feat_cache, u, a = cache.z, cache.feat_cache, cache.u, cache.a
     else:
         z, feat_cache = features_with_cache(x, state.theta)
@@ -211,9 +203,9 @@ def _ce_forward(x, targets, coeff, state: ModelState, norm: str | None, head: bo
     return LowerPass(loss, z, feat_cache, p, coeff, d_logits, u, a)
 
 
-def lower_forward(x_l, y_l, pseudo, state: ModelState, norm: str, head: bool = True) -> LowerPass:
+def lower_forward(x_l, y_l, pseudo, state: ModelState, head: bool = True) -> LowerPass:
     """A fresh LowerPass of the labeled rows stacked with the pseudo batch."""
-    return _ce_forward(*_stack_lower_batch(x_l, y_l, pseudo), state, norm, head)
+    return _ce_forward(*_stack_lower_batch(x_l, y_l, pseudo), state, head)
 
 
 def _classifier_backward(rec: LowerPass, state: ModelState, need_theta: bool) -> list[np.ndarray]:
@@ -239,29 +231,32 @@ def lower_backward(state: ModelState, rec: LowerPass, need_omega: bool = True) -
     return rec
 
 
-def lower_loss(x_l, y_l, pseudo, state: ModelState, norm: str, head: bool = True) -> LowerPass:
+def lower_loss(x_l, y_l, pseudo, state: ModelState, head: bool = True) -> LowerPass:
     """Lower-level loss and its analytic gradients w.r.t. every parameter
     block, through the residual-head training path (or the plain classifier
     path when head is False)."""
-    return lower_backward(state, lower_forward(x_l, y_l, pseudo, state, norm, head))
+    return lower_backward(state, lower_forward(x_l, y_l, pseudo, state, head))
 
 
 class LowerOptimizer:
     """Plain SGD, in place: each array moves by -alpha times its gradient.
-    train steps the extractor and classifier with it and, in plain_attractor
-    and single_level, the head too."""
+    Stateless, so the one instance below takes every lower step and, in
+    plain_attractor and single_level, every head step."""
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray], alpha: float) -> None:
         for p, g in zip(arrays, grads):
             p -= alpha * g
 
 
-def lower_step(state: ModelState, rec: LowerPass, alpha: float, optimizer: LowerOptimizer) -> LowerPass:
+_SGD = LowerOptimizer()
+
+
+def lower_step(state: ModelState, rec: LowerPass, alpha: float) -> LowerPass:
     """Update extractor and classifier in place (head untouched) and stamp
     rec with the iteration and alpha for the unroll: the classifier
     gradient's dependence on the head is retained via the recorded forward
     quantities; the extractor's dependence is dropped by construction."""
-    optimizer.step(state.lower_arrays(), rec.grads, alpha)
+    _SGD.step(state.lower_arrays(), rec.grads, alpha)
     state.step_count += 1
     rec.step_count, rec.alpha = state.step_count, alpha
     return rec
@@ -276,7 +271,7 @@ def upper_loss(x, y, state: ModelState, need_theta: bool = False):
     the state's current parameters and its gradient [dW_phi, db_phi], with
     the extractor's in front on request (joint single-level mode)."""
     coeff = np.full(x.shape[0], 1.0 / x.shape[0])
-    rec = _ce_forward(x, y, coeff, state, None, head=False)
+    rec = _ce_forward(x, y, coeff, state, head=False)
     return rec.loss, _classifier_backward(rec, state, need_theta)
 
 
@@ -359,7 +354,7 @@ def train(
     aug_rng = make_rng(seeds[2])
 
     dims = [d_l.dim, *config.extractor_hidden, config.feature_dim]
-    state = init_model(dims, k, config.attractor_hidden, init_rng)
+    state = init_model(dims, k, config.attractor_hidden, init_rng, config.attractor_norm)
 
     # the modes differ on three axes: the head sits in the lower path (all
     # but baseline); the balanced loss joins the lower loss with weight
@@ -369,7 +364,6 @@ def train(
     joint = config.mode == "single_level"
     hyper = config.mode == "l2ac"
     bal_index = balanced_sampler(config, d_l)
-    optimizer = LowerOptimizer()
 
     x_all_l = d_l.features
     y_all_l = one_hot(d_l.labels, k)
@@ -387,7 +381,6 @@ def train(
         y_l = y_all_l[l_idx]
 
         upper_val = math.nan
-        sec_seconds = 0.0
 
         pseudo = None
         if have_unlabeled:
@@ -405,10 +398,8 @@ def train(
             bal_x = x_all_l[bal_idx]
             bal_y = y_all_l[bal_idx]
 
-        rec = lower_forward(x_l, y_l, pseudo, state, config.attractor_norm, head)
-        t0 = time.perf_counter()
+        rec = lower_forward(x_l, y_l, pseudo, state, head)
         lower_backward(state, rec, need_omega=head and not hyper)
-        back_seconds = time.perf_counter() - t0
         head_grads = rec.grads_omega
 
         if joint:
@@ -416,26 +407,24 @@ def train(
             for g, b in zip(rec.grads, bal_grads):
                 g += config.lambda_bal * b
 
-        lower_step(state, rec, alpha_t, optimizer)
+        lower_step(state, rec, alpha_t)
 
         if hyper:
             upper_val, upper_grad = upper_loss(bal_x, bal_y, state)
-            t0 = time.perf_counter()
             head_grads = omega_step(state, rec, upper_grad, eta_t)
-            sec_seconds = time.perf_counter() - t0
         elif head:
-            optimizer.step(state.omega_arrays(), head_grads, alpha_t)
+            _SGD.step(state.omega_arrays(), head_grads, alpha_t)
 
         # upper_loss is NaN by definition in modes without a balanced loss;
         # a finite sum of squares means every gradient entry is finite
         nt, nphi, nomega = _block_norms(rec.grads, head_grads)
         checked = (rec.loss, upper_val if joint or hyper else 0.0, nt, nphi, nomega)
-        for name, value in zip(TRACE_DTYPE.names[1:6], checked):
+        for name, value in zip(TRACE_DTYPE.names[1:], checked):
             if not math.isfinite(value):
                 raise NonFinite(f"non-finite {name} ({value})")
 
         ema_update(state, config.ema_decay)
-        return t, rec.loss, upper_val, nt, nphi, nomega, sec_seconds, back_seconds
+        return t, rec.loss, upper_val, nt, nphi, nomega
 
     table = np.empty(config.iters, TRACE_DTYPE)
     # a blow-up is reported by the explicit checks below, not by NumPy's
@@ -455,13 +444,11 @@ def train(
     return state, table
 
 
-def write_trace_csv(traces: np.ndarray, path, include_timings: bool = False) -> None:
-    """One row per iteration of a TRACE_DTYPE table. The timing columns are
-    opt-in: they vary run to run, and the default trace must be
-    byte-identical for equal seeds."""
-    cols = list(TRACE_DTYPE.names if include_timings else TRACE_DTYPE.names[:6])
+def write_trace_csv(traces: np.ndarray, path) -> None:
+    """One row per iteration of a TRACE_DTYPE table, under a header of its
+    field names."""
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(TRACE_DTYPE.names) + "\n")
         # one row at a time: the table is never copied into Python numbers
-        for row in traces[cols]:
+        for row in traces:
             fh.write(",".join(map(repr, row.item())) + "\n")

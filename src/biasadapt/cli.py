@@ -93,7 +93,6 @@ def _dispatch(args) -> int:
             config.train.iters = args.iters
         if args.out is not None:
             config.eval.out_dir = args.out
-        config.train.validate()
         payload = run_train(config, force=args.force)
         headline = payload["headline"] or {}
         print(

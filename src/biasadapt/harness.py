@@ -24,7 +24,6 @@ import numpy as np
 import yaml
 
 from .bilevel import (
-    LowerOptimizer,
     TrainConfig,
     TrainingDiverged,
     _hypergrad_unrolled,
@@ -270,11 +269,18 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
     # seeds the trainer so the two never share a stream. Any train.seed the
     # config carries is overwritten here: it is derived, not read.
     config.train.seed = child_seeds(config.seed, 2)[1]
-    # the data is built and the balanced sampler checked first, so a run
-    # that fails on its input neither creates out_dir nor clears the
-    # previous run's artifacts
+    # the config is validated, the data built and the balanced sampler
+    # checked first, so a run that fails on its input neither creates
+    # out_dir nor clears the previous run's artifacts
+    config.train.validate()
     d_l, d_u, d_test = build_datasets(config)
-    balanced_sampler(config.train, d_l)
+    try:
+        balanced_sampler(config.train, d_l)
+    except ValueError as exc:
+        source = f"{config.data.labeled_csv}: " if config.data.labeled_csv else ""
+        raise ValueError(
+            f"{source}{exc}; mode {config.train.mode} draws class-balanced batches"
+        ) from None
     out_dir.mkdir(parents=True, exist_ok=True)
     if force:
         # a forced rerun that diverges must not leave the old run's artifacts
@@ -288,9 +294,7 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
     def hook(iteration, state):
         reports.append((iteration, evaluate(state, d_test, use_ema=True, distribution=False)))
         if config.eval.ckpt_interval > 0 and iteration % config.eval.ckpt_interval == 0:
-            save_checkpoint(
-                out_dir / f"ckpt_{iteration:07d}.npz", state, config.train.attractor_norm
-            )
+            save_checkpoint(out_dir / f"ckpt_{iteration:07d}.npz", state)
 
     trace_path = out_dir / "trace.csv"
     try:
@@ -299,16 +303,17 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
         )
     except TrainingDiverged as exc:
         # the iterations before the blow-up explain it; no metrics.json
-        write_trace_csv(exc.traces, trace_path, include_timings=config.train.log_timings)
+        write_trace_csv(exc.traces, trace_path)
         raise
 
-    tail = [r for _, r in reports][-config.eval.last_e :] if reports else []
     final_report = evaluate(state, d_test, use_ema=True)
     final_report.pseudo_recall = final_pseudo_recall(config.train, state, d_u)
 
+    evals = [r for _, r in reports]
     headline = None
-    if tail:
-        headline = {**headline_means(tail), "evals_averaged": len(tail)}
+    if evals:
+        averaged = len(evals[-config.eval.last_e :])
+        headline = {**headline_means(evals, config.eval.last_e), "evals_averaged": averaged}
 
     payload = {
         "mode": config.train.mode,
@@ -322,8 +327,8 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
         ],
     }
 
-    write_trace_csv(traces, trace_path, include_timings=config.train.log_timings)
-    save_checkpoint(out_dir / "ckpt_final.npz", state, config.train.attractor_norm)
+    write_trace_csv(traces, trace_path)
+    save_checkpoint(out_dir / "ckpt_final.npz", state)
     save_config(config, out_dir / "config.yaml")
     save_confusion_csv(np.array(final_report.confusion), out_dir / "confusion.csv")
     with open(metrics_path, "w") as fh:
@@ -335,7 +340,7 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
 def run_eval(ckpt_path, test_csv, use_ema: bool = True) -> MetricsReport:
     """Score a checkpoint on a test CSV; raises naming both numbers when the
     CSV's feature dim or class count differs from the checkpoint's."""
-    state, _norm = load_checkpoint(ckpt_path)
+    state = load_checkpoint(ckpt_path)
     test = load_csv_dataset(test_csv)
     in_dim = state.extractor_dims()[0]
     if test.dim != in_dim:
@@ -396,7 +401,7 @@ def bench_overhead(config: ExperimentConfig, reps: int = 30) -> dict:
     rng = make_rng(config.seed)
     k = config.data.num_classes
     dims = [config.data.dim, *tc.extractor_hidden, tc.feature_dim]
-    state = init_model(dims, k, tc.attractor_hidden, rng)
+    state = init_model(dims, k, tc.attractor_hidden, rng, tc.attractor_norm)
     state.omega_w2 += 0.1 * rng.standard_normal(state.omega_w2.shape)
 
     x_l = rng.standard_normal((tc.batch_n, config.data.dim))
@@ -408,14 +413,14 @@ def bench_overhead(config: ExperimentConfig, reps: int = 30) -> dict:
     bal_x = rng.standard_normal((max(bal_n, k), config.data.dim))
     bal_y = one_hot(np.arange(max(bal_n, k)) % k, k)
 
-    rec = lower_forward(x_l, y_l, pseudo, state, tc.attractor_norm)
+    rec = lower_forward(x_l, y_l, pseudo, state)
     backward_times = []
     for _ in range(reps):
         t0 = time.perf_counter()
         lower_backward(state, rec)
         backward_times.append(time.perf_counter() - t0)
 
-    lower_step(state, rec, tc.alpha, LowerOptimizer())
+    lower_step(state, rec, tc.alpha)
     _, upper_grad = upper_loss(bal_x, bal_y, state)
     second_times = []
     for _ in range(reps):

@@ -117,10 +117,11 @@ def evaluate(
     )
 
 
-def headline_means(reports: list[MetricsReport]) -> dict[str, float]:
-    """Headline numbers over a run's last evaluations: the means of balanced
-    accuracy, recall geometric mean, plain accuracy and worst per-class
-    recall."""
+def headline_means(reports: list[MetricsReport], last_e: int) -> dict[str, float]:
+    """Headline numbers over a run's last last_e evaluations (all of them
+    when last_e is 0): the means of balanced accuracy, recall geometric mean,
+    plain accuracy and worst per-class recall."""
+    reports = reports[-last_e:]
     return {
         "bacc": float(np.mean([r.bacc for r in reports])),
         "gm": float(np.mean([r.gm for r in reports])),

@@ -39,6 +39,7 @@ class ModelState:
     omega_b1: np.ndarray
     omega_w2: np.ndarray
     omega_b2: np.ndarray
+    norm: str  # the head's input normalisation, one of NORM_MODES
     ema_theta: list[Layer] = field(default_factory=list)
     ema_phi_w: np.ndarray | None = None
     ema_phi_b: np.ndarray | None = None
@@ -89,12 +90,14 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_model(dims, num_classes: int, attractor_hidden: int, rng: np.random.Generator) -> ModelState:
-    """Build a fresh model. dims lists the extractor layer widths, input
-    first and feature dim last (so len(dims) >= 2). Extractor, classifier
-    and attractor hidden weights get scaled-uniform init with zero biases;
-    the attractor OUTPUT layer starts at exactly zero, so the residual
-    correction is the identity at step 0.
+def init_model(
+    dims, num_classes: int, attractor_hidden: int, rng: np.random.Generator, norm: str
+) -> ModelState:
+    """Build a fresh model whose head reads its input under `norm`. dims
+    lists the extractor layer widths, input first and feature dim last (so
+    len(dims) >= 2). Extractor, classifier and attractor hidden weights get
+    scaled-uniform init with zero biases; the attractor OUTPUT layer starts
+    at exactly zero, so the residual correction is the identity at step 0.
     """
     dims = [int(d) for d in dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
@@ -112,7 +115,7 @@ def init_model(dims, num_classes: int, attractor_hidden: int, rng: np.random.Gen
     omega_w2 = np.zeros((attractor_hidden, num_classes))
     omega_b2 = np.zeros(num_classes)
     ema = copy.deepcopy((theta, phi_w, phi_b))
-    return ModelState(theta, phi_w, phi_b, omega_w1, omega_b1, omega_w2, omega_b2, *ema)
+    return ModelState(theta, phi_w, phi_b, omega_w1, omega_b1, omega_w2, omega_b2, norm, *ema)
 
 
 def copy_state(state: ModelState) -> ModelState:
@@ -225,13 +228,14 @@ class TrainForwardCache:
     a: np.ndarray
 
 
-def forward_train(x: np.ndarray, state: ModelState, norm: str) -> tuple[np.ndarray, TrainForwardCache]:
+def forward_train(x: np.ndarray, state: ModelState) -> tuple[np.ndarray, TrainForwardCache]:
     """Training-path logits: classifier scores plus the residual attractor
-    correction computed from the stop-gradient normalized scores. The logits
-    and every cached array are fresh; x is never written."""
+    correction computed from the stop-gradient scores, normalized under
+    state.norm. The logits and every cached array are fresh; x is never
+    written."""
     z, feat_cache = features_with_cache(x, state.theta)
     logits = classifier_scores(z, state.phi_w, state.phi_b)
-    u = normalize_scores(logits, norm)
+    u = normalize_scores(logits, state.norm)
     delta, a = attractor_forward(state, u)
     logits += delta
     return logits, TrainForwardCache(z, feat_cache, u, a)
@@ -259,7 +263,7 @@ def ema_update(state: ModelState, decay: float) -> ModelState:
     return state
 
 
-def save_checkpoint(path, state: ModelState, norm: str) -> None:
+def save_checkpoint(path, state: ModelState) -> None:
     """Versioned npz checkpoint of every parameter array plus dims and the
     attractor norm mode; round-trips bit-exactly."""
     meta = {
@@ -267,7 +271,7 @@ def save_checkpoint(path, state: ModelState, norm: str) -> None:
         "extractor_dims": state.extractor_dims(),
         "num_classes": state.num_classes,
         "attractor_hidden": state.attractor_hidden,
-        "norm": norm,
+        "norm": state.norm,
         "step_count": state.step_count,
         "num_theta_layers": len(state.theta),
     }
@@ -275,7 +279,7 @@ def save_checkpoint(path, state: ModelState, norm: str) -> None:
     np.savez(Path(path), meta=blob, **state.named_arrays())
 
 
-def load_checkpoint(path) -> tuple[ModelState, str]:
+def load_checkpoint(path) -> ModelState:
     """Inverse of save_checkpoint: a model of the metadata's shapes (extractor
     dims, num_classes, attractor_hidden) with each named array copied into
     its slot. Raises naming the file when the archive has no metadata or the
@@ -305,7 +309,7 @@ def load_checkpoint(path) -> tuple[ModelState, str]:
                 f"{path}: num_theta_layers {n_layers} does not match extractor_dims {dims}"
             )
         try:
-            state = init_model(dims, k, hidden, make_rng(0))
+            state = init_model(dims, k, hidden, make_rng(0), norm)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         for name, slot in state.named_arrays().items():
@@ -320,4 +324,4 @@ def load_checkpoint(path) -> tuple[ModelState, str]:
                 raise ValueError(f"{path}: {name} holds non-finite values")
             slot[...] = array
     state.step_count = step_count
-    return state, norm
+    return state

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bilevel import LowerOptimizer, lower_loss, lower_step, omega_step, upper_loss
+from .bilevel import lower_loss, lower_step, omega_step, upper_loss
 from .model import copy_state, forward_eval, forward_train
 from .numcore import cross_entropy, make_rng, softmax
 from .pseudo import PseudoBatch
@@ -87,8 +87,8 @@ def check_masking(rng) -> Check:
     problem = make_small_problem(rng, mask_some=False)
     pseudo = problem.pseudo
     masked = PseudoBatch(pseudo.x_strong, pseudo.y_hat, np.zeros(len(pseudo)))
-    with_masked = lower_loss(problem.x_l, problem.y_l, masked, problem.state, problem.norm)
-    labeled_only = lower_loss(problem.x_l, problem.y_l, None, problem.state, problem.norm)
+    with_masked = lower_loss(problem.x_l, problem.y_l, masked, problem.state)
+    labeled_only = lower_loss(problem.x_l, problem.y_l, None, problem.state)
     same = with_masked.loss == labeled_only.loss and np.array_equal(
         flatten_arrays(with_masked.grads + with_masked.grads_omega),
         flatten_arrays(labeled_only.grads + labeled_only.grads_omega),
@@ -102,7 +102,7 @@ def check_residual_identity(rng) -> Check:
     state.omega_w2[...] = 0.0
     state.omega_b2[...] = 0.0
     x = rng.standard_normal((6, problem.x_l.shape[1]))
-    train_logits, _ = forward_train(x, state, problem.norm)
+    train_logits, _ = forward_train(x, state)
     eval_logits = forward_eval(x, state, use_ema=False)
     ok = np.array_equal(train_logits, eval_logits)
     return ("residual_identity", bool(ok), "zero head output => train path == eval path")
@@ -124,8 +124,8 @@ def check_eval_ignores_head(rng) -> Check:
 def check_theta_isolation(rng) -> Check:
     problem = make_small_problem(rng)
     work = copy_state(problem.state)
-    rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-    lower_step(work, rec, problem.alpha, LowerOptimizer())
+    rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
+    lower_step(work, rec, problem.alpha)
     snapshot = flatten_arrays(work.lower_arrays())
     _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
     omega_step(work, rec, upper_grad, eta=0.5)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilevel import (
-    LowerOptimizer,
     _hypergrad_unrolled,
     _stack_lower_batch,
     lower_loss,
@@ -97,7 +96,6 @@ def relative_diff(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass
 class SmallProblem:
     state: ModelState
-    norm: str
     alpha: float
     x_l: np.ndarray
     y_l: np.ndarray
@@ -129,7 +127,7 @@ def _kink_clearance(problem: SmallProblem) -> float:
                 h = np.maximum(pre, 0.0)
             else:
                 h = pre
-        _, cache = forward_train(x, state, problem.norm)
+        _, cache = forward_train(x, state)
         pre = cache.u @ state.omega_w1 + state.omega_b1
         worst = min(worst, float(np.min(np.abs(pre))))
     return worst
@@ -151,7 +149,7 @@ def make_small_problem(
 ) -> SmallProblem:
     for _ in range(max_tries):
         state = init_model(
-            [input_dim, *hidden, feature_dim], num_classes, attractor_hidden, rng
+            [input_dim, *hidden, feature_dim], num_classes, attractor_hidden, rng, norm
         )
         for _, b in state.theta:
             b += 0.1 * rng.standard_normal(b.shape)
@@ -170,7 +168,7 @@ def make_small_problem(
         bal_n = 2 * num_classes
         bal_x = rng.standard_normal((bal_n, input_dim))
         bal_y = one_hot(np.tile(np.arange(num_classes), 2), num_classes)
-        problem = SmallProblem(state, norm, alpha, x_l, y_l, pseudo, bal_x, bal_y)
+        problem = SmallProblem(state, alpha, x_l, y_l, pseudo, bal_x, bal_y)
         if _kink_clearance(problem) > KINK_MARGIN:
             return problem
     raise RuntimeError("could not build a kink-free instance")
@@ -181,7 +179,7 @@ def frozen_u_lower_value(problem: SmallProblem, state: ModelState) -> float:
     state's value (the stop-gradient contract), so finite differences over
     extractor/classifier parameters match the analytic gradients."""
     x, targets, coeff = _stack_lower_batch(problem.x_l, problem.y_l, problem.pseudo)
-    _, base_cache = forward_train(x, problem.state, problem.norm)
+    _, base_cache = forward_train(x, problem.state)
     z = forward_features(x, state.theta)
     s = classifier_scores(z, state.phi_w, state.phi_b)
     delta, _ = attractor_forward(state, base_cache.u)
@@ -215,7 +213,7 @@ def _block_fd_error(state: ModelState, block: str, value, analytic: np.ndarray, 
 def lower_fd_errors(problem: SmallProblem, eps: float = 1e-6) -> dict[str, float]:
     """Max relative error of the analytic lower-loss gradients vs central
     differences, per parameter block (attractor input frozen throughout)."""
-    rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, problem.state, problem.norm)
+    rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, problem.state)
     analytic = {"theta": rec.grads[:-2], "phi": rec.grads[-2:], "omega": rec.grads_omega}
     return {
         block: _block_fd_error(
@@ -247,8 +245,8 @@ def omega_grad_closed_form(problem: SmallProblem) -> list[np.ndarray]:
     """
     state, alpha = problem.state, problem.alpha
     work = copy_state(state)
-    rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-    lower_step(work, rec, alpha, LowerOptimizer())
+    rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
+    lower_step(work, rec, alpha)
     _, (v_w, v_b) = upper_loss(problem.bal_x, problem.bal_y, work)
 
     k = state.num_classes
@@ -283,12 +281,12 @@ def hypergrad_fd(problem: SmallProblem, eps: float = 1e-6) -> list[np.ndarray]:
     head is dropped by construction) and phi'(omega) re-runs the lower
     gradient at the perturbed head."""
     state = problem.state
-    theta_grads = lower_loss(problem.x_l, problem.y_l, problem.pseudo, state, problem.norm).grads[:-2]
+    theta_grads = lower_loss(problem.x_l, problem.y_l, problem.pseudo, state).grads[:-2]
 
     def bal_at(omega_flat: np.ndarray) -> float:
         work = copy_state(state)
         _set_block(work, "omega", omega_flat)
-        rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
+        rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
         for p, g in zip(work.lower_arrays(), theta_grads + rec.grads[-2:]):
             p -= problem.alpha * g
         return upper_loss(problem.bal_x, problem.bal_y, work)[0]
@@ -301,7 +299,7 @@ def unrolled_hypergrad(problem: SmallProblem) -> list[np.ndarray]:
     """Route A: SGD lower step, balanced gradient at the stepped classifier,
     backward-on-backward through the classifier-gradient expression."""
     work = copy_state(problem.state)
-    rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-    lower_step(work, rec, problem.alpha, LowerOptimizer())
+    rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
+    lower_step(work, rec, problem.alpha)
     _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
     return _hypergrad_unrolled(work, rec, upper_grad)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from biasadapt import bilevel, model
 from biasadapt.bilevel import (
     TRACE_DTYPE,
-    LowerOptimizer,
     TrainConfig,
     TrainingDiverged,
     lower_backward,
@@ -107,9 +106,9 @@ class TestLowerLoss:
         state = copy_state(problem.state)
         state.omega_w2[...] = 0.0
         state.omega_b2[...] = 0.0
-        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, state, problem.norm)
+        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, state)
         plain = lower_loss(
-            problem.x_l, problem.y_l, problem.pseudo, state, problem.norm, head=False
+            problem.x_l, problem.y_l, problem.pseudo, state, head=False
         )
         assert res.loss == plain.loss
         assert len(res.grads) == len(plain.grads)
@@ -120,7 +119,7 @@ class TestLowerLoss:
 
     def test_skipping_head_gradient_keeps_other_gradients_bitwise(self):
         problem = make_small_problem(make_rng(7))
-        rec = lower_forward(problem.x_l, problem.y_l, problem.pseudo, problem.state, problem.norm)
+        rec = lower_forward(problem.x_l, problem.y_l, problem.pseudo, problem.state)
         # lower_backward fills the record in place: keep the first pass's
         # gradients as copies, so two backward passes are compared
         full = lower_backward(problem.state, rec)
@@ -147,35 +146,35 @@ class TestLowerLoss:
     def test_empty_labeled_batch_rejected(self):
         problem = make_small_problem(make_rng(2))
         with pytest.raises(ValueError, match="labeled"):
-            lower_loss(np.zeros((0, 3)), np.zeros((0, 3)), None, problem.state, problem.norm)
+            lower_loss(np.zeros((0, 3)), np.zeros((0, 3)), None, problem.state)
 
 
 class TestLowerStep:
     def test_alpha_zero_no_change(self):
         problem = make_small_problem(make_rng(3))
         work = copy_state(problem.state)
-        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
+        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
         before = flat(work.lower_arrays()).copy()
-        lower_step(work, res, 0.0, LowerOptimizer())
+        lower_step(work, res, 0.0)
         assert np.array_equal(flat(work.lower_arrays()), before)
 
     def test_zero_gradients_no_change(self):
         problem = make_small_problem(make_rng(4))
         work = copy_state(problem.state)
-        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
+        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
         for g in res.grads:
             g[...] = 0.0
         before = flat(work.lower_arrays()).copy()
-        lower_step(work, res, 0.1, LowerOptimizer())
+        lower_step(work, res, 0.1)
         assert np.array_equal(flat(work.lower_arrays()), before)
 
     def test_sgd_step_hand_arithmetic(self):
         problem = make_small_problem(make_rng(5))
         work = copy_state(problem.state)
-        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
+        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
         expected_w = work.phi_w - 0.05 * res.grads[-2]
         expected_t0 = work.theta[0][0] - 0.05 * res.grads[0]
-        lower_step(work, res, 0.05, LowerOptimizer())
+        lower_step(work, res, 0.05)
         assert np.array_equal(work.phi_w, expected_w)
         assert np.array_equal(work.theta[0][0], expected_t0)
         assert np.array_equal(work.omega_w2, problem.state.omega_w2)
@@ -183,7 +182,7 @@ class TestLowerStep:
 
 class TestUpperLoss:
     def test_perfect_prediction_near_zero(self):
-        state = init_model([2, 2], 2, 2, make_rng(6))
+        state = init_model([2, 2], 2, 2, make_rng(6), "softmax_input")
         state.theta[0] = (np.eye(2), np.zeros(2))
         state.phi_w = np.array([[60.0, -60.0], [-60.0, 60.0]])
         state.phi_b = np.zeros(2)
@@ -233,9 +232,8 @@ class TestOmegaStep:
     def test_eta_zero_no_change(self):
         problem = make_small_problem(make_rng(10))
         work = copy_state(problem.state)
-        opt = LowerOptimizer()
-        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-        rec = lower_step(work, res, problem.alpha, opt)
+        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
+        rec = lower_step(work, res, problem.alpha)
         _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
         before = flat(work.omega_arrays()).copy()
         omega_step(work, rec, upper_grad, eta=0.0)
@@ -244,9 +242,8 @@ class TestOmegaStep:
     def test_zero_upper_gradient_no_change(self):
         problem = make_small_problem(make_rng(11))
         work = copy_state(problem.state)
-        opt = LowerOptimizer()
-        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-        rec = lower_step(work, res, problem.alpha, opt)
+        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
+        rec = lower_step(work, res, problem.alpha)
         zero_grad = [np.zeros_like(work.phi_w), np.zeros_like(work.phi_b)]
         before = flat(work.omega_arrays()).copy()
         hyper = omega_step(work, rec, zero_grad, eta=0.7)
@@ -256,11 +253,10 @@ class TestOmegaStep:
     def test_stale_cache_rejected(self):
         problem = make_small_problem(make_rng(12))
         work = copy_state(problem.state)
-        opt = LowerOptimizer()
-        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-        rec = lower_step(work, res, problem.alpha, opt)
-        res2 = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-        lower_step(work, res2, problem.alpha, opt)
+        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
+        rec = lower_step(work, res, problem.alpha)
+        res2 = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
+        lower_step(work, res2, problem.alpha)
         _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
         with pytest.raises(ValueError, match="stale"):
             omega_step(work, rec, upper_grad, eta=0.1)
@@ -268,9 +264,8 @@ class TestOmegaStep:
     def test_theta_bitwise_unchanged_by_head_step(self):
         problem = make_small_problem(make_rng(13))
         work = copy_state(problem.state)
-        opt = LowerOptimizer()
-        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work, problem.norm)
-        rec = lower_step(work, res, problem.alpha, opt)
+        res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
+        rec = lower_step(work, res, problem.alpha)
         theta_bits = [(w.copy(), b.copy()) for w, b in work.theta]
         _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
         omega_step(work, rec, upper_grad, eta=2.0)
@@ -293,14 +288,14 @@ def test_every_gradient_list_is_in_parameter_order(hidden):
     z, cache = features_with_cache(problem.x_l, state.theta)
     assert shapes(features_backward(cache, state.theta, np.ones_like(z))) == lower[:-2]
     for on_head in (False, True):  # the head path's record feeds the head step below
-        rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, state, problem.norm, on_head)
+        rec = lower_loss(problem.x_l, problem.y_l, problem.pseudo, state, on_head)
         assert shapes(rec.grads) == lower
         assert shapes(rec.grads_omega) == (head if on_head else [])
     assert shapes(upper_loss(problem.bal_x, problem.bal_y, state)[1]) == lower[-2:]
     assert shapes(upper_loss(problem.bal_x, problem.bal_y, state, need_theta=True)[1]) == lower
     for route in (unrolled_hypergrad, omega_grad_closed_form, hypergrad_fd):
         assert shapes(route(problem)) == head
-    lower_step(state, rec, problem.alpha, LowerOptimizer())
+    lower_step(state, rec, problem.alpha)
     hyper = omega_step(state, rec, upper_loss(problem.bal_x, problem.bal_y, state)[1], 0.1)
     assert shapes(hyper) == head
 
@@ -371,7 +366,7 @@ class TestClosedFormOracle:
     def test_single_sample_hand_derivation(self):
         # d=1 feature, K=2, H=1, one labeled sample, one balanced sample;
         # every quantity below is scalar arithmetic
-        state = init_model([1, 1], 2, 1, make_rng(16))
+        state = init_model([1, 1], 2, 1, make_rng(16), "softmax_input")
         tw, tb = 0.8, 0.1
         w1_, w2_ = 1.2, -0.7
         b1_, b2_ = 0.2, -0.1
@@ -434,7 +429,7 @@ class TestClosedFormOracle:
         expected_w2 = -alpha * a_ * np.array([[g1, g2]])
         expected_b2 = -alpha * np.array([g1, g2])
 
-        problem = SmallProblem(state, "softmax_input", alpha, x, y, None, bal_x, bal_y)
+        problem = SmallProblem(state, alpha, x, y, None, bal_x, bal_y)
         got = omega_grad_closed_form(problem)
         np.testing.assert_allclose(got[0], expected_w1, rtol=1e-12)
         np.testing.assert_allclose(got[1], expected_b1, rtol=1e-12)
@@ -454,19 +449,19 @@ class TestClosedFormOracle:
             hyper = omega_grad_closed_form(problem)
 
             work = copy_state(state)
-            rec = lower_loss(problem.x_l, problem.y_l, None, work, problem.norm)
-            lower_step(work, rec, problem.alpha, LowerOptimizer())
+            rec = lower_loss(problem.x_l, problem.y_l, None, work)
+            lower_step(work, rec, problem.alpha)
             _, (v_w, v_b) = upper_loss(problem.bal_x, problem.bal_y, work)
             p_i = rec.p[0]
             jac = np.diag(p_i) - np.outer(p_i, p_i)
             g_i = jac @ (v_w.T @ rec.z[0] + v_b)
 
             eta = 1e-4
-            before, _ = forward_train(problem.x_l, state, problem.norm)
+            before, _ = forward_train(problem.x_l, state)
             stepped = copy_state(state)
             for arr, h in zip(stepped.omega_arrays(), hyper):
                 arr -= eta * h
-            after, _ = forward_train(problem.x_l, stepped, problem.norm)
+            after, _ = forward_train(problem.x_l, stepped)
             delta_change = (after - before)[0] - 0.0  # s unchanged, only head moved
             assert float(g_i @ delta_change) >= -1e-12
 
@@ -727,7 +722,7 @@ class TestBaselineDifferential:
         seeds = child_seeds(config.seed, 3)
         init_rng, batch_rng, aug_rng = (make_rng(s) for s in seeds)
         dims = [d_l.dim, *config.extractor_hidden, config.feature_dim]
-        state = init_model(dims, k, config.attractor_hidden, init_rng)
+        state = init_model(dims, k, config.attractor_hidden, init_rng, config.attractor_norm)
         x_all = d_l.features
         y_all = one_hot(d_l.labels, k)
 
@@ -781,7 +776,7 @@ class TestPseudoLabelLogits:
     @pytest.mark.parametrize("mode", ["baseline", "l2ac"])
     def test_plain_path_labels_a_large_set_in_row_blocks(self, alloc_peak, mode):
         rows, hidden, feature_dim, k = 8 * SCORE_BLOCK_ROWS, 256, 8, 4
-        state = init_model([4, hidden, feature_dim], k, 8, make_rng(9))
+        state = init_model([4, hidden, feature_dim], k, 8, make_rng(9), "softmax_input")
         x = make_rng(10).standard_normal((rows, 4))
         config = TrainConfig(mode=mode, pseudo_source="plain")
         z, _ = features_with_cache(x, state.theta)
@@ -814,28 +809,6 @@ class TestTraceCsv:
             traces["lower_loss"][0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             traces[1:3][0] = traces[0]
-
-    @pytest.mark.parametrize("mode", ["l2ac", "baseline", "plain_attractor", "single_level"])
-    def test_timing_fields_mean_the_same_in_every_mode(self, mode):
-        d_l, d_u = desk_datasets()
-        _, traces = train(quick_config(mode=mode, iters=3), d_l, d_u)
-        assert (traces["backward_seconds"] > 0).all()
-        if mode == "l2ac":
-            assert (traces["second_order_seconds"] > 0).all()
-        else:
-            assert (traces["second_order_seconds"] == 0.0).all()
-
-    def test_timing_columns_opt_in(self, tmp_path):
-        d_l, d_u = desk_datasets()
-        _, traces = train(quick_config(iters=3), d_l, d_u)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(traces, path, include_timings=True)
-        lines = path.read_text().splitlines()
-        assert lines[0] == (
-            "iter,lower_loss,upper_loss,grad_norm_theta,grad_norm_phi,grad_norm_omega,"
-            "second_order_seconds,backward_seconds"
-        )
-        assert len(lines) == 4 and all(len(line.split(",")) == 8 for line in lines)
 
     def test_written_one_row_at_a_time(self, tmp_path, alloc_peak):
         table = np.empty(4000, TRACE_DTYPE)

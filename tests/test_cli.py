@@ -207,6 +207,21 @@ class TestTrainCommand:
         assert main(["compare", str(run)]) == 2
         assert "metrics.json" in capsys.readouterr().err
 
+    def test_run_train_validates_before_clearing_a_finished_run(self, tmp_path):
+        # an invalid value set after loading (as the CLI's overrides are)
+        # fails in run_train itself, before the previous run is touched
+        config = load_config(ROOT / "configs" / "example.yaml")
+        config.train.iters = 20
+        config.eval.out_dir = str(tmp_path / "run")
+        harness.run_train(config)
+        run = tmp_path / "run"
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        assert len(before) == 5
+        config.train.alpha = -1.0
+        with pytest.raises(ValueError, match="^alpha must be > 0, got -1.0$"):
+            harness.run_train(config, force=True)
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
     def test_forced_rerun_that_fails_on_its_input_keeps_the_previous_run(
         self, tmp_path, capsys
     ):
@@ -230,17 +245,20 @@ class TestTrainCommand:
     @pytest.mark.parametrize(
         "section,edit,message",
         [
-            ("train", {"balanced_n": 10}, "balanced_n 10 not divisible by 4 classes"),
-            ("data", None, "class 1 has no labeled rows"),  # a labeled_csv without class 1
+            ("train", {"balanced_n": 10},
+             "balanced_n 10 not divisible by 4 classes; mode l2ac draws class-balanced batches"),
+            # a labeled_csv without class 1; the file's path leads the line
+            ("data", None, "class 1 has no labeled rows; mode l2ac draws class-balanced batches"),
             ("data", {"test_per_class": 0}, "data.test_per_class: expected >= 1, got 0"),
             ("data", {"test_per_class": -3}, "data.test_per_class: expected >= 1, got -3"),
             ("train", {"lower_optimizer": "sgd"},
              "unknown config key(s) ['lower_optimizer'] under train"),
             ("train", {"lower_optimizer": "adam"},
              "unknown config key(s) ['lower_optimizer'] under train"),
+            ("train", {"log_timings": True}, "unknown config key(s) ['log_timings'] under train"),
         ],
         ids=["balanced_n", "empty_class", "test_per_class=0", "test_per_class=-3",
-             "lower_optimizer=sgd", "lower_optimizer=adam"],
+             "lower_optimizer=sgd", "lower_optimizer=adam", "log_timings"],
     )
     def test_input_error_stops_before_the_out_dir(self, tmp_path, capsys, section, edit, message):
         # a forced rerun keeps every file of the previous run, and a fresh
@@ -259,6 +277,7 @@ class TestTrainCommand:
                 Dataset(d_l.features[keep], d_l.labels[keep], d_l.true_labels[keep], 4),
                 edit["labeled_csv"])
             save_csv_dataset(d_test, edit["test_csv"])
+            message = f"{edit['labeled_csv']}: {message}"
         payload = tiny_config_dict(run)
         payload[section].update(edit)
         for out, force in ((run, ["--force"]), (fresh, [])):
@@ -487,7 +506,7 @@ class TestEvalCommand:
 
     def test_eval_rejects_a_checkpoint_with_an_unknown_norm(self, tmp_path, capsys):
         ckpt = tmp_path / "bogus.npz"
-        save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0)), "bogus")
+        save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0), "bogus"))
         assert main(["eval", "--ckpt", str(ckpt), "--test", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == (
             f"error: {ckpt}: unknown attractor norm 'bogus' in checkpoint meta\n"

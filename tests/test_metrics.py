@@ -147,7 +147,7 @@ class TestEvaluate:
 
     def test_scores_a_large_set_without_rows_x_hidden_arrays(self, alloc_peak):
         rows, hidden, feature_dim, k = 8 * SCORE_BLOCK_ROWS, 256, 8, 4
-        state = init_model([4, hidden, feature_dim], k, 8, make_rng(5))
+        state = init_model([4, hidden, feature_dim], k, 8, make_rng(5), "softmax_input")
         labels = np.arange(rows) % k
         test = Dataset(make_rng(6).standard_normal((rows, 4)), labels, labels, k)
         peak = alloc_peak(lambda: evaluate(state, test, use_ema=False))
@@ -163,7 +163,7 @@ class TestEvaluate:
             evaluate(problem.state, unlabeled)
 
     def test_hand_binary_case(self):
-        state = init_model([2, 2], 2, 2, make_rng(3))
+        state = init_model([2, 2], 2, 2, make_rng(3), "softmax_input")
         state.theta[0] = (np.eye(2), np.zeros(2))
         state.phi_w = np.array([[10.0, -10.0], [-10.0, 10.0]])
         state.phi_b = np.zeros(2)

@@ -29,8 +29,8 @@ from biasadapt.testing import grad_check, make_small_problem
 
 class TestInit:
     def test_deterministic(self):
-        a = init_model([4, 8, 3], 5, 16, make_rng(3))
-        b = init_model([4, 8, 3], 5, 16, make_rng(3))
+        a = init_model([4, 8, 3], 5, 16, make_rng(3), "softmax_input")
+        b = init_model([4, 8, 3], 5, 16, make_rng(3), "softmax_input")
         assert np.array_equal(a.phi_w, b.phi_w)
         assert all(np.array_equal(x[0], y[0]) for x, y in zip(a.theta, b.theta))
 
@@ -41,42 +41,42 @@ class TestInit:
 
         assert TrainConfig().attractor_hidden == 256
         sig = inspect.signature(init_model)
-        state = init_model([4, 3], 4, 256, make_rng(0))
+        state = init_model([4, 3], 4, 256, make_rng(0), "softmax_input")
         assert state.attractor_hidden == 256
         assert sig is not None
 
     def test_attractor_output_layer_zero(self):
-        state = init_model([4, 8, 3], 5, 16, make_rng(1))
+        state = init_model([4, 8, 3], 5, 16, make_rng(1), "softmax_input")
         assert np.all(state.omega_w2 == 0.0)
         assert np.all(state.omega_b2 == 0.0)
 
     def test_train_equals_eval_at_init(self):
-        state = init_model([4, 8, 3], 5, 16, make_rng(2))
+        state = init_model([4, 8, 3], 5, 16, make_rng(2), "softmax_input")
         x = make_rng(5).standard_normal((7, 4))
-        logits_train, _ = forward_train(x, state, "softmax_input")
+        logits_train, _ = forward_train(x, state)
         logits_eval = forward_eval(x, state)
         assert np.max(np.abs(logits_train - logits_eval)) < 1e-12
 
     def test_ema_shadows_start_as_copies(self):
-        state = init_model([4, 3], 2, 4, make_rng(4))
+        state = init_model([4, 3], 2, 4, make_rng(4), "softmax_input")
         assert np.array_equal(state.ema_phi_w, state.phi_w)
         assert state.ema_phi_w is not state.phi_w
 
 
 class TestForwardFeatures:
     def test_identity_single_layer(self):
-        state = init_model([3, 3], 2, 4, make_rng(0))
+        state = init_model([3, 3], 2, 4, make_rng(0), "softmax_input")
         state.theta[0] = (np.eye(3), np.zeros(3))
         x = make_rng(1).standard_normal((5, 3))
         assert np.array_equal(forward_features(x, state.theta), x)
 
     def test_zero_rows(self):
-        state = init_model([3, 4, 2], 2, 4, make_rng(0))
+        state = init_model([3, 4, 2], 2, 4, make_rng(0), "softmax_input")
         z = forward_features(np.zeros((0, 3)), state.theta)
         assert z.shape == (0, 2)
 
     def test_shape_mismatch(self):
-        state = init_model([3, 2], 2, 4, make_rng(0))
+        state = init_model([3, 2], 2, 4, make_rng(0), "softmax_input")
         with pytest.raises(ValueError, match="shape"):
             forward_features(np.zeros((2, 5)), state.theta)
 
@@ -111,7 +111,7 @@ class TestForwardTrain:
         state.omega_w2[...] = 0.0
         state.omega_b2[...] = 0.0
         x = make_rng(1).standard_normal((6, problem.x_l.shape[1]))
-        logits, _ = forward_train(x, state, problem.norm)
+        logits, _ = forward_train(x, state)
         assert np.array_equal(logits, forward_eval(x, state))
 
     def test_l2_norm_zero_row(self):
@@ -121,7 +121,7 @@ class TestForwardTrain:
 
     def test_hand_computed_tiny_instance(self):
         # d=2, K=2, H=2 with explicit scalar arithmetic
-        state = init_model([2, 2], 2, 2, make_rng(0))
+        state = init_model([2, 2], 2, 2, make_rng(0), "softmax_input")
         state.theta[0] = (np.eye(2), np.zeros(2))
         state.phi_w = np.array([[1.0, 0.0], [0.0, 1.0]])
         state.phi_b = np.array([0.5, -0.5])
@@ -143,7 +143,7 @@ class TestForwardTrain:
         d1 = a0 * 0.0 + a1 * 1.0 + 0.3
         expected = np.array([[s0 + d0, s1 + d1]])
 
-        logits, cache = forward_train(x, state, "softmax_input")
+        logits, cache = forward_train(x, state)
         np.testing.assert_allclose(logits, expected, rtol=1e-14)
         np.testing.assert_allclose(cache.u, [[u0, u1]], rtol=1e-14)
 
@@ -160,7 +160,7 @@ class TestForwardEval:
         assert np.array_equal(before, forward_eval(x, mutated))
 
     def test_ema_right_after_init_matches_raw(self):
-        state = init_model([3, 4, 2], 3, 4, make_rng(6))
+        state = init_model([3, 4, 2], 3, 4, make_rng(6), "softmax_input")
         x = make_rng(7).standard_normal((4, 3))
         assert np.array_equal(forward_eval(x, state, use_ema=True), forward_eval(x, state))
 
@@ -170,20 +170,20 @@ class TestForwardEval:
 
 class TestEma:
     def test_decay_one_freezes_shadow(self):
-        state = init_model([3, 2], 2, 4, make_rng(8))
+        state = init_model([3, 2], 2, 4, make_rng(8), "softmax_input")
         shadow = state.ema_phi_w.copy()
         state.phi_w += 1.0
         ema_update(state, 1.0)
         assert np.array_equal(state.ema_phi_w, shadow)
 
     def test_decay_zero_copies_param(self):
-        state = init_model([3, 2], 2, 4, make_rng(9))
+        state = init_model([3, 2], 2, 4, make_rng(9), "softmax_input")
         state.phi_w += 2.0
         ema_update(state, 0.0)
         assert np.array_equal(state.ema_phi_w, state.phi_w)
 
     def test_geometric_recursion(self):
-        state = init_model([3, 2], 2, 4, make_rng(10))
+        state = init_model([3, 2], 2, 4, make_rng(10), "softmax_input")
         state.ema_phi_b[...] = 0.0
         state.phi_b[...] = 1.0
         ema_update(state, 0.999)
@@ -191,7 +191,7 @@ class TestEma:
         assert np.max(np.abs(state.ema_phi_b - (1.0 - 0.999**2))) < 1e-12
 
     def test_decay_validated(self):
-        state = init_model([3, 2], 2, 4, make_rng(10))
+        state = init_model([3, 2], 2, 4, make_rng(10), "softmax_input")
         with pytest.raises(ValueError, match="decay"):
             ema_update(state, 1.5)
 
@@ -205,7 +205,7 @@ def _held_arrays(value):
 
 
 def test_named_arrays_hold_every_array_and_copies_share_none():
-    state = init_model([3, 4, 5, 2], 3, 6, make_rng(21))
+    state = init_model([3, 4, 5, 2], 3, 6, make_rng(21), "softmax_input")
     state.step_count = 5
     named = state.named_arrays()
     held = [a for f in dataclasses.fields(state) for a in _held_arrays(getattr(state, f.name))]
@@ -243,13 +243,13 @@ class TestStopGradient:
 
         problem = make_small_problem(make_rng(13), n_unlabeled=0)
         state = problem.state
-        res = lower_loss(problem.x_l, problem.y_l, None, state, problem.norm)
+        res = lower_loss(problem.x_l, problem.y_l, None, state)
         eps = 1e-5
         i, j = 0, 0
         worst = 0.0
 
         def full_loss(st):
-            logits, _ = forward_train(problem.x_l, st, problem.norm)
+            logits, _ = forward_train(problem.x_l, st)
             logp = log_softmax(logits)
             return float(-(problem.y_l * logp).sum() / problem.x_l.shape[0])
 
@@ -269,15 +269,18 @@ class TestCheckpoint:
         state = make_small_problem(make_rng(14), hidden=(3, 2)).state
         state.step_count = 17
         ema_update(state, 0.5)
+        state.norm = "l2_input"
         first, second = tmp_path / "first.npz", tmp_path / "second.npz"
-        save_checkpoint(first, state, "l2_input")
-        save_checkpoint(second, *load_checkpoint(first))
+        save_checkpoint(first, state)
+        back = load_checkpoint(first)
+        assert back.norm == "l2_input"
+        save_checkpoint(second, back)
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("drop", ["meta", "norm", "num_classes"])
     def test_missing_metadata_names_the_file(self, tmp_path, drop):
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, make_small_problem(make_rng(16)).state, "softmax_input")
+        save_checkpoint(path, make_small_problem(make_rng(16)).state)
         data = dict(np.load(path))
         if drop == "meta":
             del data["meta"]
@@ -292,12 +295,13 @@ class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         problem = make_small_problem(make_rng(14))
         state = problem.state
+        state.norm = "l2_input"
         state.step_count = 17
         ema_update(state, 0.5)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, state, "l2_input")
-        back, norm = load_checkpoint(path)
-        assert norm == "l2_input"
+        save_checkpoint(path, state)
+        back = load_checkpoint(path)
+        assert back.norm == "l2_input"
         assert back.step_count == 17
         assert np.array_equal(back.phi_w, state.phi_w)
         assert np.array_equal(back.omega_w2, state.omega_w2)
@@ -306,7 +310,7 @@ class TestCheckpoint:
             assert np.array_equal(w, w2) and np.array_equal(b, b2)
         x = make_rng(15).standard_normal((4, problem.x_l.shape[1]))
         assert np.array_equal(
-            forward_train(x, back, norm)[0], forward_train(x, state, norm)[0]
+            forward_train(x, back)[0], forward_train(x, state)[0]
         )
 
     @pytest.mark.parametrize(
@@ -328,7 +332,7 @@ class TestCheckpoint:
     def test_version_check(self, tmp_path):
         problem = make_small_problem(make_rng(16))
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, problem.state, "softmax_input")
+        save_checkpoint(path, problem.state)
         data = dict(np.load(path))
         meta = json.loads(bytes(data["meta"]).decode())
         meta["version"] = 99
@@ -350,7 +354,7 @@ class TestCheckpoint:
     def test_shape_mismatch_names_the_array(self, tmp_path, name, shape, meta_key, meta_value):
         problem = make_small_problem(make_rng(16))
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, problem.state, "softmax_input")
+        save_checkpoint(path, problem.state)
         data = dict(np.load(path))
         if name is not None:
             data[name] = np.zeros(shape)
@@ -365,7 +369,7 @@ class TestCheckpoint:
     def test_missing_array_rejected(self, tmp_path):
         problem = make_small_problem(make_rng(16))
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, problem.state, "softmax_input")
+        save_checkpoint(path, problem.state)
         data = dict(np.load(path))
         del data["omega_b1"]
         np.savez(path, **data)
@@ -395,12 +399,12 @@ def test_classifier_scores_affine():
 @pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
 def test_forward_passes_write_no_input_and_return_fresh_arrays(hidden):
     rng = make_rng(20)
-    state = init_model([3, *hidden, 4], 3, 6, rng)
+    state = init_model([3, *hidden, 4], 3, 6, rng, "softmax_input")
     x = rng.standard_normal((7, 3))
     x_before = x.copy()
     params_before = [a.copy() for pair in state.theta for a in pair]
     z, cache = features_with_cache(x, state.theta)
-    logits, train_cache = forward_train(x, state, "softmax_input")
+    logits, train_cache = forward_train(x, state)
     eval_logits = forward_eval(x, state)
     assert x.tobytes() == x_before.tobytes()
     params = [a for pair in state.theta for a in pair]
@@ -437,7 +441,7 @@ def test_relu_output_gate_matches_preactivation_gate_bitwise():
 
 def test_forward_eval_holds_one_array_per_layer():
     rows, widths = 4096, (64, 32)
-    state = init_model([16, *widths], 10, 8, make_rng(22))
+    state = init_model([16, *widths], 10, 8, make_rng(22), "softmax_input")
     x = make_rng(23).standard_normal((rows, 16))
     forward_eval(x, state)  # warm up lazily allocated numpy/BLAS state
     tracemalloc.start()
@@ -455,7 +459,7 @@ def test_forward_eval_holds_one_array_per_layer():
 @pytest.mark.parametrize("width", [16, 32, 64])
 def test_blocked_features_match_one_whole_pass_bitwise(width):
     rows = SCORE_BLOCK_ROWS * 5 // 2
-    state = init_model([16, width, width], 10, 8, make_rng(24))
+    state = init_model([16, width, width], 10, 8, make_rng(24), "softmax_input")
     x = make_rng(25).standard_normal((rows, 16))
     whole, _ = features_with_cache(x, state.theta)
     z = forward_features(x, state.theta)
@@ -466,7 +470,7 @@ def test_blocked_features_match_one_whole_pass_bitwise(width):
                                          (SCORE_BLOCK_ROWS + 1, 2), (3 * SCORE_BLOCK_ROWS, 3)])
 def test_forward_features_passes_per_block(monkeypatch, rows, passes):
     # a batch of up to one block is one features_with_cache call on x itself
-    state = init_model([3, 5, 4], 2, 4, make_rng(26))
+    state = init_model([3, 5, 4], 2, 4, make_rng(26), "softmax_input")
     x = make_rng(27).standard_normal((rows, 3))
     seen = []
 

@@ -102,8 +102,8 @@ class TestMaskingSoundness:
         problem = make_small_problem(make_rng(9), mask_some=False)
         pseudo = problem.pseudo
         masked = PseudoBatch(pseudo.x_strong, pseudo.y_hat, np.zeros(len(pseudo)))
-        with_masked = lower_loss(problem.x_l, problem.y_l, masked, problem.state, problem.norm)
-        labeled_only = lower_loss(problem.x_l, problem.y_l, None, problem.state, problem.norm)
+        with_masked = lower_loss(problem.x_l, problem.y_l, masked, problem.state)
+        labeled_only = lower_loss(problem.x_l, problem.y_l, None, problem.state)
         assert with_masked.loss == labeled_only.loss
         assert len(with_masked.grads) == len(labeled_only.grads)
         for g, h in zip(with_masked.grads, labeled_only.grads):
