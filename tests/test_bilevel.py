@@ -810,6 +810,23 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="read-only"):
             traces[1:3][0] = traces[0]
 
+    @pytest.mark.parametrize("mode", ["l2ac", "baseline", "plain_attractor", "single_level"])
+    def test_trace_fields_mean_the_same_in_every_mode(self, mode):
+        d_l, d_u = desk_datasets()
+        _, traces = train(quick_config(mode=mode, iters=3), d_l, d_u)
+        assert (traces["lower_loss"] > 0).all()
+        assert (traces["grad_norm_theta"] > 0).all() and (traces["grad_norm_phi"] > 0).all()
+        # only the modes with a balanced loss have an upper loss
+        if mode in ("l2ac", "single_level"):
+            assert (traces["upper_loss"] > 0).all()
+        else:
+            assert np.isnan(traces["upper_loss"]).all()
+        # every mode but baseline steps the head
+        if mode == "baseline":
+            assert (traces["grad_norm_omega"] == 0.0).all()
+        else:
+            assert (traces["grad_norm_omega"] > 0).all()
+
     def test_written_one_row_at_a_time(self, tmp_path, alloc_peak):
         table = np.empty(4000, TRACE_DTYPE)
         table["iter"] = np.arange(1, 4001)
