@@ -15,24 +15,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from biasadapt.benchmark import BenchmarkSettings, run_benchmark
+from biasadapt.benchmark import BENCH_MODES, SCENARIOS, BenchmarkSettings, run_benchmark
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--iters", type=int, default=4000)
-    parser.add_argument("--separation", type=float, default=3.5)
-    parser.add_argument(
-        "--scenarios", nargs="+", default=["matched", "uniform", "reversed"],
-        choices=["matched", "uniform", "reversed"],
-    )
-    parser.add_argument(
-        "--modes", nargs="+",
-        default=["baseline", "plain_attractor", "single_level", "l2ac"],
-    )
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(BenchmarkSettings.seeds))
+    parser.add_argument("--iters", type=int, default=BenchmarkSettings.iters)
+    parser.add_argument("--separation", type=float, default=BenchmarkSettings.class_separation)
+    parser.add_argument("--scenarios", nargs="+", default=list(SCENARIOS), choices=SCENARIOS)
+    parser.add_argument("--modes", nargs="+", default=list(BENCH_MODES), choices=BENCH_MODES)
     parser.add_argument("--out", default="runs/benchmark.json")
     args = parser.parse_args()
+    # the criteria pair each seed's baseline cell with its l2ac cell
+    if not {"baseline", "l2ac"} <= set(args.modes) or len(set(args.modes)) < len(args.modes):
+        sys.exit("error: --modes must name baseline and l2ac, and no mode twice")
 
     settings = BenchmarkSettings(
         seeds=tuple(args.seeds),

@@ -25,7 +25,7 @@ BENCH_MODES = ("baseline", "plain_attractor", "single_level", "l2ac")
 class BenchmarkSettings:
     num_classes: int = 6
     dim: int = 16
-    class_separation: float = 3.0
+    class_separation: float = 3.5
     labeled_n1: int = 100
     labeled_gamma: float = 20.0
     unlabeled_m1: int = 500
@@ -135,23 +135,25 @@ def linear_probe_bacc(
 def run_single(
     config: TrainConfig, d_l: Dataset, d_u: Dataset, d_test: Dataset,
     eval_interval: int, last_e: int,
-) -> dict:
-    """Train one mode and compute headline numbers: the mean over the last
-    `last_e` EMA evaluations of balanced accuracy, recall geometric mean,
-    plain accuracy, and worst per-class recall."""
+) -> tuple[dict, np.ndarray]:
+    """Train one mode; returns its cell and its trace. The cell holds the
+    headline numbers: the mean over the last `last_e` EMA evaluations of
+    balanced accuracy, recall geometric mean, plain accuracy, and worst
+    per-class recall."""
     reports = []
 
     def hook(iteration, state):
         reports.append(evaluate(state, d_test, use_ema=True, distribution=False))
 
-    train(config, d_l, d_u, eval_hook=hook, eval_interval=eval_interval)
-    return {
+    _, traces = train(config, d_l, d_u, eval_hook=hook, eval_interval=eval_interval)
+    cell = {
         "mode": config.mode,
         "seed": config.seed,
         **headline_means(reports, last_e),
         "final_bacc": reports[-1].bacc,
         "evals": len(reports),
     }
+    return cell, traces
 
 
 def run_benchmark(settings: BenchmarkSettings, progress=None) -> dict:
@@ -166,7 +168,7 @@ def run_benchmark(settings: BenchmarkSettings, progress=None) -> dict:
                 config = benchmark_train_config(settings, mode, seed)
                 result = run_single(
                     config, d_l, d_u, d_test, settings.eval_interval, settings.last_e
-                )
+                )[0]
                 cells[scenario][mode].append(result)
                 if progress is not None:
                     progress(

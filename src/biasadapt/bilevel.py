@@ -34,7 +34,7 @@ from .model import (
     ema_update,
     features_backward,
     features_with_cache,
-    forward_features,
+    forward_eval,
     forward_train,
     init_model,
 )
@@ -181,11 +181,11 @@ def _stack_lower_batch(x_l, y_l, pseudo: PseudoBatch | None):
 def pseudo_label_logits(x, state: ModelState, config: TrainConfig) -> np.ndarray:
     """Logits the pseudo-labels are read from: the residual-head training
     path when the mode has a head (all but baseline) and pseudo_source is
-    biased, else the plain classifier path, whose extractor runs in row
-    blocks so a whole unlabeled set can be labeled."""
+    biased, else the plain classifier path (forward_eval, whose extractor
+    runs in row blocks so a whole unlabeled set can be labeled)."""
     if config.mode != "baseline" and config.pseudo_source == "biased":
         return forward_train(x, state)[0]
-    return classifier_scores(forward_features(x, state.theta), state.phi_w, state.phi_b)
+    return forward_eval(x, state)
 
 
 def _ce_forward(x, targets, coeff, state: ModelState, head: bool) -> LowerPass:

@@ -128,7 +128,3 @@ def headline_means(reports: list[MetricsReport], last_e: int) -> dict[str, float
         "acc": float(np.mean([r.acc for r in reports])),
         "min_recall": float(np.mean([min(r.per_class_recall) for r in reports])),
     }
-
-
-def save_confusion_csv(cm: np.ndarray, path) -> None:
-    np.savetxt(path, np.asarray(cm, dtype=np.int64), fmt="%d", delimiter=",")

@@ -246,11 +246,11 @@ def forward_eval(x: np.ndarray, state: ModelState, use_ema: bool = False) -> np.
     attractor is never read. The extractor runs in row blocks
     (forward_features); the classifier product is one whole matmul, since
     splitting it changes bits at small class counts."""
-    if use_ema:
-        z = forward_features(x, state.ema_theta)
-        return classifier_scores(z, state.ema_phi_w, state.ema_phi_b)
-    z = forward_features(x, state.theta)
-    return classifier_scores(z, state.phi_w, state.phi_b)
+    theta, phi_w, phi_b = (
+        (state.ema_theta, state.ema_phi_w, state.ema_phi_b) if use_ema
+        else (state.theta, state.phi_w, state.phi_b)
+    )
+    return classifier_scores(forward_features(x, theta), phi_w, phi_b)
 
 
 def ema_update(state: ModelState, decay: float) -> ModelState:

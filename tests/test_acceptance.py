@@ -192,7 +192,8 @@ def test_criterion_8_second_order_overhead():
         8,
         result["ratio"] <= 2.0,
         f"backward-on-backward / full lower backward = {result['ratio']:.2f} "
-        f"(claimed <= 1.0, asserted with 2x timer margin); classifier holds "
+        f"(claimed <= 1.0, asserted with 2x timer margin), / l2ac's lower backward "
+        f"= {result['ratio_l2ac']:.2f} (not asserted); classifier holds "
         f"{result['params_ratio']:.1%} of parameters",
     )
 

@@ -148,7 +148,7 @@ class TestTrainCommand:
         cfg = write_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0
         run = tmp_path / "run"
-        for name in ("metrics.json", "trace.csv", "ckpt_final.npz", "config.yaml", "confusion.csv"):
+        for name in ("metrics.json", "trace.csv", "ckpt_final.npz", "config.yaml"):
             assert (run / name).exists(), name
         payload = json.loads((run / "metrics.json").read_text())
         assert payload["mode"] == "l2ac"
@@ -216,7 +216,7 @@ class TestTrainCommand:
         harness.run_train(config)
         run = tmp_path / "run"
         before = {p.name: p.read_bytes() for p in run.iterdir()}
-        assert len(before) == 5
+        assert len(before) == 4
         config.train.alpha = -1.0
         with pytest.raises(ValueError, match="^alpha must be > 0, got -1.0$"):
             harness.run_train(config, force=True)

@@ -142,6 +142,38 @@ def test_perfbench_spans_fire(tmp_path):
     assert sorted(tracer.installed - set(tracer.names)) == []
 
 
+def test_perfbench_blocks_leave_the_evaluation_out(tmp_path):
+    # us_per_iter reads the training time between evaluation-hook calls; a
+    # path whose hook escaped the patched `evaluate` name would give its
+    # cells one block each, with every evaluation inside
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import tracer as tracer_mod
+        import worker
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    import biasadapt.benchmark
+    import biasadapt.harness
+
+    pkg = biasadapt
+    tracer = tracer_mod.Tracer()
+    try:
+        worker.install_entry(tracer, pkg)
+        pkg.harness.run_train(pkg.harness.config_from_dict({
+            "seed": 3,
+            "data": {"dim": 5, "num_classes": 3, "test_per_class": 10},
+            "train": {"iters": 6, "batch_n": 6, "batch_m": 6, "balanced_n": 6,
+                      "extractor_hidden": [8], "feature_dim": 4, "attractor_hidden": 4},
+            "eval": {"interval": 2, "last_e": 1, "out_dir": str(tmp_path / "run")},
+        }))
+        pkg.benchmark.run_benchmark(pkg.benchmark.BenchmarkSettings(
+            seeds=(1,), scenarios=("matched",), iters=6, eval_interval=2, last_e=1))
+    finally:
+        tracer.restore()
+    cells = worker.training_cells(tracer, 2)
+    assert [len(cell["blocks"]) for cell in cells] == [3] * 5
+
+
 @pytest.mark.parametrize(
     "script,args",
     [
@@ -181,3 +213,18 @@ def test_compare_schedules_smoke():
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["constant", "theorem_f"]
     assert not any("nan" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "modes", [["l2ac"], ["baseline", "l2ac", "fixmatch"], ["baseline", "baseline", "l2ac"]]
+)
+def test_run_benchmark_refuses_modes_the_criteria_cannot_score(tmp_path, modes):
+    out = tmp_path / "bench.json"
+    proc = run_script(
+        "run_benchmark.py", "--seeds", "1", "--scenarios", "matched", "--iters", "100",
+        "--modes", *modes, "--out", str(out),
+    )
+    assert proc.returncode != 0
+    assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
+    assert proc.stdout == ""
+    assert not out.exists()
