@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Compare the constant learning-rate pair against the decaying schedule
 (alpha_t = c1/t, eta_t = c2/sqrt(t)) on one benchmark dataset, plotting-free:
-prints headline metrics and the upper-loss tail mean for each."""
+prints headline metrics and the upper-loss tail mean for each. Exits 2, with
+one `error:` line, when an argument is refused."""
 
 import argparse
 import sys
@@ -27,9 +28,6 @@ def main() -> int:
     args = parser.parse_args()
 
     settings = BenchmarkSettings(iters=args.iters)
-    if args.iters < settings.eval_interval:
-        sys.exit(f"error: --iters {args.iters} is below the evaluation interval "
-                 f"{settings.eval_interval}, so no run would be evaluated")
     d_l, d_u, d_test = build_benchmark_data(settings, args.scenario, args.seed)
 
     for label, overrides in (
@@ -37,9 +35,12 @@ def main() -> int:
         ("theorem_f", {"schedule": "theorem_f", "c1": args.c1, "c2": args.c2}),
     ):
         config = replace(benchmark_train_config(settings, "l2ac", args.seed), **overrides)
-        result, traces = run_single(
-            config, d_l, d_u, d_test, settings.eval_interval, settings.last_e
-        )
+        try:
+            result, traces = run_single(
+                config, d_l, d_u, d_test, settings.eval_interval, settings.last_e
+            )
+        except ValueError as exc:
+            parser.exit(2, f"error: {exc}\n")
         upper_tail = float(np.mean(traces["upper_loss"][-200:]))
         print(
             f"{label:10s} bACC {result['bacc']:.4f} GM {result['gm']:.4f} "

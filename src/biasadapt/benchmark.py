@@ -33,7 +33,6 @@ class BenchmarkSettings:
     test_per_class: int = 250
     seeds: tuple = (1, 2, 3, 4, 5)
     scenarios: tuple = SCENARIOS
-    modes: tuple = BENCH_MODES
     iters: int = 4000
     eval_interval: int = 100
     last_e: int = 20
@@ -139,7 +138,9 @@ def run_single(
     """Train one mode; returns its cell and its trace. The cell holds the
     headline numbers: the mean over the last `last_e` EMA evaluations of
     balanced accuracy, recall geometric mean, plain accuracy, and worst
-    per-class recall."""
+    per-class recall. Raises before training when no evaluation would be made."""
+    if not 1 <= eval_interval <= config.iters:
+        raise ValueError(f"evaluation interval {eval_interval} is outside 1..{config.iters} iterations")
     reports = []
 
     def hook(iteration, state):
@@ -156,26 +157,66 @@ def run_single(
     return cell, traces
 
 
-def run_benchmark(settings: BenchmarkSettings, progress=None) -> dict:
-    """Run every (scenario, seed, mode) cell sequentially. Returns
-    {"cells": {scenario: {mode: [per-seed dicts]}}, "criteria": ...}."""
-    cells: dict = {}
-    for scenario in settings.scenarios:
-        cells[scenario] = {mode: [] for mode in settings.modes}
-        for seed in settings.seeds:
-            d_l, d_u, d_test = build_benchmark_data(settings, scenario, seed)
-            for mode in settings.modes:
-                config = benchmark_train_config(settings, mode, seed)
-                result = run_single(
-                    config, d_l, d_u, d_test, settings.eval_interval, settings.last_e
-                )[0]
-                cells[scenario][mode].append(result)
-                if progress is not None:
-                    progress(
-                        f"{scenario:9s} seed {seed} {mode:16s} "
-                        f"bACC {result['bacc']:.4f} GM {result['gm']:.4f} "
-                        f"min-recall {result['min_recall']:.4f}"
-                    )
+def _run_group(settings: BenchmarkSettings, scenario: str, seed: int) -> list[dict]:
+    """One (scenario, seed) group: its datasets, then every mode's cell in
+    BENCH_MODES order."""
+    d_l, d_u, d_test = build_benchmark_data(settings, scenario, seed)
+    return [
+        run_single(
+            benchmark_train_config(settings, mode, seed), d_l, d_u, d_test,
+            settings.eval_interval, settings.last_e,
+        )[0]
+        for mode in BENCH_MODES
+    ]
+
+
+def _pooled_groups(settings: BenchmarkSettings, groups: list, workers: int):
+    """Yields each group's cells in `groups` order, run in `workers`
+    spawn-context processes whose BLAS is pinned to one thread."""
+    import multiprocessing
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+
+    # the workers read the pin when NumPy loads, which is before any
+    # initializer could run; this process's own BLAS has already started
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            scenarios, seeds = zip(*groups)
+            yield from pool.map(_run_group, [settings] * len(groups), scenarios, seeds)
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+def run_benchmark(settings: BenchmarkSettings, progress=None, workers: int = 1) -> dict:
+    """Run every mode of BENCH_MODES in every (scenario, seed) group, in this
+    process or, with `workers` > 1, in that many worker processes; cells merge
+    and progress lines print in scenario -> seed -> mode order either way.
+    Raises before any group trains when the grid is empty or names a seed or
+    scenario twice, and through run_single when no run would be evaluated.
+    Returns {"cells": {scenario: {mode: [per-seed dicts]}}, "criteria": ...}."""
+    for name, values in (("seeds", settings.seeds), ("scenarios", settings.scenarios)):
+        if not values or len(set(values)) < len(values):
+            raise ValueError(f"{name} {tuple(values)}: expected at least one, none named twice")
+    groups = [(scenario, seed) for scenario in settings.scenarios for seed in settings.seeds]
+    if workers > 1:
+        results = _pooled_groups(settings, groups, workers)
+    else:
+        results = (_run_group(settings, *group) for group in groups)
+    cells = {scenario: {mode: [] for mode in BENCH_MODES} for scenario in settings.scenarios}
+    for (scenario, seed), group_cells in zip(groups, results):
+        for cell in group_cells:
+            cells[scenario][cell["mode"]].append(cell)
+            if progress is not None:
+                progress(
+                    f"{scenario:9s} seed {seed} {cell['mode']:16s} "
+                    f"bACC {cell['bacc']:.4f} GM {cell['gm']:.4f} "
+                    f"min-recall {cell['min_recall']:.4f}"
+                )
     return {"cells": cells, "criteria": evaluate_criteria(cells, settings)}
 
 
@@ -207,19 +248,13 @@ def evaluate_criteria(cells: dict, settings: BenchmarkSettings) -> dict:
             "b_pass": wins_min >= need,
         }
     aggregate = {
-        mode: float(np.mean([np.mean([r["bacc"] for r in cells[sc][mode]]) for sc in cells]))
-        for mode in next(iter(cells.values()))
+        mode: float(np.mean([out[sc]["mean_bacc"][mode] for sc in cells])) for mode in BENCH_MODES
     }
     ordering = all(
         aggregate["baseline"] < aggregate[mode] < aggregate["l2ac"]
         for mode in ("plain_attractor", "single_level")
-        if mode in aggregate
     )
     out["aggregate_mean_bacc"] = aggregate
     out["c_pass"] = ordering
-    out["all_pass"] = ordering and all(
-        v["a_pass"] and v["b_pass"]
-        for k, v in out.items()
-        if isinstance(v, dict) and "a_pass" in v
-    )
+    out["all_pass"] = ordering and all(out[sc]["a_pass"] and out[sc]["b_pass"] for sc in cells)
     return out

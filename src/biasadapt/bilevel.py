@@ -125,6 +125,10 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
         self.traces = traces
 
+    def __reduce__(self):
+        # pickled whole, so a benchmark worker process can raise it
+        return type(self), (str(self), self.traces)
+
 
 def schedule_rates(config: TrainConfig, t: int) -> tuple[float, float]:
     """(alpha_t, eta_t) for iteration t >= 1: the configured constants, or

@@ -27,14 +27,16 @@ class ImbalanceProfile:
     num_classes: int
 
     def __post_init__(self):
+        # each message starts with its field's name, which a config prefixes
+        # with the field's key path
         if self.kind not in PROFILE_KINDS:
-            raise ValueError(f"unknown profile kind {self.kind!r}")
+            raise ValueError(f"kind: expected one of {PROFILE_KINDS}, got {self.kind!r}")
         if self.gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+            raise ValueError(f"gamma: expected >= 1, got {self.gamma}")
         if self.n1 < 1:
-            raise ValueError(f"n1 must be >= 1, got {self.n1}")
+            raise ValueError(f"n1: expected >= 1, got {self.n1}")
         if self.num_classes < 2:
-            raise ValueError(f"need >= 2 classes, got {self.num_classes}")
+            raise ValueError(f"num_classes: expected >= 2, got {self.num_classes}")
 
 
 def class_counts(profile: ImbalanceProfile) -> np.ndarray:

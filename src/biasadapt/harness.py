@@ -154,8 +154,19 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 def config_from_dict(payload: dict) -> ExperimentConfig:
     config = _from_dict(ExperimentConfig, payload, "")
     config.train.validate()
-    if not config.data.test_csv and config.data.test_per_class < 1:
-        raise ValueError(f"data.test_per_class: expected >= 1, got {config.data.test_per_class!r}")
+    dc = config.data
+    if not dc.labeled_csv:
+        # what the synthetic build would refuse only once the run started
+        for key, low in (("dim", 2), ("num_classes", 2), ("class_separation", 0)):
+            if getattr(dc, key) < low:
+                raise ValueError(f"data.{key}: expected >= {low}, got {getattr(dc, key)!r}")
+        for key in ("labeled_profile", "unlabeled_profile"):
+            try:
+                getattr(dc, key).to_profile(dc.num_classes)
+            except ValueError as exc:
+                raise ValueError(f"data.{key}.{exc}") from None
+    if not dc.test_csv and dc.test_per_class < 1:
+        raise ValueError(f"data.test_per_class: expected >= 1, got {dc.test_per_class!r}")
     for name in ("interval", "last_e", "ckpt_interval"):
         value = getattr(config.eval, name)
         if value < 0:

@@ -2,6 +2,7 @@
 printed pass/fail line each. Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import math
+import os
 import time
 
 import numpy as np
@@ -146,7 +147,7 @@ def test_criterion_6_metric_identities():
 def benchmark_results():
     settings = BenchmarkSettings(class_separation=3.5)
     t0 = time.monotonic()
-    results = run_benchmark(settings)
+    results = run_benchmark(settings, workers=os.cpu_count() or 1)
     results["elapsed"] = time.monotonic() - t0
     results["settings"] = settings
     return results

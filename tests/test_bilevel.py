@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import tracemalloc
 import warnings
 import weakref
@@ -56,10 +57,6 @@ from biasadapt.testing import (
 over_depths = pytest.mark.parametrize(
     "hidden", [(), (3,), (3, 3)], ids=lambda hidden: f"depth{len(hidden)}"
 )
-
-
-def flat(arrays):
-    return np.concatenate([a.ravel() for a in arrays])
 
 
 class TestSchedules:
@@ -154,9 +151,9 @@ class TestLowerStep:
         problem = make_small_problem(make_rng(3))
         work = copy_state(problem.state)
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
-        before = flat(work.lower_arrays()).copy()
+        before = flatten_arrays(work.lower_arrays()).copy()
         lower_step(work, res, 0.0)
-        assert np.array_equal(flat(work.lower_arrays()), before)
+        assert np.array_equal(flatten_arrays(work.lower_arrays()), before)
 
     def test_zero_gradients_no_change(self):
         problem = make_small_problem(make_rng(4))
@@ -164,9 +161,9 @@ class TestLowerStep:
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
         for g in res.grads:
             g[...] = 0.0
-        before = flat(work.lower_arrays()).copy()
+        before = flatten_arrays(work.lower_arrays()).copy()
         lower_step(work, res, 0.1)
-        assert np.array_equal(flat(work.lower_arrays()), before)
+        assert np.array_equal(flatten_arrays(work.lower_arrays()), before)
 
     def test_sgd_step_hand_arithmetic(self):
         problem = make_small_problem(make_rng(5))
@@ -235,9 +232,9 @@ class TestOmegaStep:
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
         rec = lower_step(work, res, problem.alpha)
         _, upper_grad = upper_loss(problem.bal_x, problem.bal_y, work)
-        before = flat(work.omega_arrays()).copy()
+        before = flatten_arrays(work.omega_arrays()).copy()
         omega_step(work, rec, upper_grad, eta=0.0)
-        assert np.array_equal(flat(work.omega_arrays()), before)
+        assert np.array_equal(flatten_arrays(work.omega_arrays()), before)
 
     def test_zero_upper_gradient_no_change(self):
         problem = make_small_problem(make_rng(11))
@@ -245,9 +242,9 @@ class TestOmegaStep:
         res = lower_loss(problem.x_l, problem.y_l, problem.pseudo, work)
         rec = lower_step(work, res, problem.alpha)
         zero_grad = [np.zeros_like(work.phi_w), np.zeros_like(work.phi_b)]
-        before = flat(work.omega_arrays()).copy()
+        before = flatten_arrays(work.omega_arrays()).copy()
         hyper = omega_step(work, rec, zero_grad, eta=0.7)
-        assert np.array_equal(flat(work.omega_arrays()), before)
+        assert np.array_equal(flatten_arrays(work.omega_arrays()), before)
         assert all(np.all(h == 0.0) for h in hyper)
 
     def test_stale_cache_rejected(self):
@@ -327,9 +324,9 @@ def test_three_routes_agree_on_every_accepted_axis(
     logits = 3.0 * rng.standard_normal((len(pseudo), problem.state.num_classes))
     y_hat, lam = assign_pseudo_labels(logits, tau, lambda_u, pseudo_mode, rng.uniform(0.2, 1.0))
     problem = dataclasses.replace(problem, pseudo=PseudoBatch(pseudo.x_strong, y_hat, lam))
-    a = flat(unrolled_hypergrad(problem))
-    assert relative_diff(a, flat(omega_grad_closed_form(problem))) < 1e-6
-    assert relative_diff(a, flat(hypergrad_fd(problem))) < 1e-5
+    a = flatten_arrays(unrolled_hypergrad(problem))
+    assert relative_diff(a, flatten_arrays(omega_grad_closed_form(problem))) < 1e-6
+    assert relative_diff(a, flatten_arrays(hypergrad_fd(problem))) < 1e-5
 
 
 class TestClosedFormOracle:
@@ -348,8 +345,8 @@ class TestClosedFormOracle:
                 n_labeled=int(rng.integers(1, 7)),
                 n_unlabeled=int(rng.integers(0, 7)),
             )
-            a = flat(unrolled_hypergrad(problem))
-            b = flat(omega_grad_closed_form(problem))
+            a = flatten_arrays(unrolled_hypergrad(problem))
+            b = flatten_arrays(omega_grad_closed_form(problem))
             worst = max(worst, relative_diff(a, b))
         assert worst < 1e-6
 
@@ -358,8 +355,8 @@ class TestClosedFormOracle:
         worst = 0.0
         for _ in range(3):
             problem = make_small_problem(rng)
-            a = flat(unrolled_hypergrad(problem))
-            c = flat(hypergrad_fd(problem))
+            a = flatten_arrays(unrolled_hypergrad(problem))
+            c = flatten_arrays(hypergrad_fd(problem))
             worst = max(worst, relative_diff(a, c))
         assert worst < 1e-5
 
@@ -437,7 +434,7 @@ class TestClosedFormOracle:
         np.testing.assert_allclose(got[3], expected_b2, rtol=1e-12)
 
         unrolled = unrolled_hypergrad(problem)
-        assert relative_diff(flat(unrolled), flat(got)) < 1e-12
+        assert relative_diff(flatten_arrays(unrolled), flatten_arrays(got)) < 1e-12
 
     def test_update_moves_head_output_along_g(self):
         # per-sample: applying the update from sample i alone moves the head
@@ -555,6 +552,9 @@ class TestTrainLoop:
         traces = excinfo.value.traces
         assert traces.dtype == TRACE_DTYPE and not traces.flags.writeable
         assert traces["iter"].tolist() == [1, 2, 3, 4]
+        # a benchmark worker process raises it in the parent whole
+        again = pickle.loads(pickle.dumps(excinfo.value))
+        assert str(again) == str(excinfo.value) and np.array_equal(again.traces, traces)
 
     def test_head_step_blowup_names_grad_norm_omega(self):
         # driven by the config alone: this eta throws the head out in its

@@ -136,6 +136,30 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"eval.{key}: expected >= 0, got -2"):
             config_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("dim",), 1, r"data\.dim: expected >= 2, got 1"),
+            (("num_classes",), 1, r"data\.num_classes: expected >= 2, got 1"),
+            (("class_separation",), -0.5, r"data\.class_separation: expected >= 0, got -0\.5"),
+            (("unlabeled_profile", "gamma"), 0.5,
+             r"data\.unlabeled_profile\.gamma: expected >= 1, got 0\.5"),
+            (("labeled_profile", "kind"), "foo",
+             r"data\.labeled_profile\.kind: expected one of \(.*\), got 'foo'"),
+            (("labeled_profile", "n1"), 0, r"data\.labeled_profile\.n1: expected >= 1, got 0"),
+        ],
+    )
+    def test_bad_synthetic_data_rejected_with_its_key(self, tmp_path, path, value, message):
+        payload = tiny_config_dict(tmp_path)
+        section = payload["data"]
+        for key in path[:-1]:
+            # a copy: tiny_config_dict shares the profile mappings of TINY_DATA
+            section[key] = dict(section[key])
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config_from_dict(payload)
+
     def test_bad_mode_rejected(self, tmp_path):
         payload = tiny_config_dict(tmp_path)
         payload["train"]["mode"] = "turbo"

@@ -24,7 +24,7 @@ from biasadapt.model import (
     save_checkpoint,
 )
 from biasadapt.numcore import make_rng
-from biasadapt.testing import grad_check, make_small_problem
+from biasadapt.testing import flatten_arrays, grad_check, make_small_problem, unflatten_like
 
 
 class TestInit:
@@ -87,19 +87,16 @@ class TestForwardFeatures:
         x = problem.x_l
         v = rng.standard_normal((x.shape[0], state.feature_dim))
         arrays = [a for pair in state.theta for a in pair]
-        flat0 = np.concatenate([a.ravel() for a in arrays])
+        flat0 = flatten_arrays(arrays)
 
         def f(flat):
             work = copy_state(state)
             w_arrays = [a for pair in work.theta for a in pair]
-            start = 0
-            for arr in w_arrays:
-                arr[...] = flat[start : start + arr.size].reshape(arr.shape)
-                start += arr.size
+            for arr, value in zip(w_arrays, unflatten_like(flat, w_arrays)):
+                arr[...] = value
             z, cache = features_with_cache(x, work.theta)
             grads = features_backward(cache, work.theta, v)
-            flat_grad = np.concatenate([g.ravel() for g in grads])
-            return float((z * v).sum()), flat_grad
+            return float((z * v).sum()), flatten_arrays(grads)
 
         assert grad_check(f, flat0) < 1e-6
 

@@ -183,11 +183,23 @@ def test_perfbench_blocks_leave_the_evaluation_out(tmp_path):
 )
 def test_experiment_scripts_refuse_runs_with_no_evaluation(tmp_path, script, args):
     proc = run_script(script, *args, "--iters", "50", cwd=tmp_path)
-    assert proc.returncode != 0
-    assert proc.stderr == (
-        "error: --iters 50 is below the evaluation interval 100, so no run would be evaluated\n"
-    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: evaluation interval 100 is outside 1..50 iterations\n"
+    assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--seeds", "1", "1"], ["--scenarios", "matched", "matched"], ["--modes", "baseline", "l2ac"]],
+)
+def test_run_benchmark_refuses_a_grid_before_training(tmp_path, args):
+    out = tmp_path / "bench.json"
+    proc = run_script("run_benchmark.py", "--iters", "100", *args, "--out", str(out))
+    assert proc.returncode == 2
+    assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_run_benchmark_smoke(tmp_path):
@@ -213,18 +225,3 @@ def test_compare_schedules_smoke():
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["constant", "theorem_f"]
     assert not any("nan" in line for line in lines)
-
-
-@pytest.mark.parametrize(
-    "modes", [["l2ac"], ["baseline", "l2ac", "fixmatch"], ["baseline", "baseline", "l2ac"]]
-)
-def test_run_benchmark_refuses_modes_the_criteria_cannot_score(tmp_path, modes):
-    out = tmp_path / "bench.json"
-    proc = run_script(
-        "run_benchmark.py", "--seeds", "1", "--scenarios", "matched", "--iters", "100",
-        "--modes", *modes, "--out", str(out),
-    )
-    assert proc.returncode != 0
-    assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
-    assert proc.stdout == ""
-    assert not out.exists()
