@@ -29,7 +29,7 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from biasadapt.benchmark import BENCH_MODES
+from biasadapt.bilevel import MODES
 from biasadapt.harness import config_from_dict, run_train
 
 ARTIFACTS = ("trace.csv", "metrics.json", "ckpt_final.npz")
@@ -90,7 +90,7 @@ def output_digests(iters: int):
         }
     with tempfile.TemporaryDirectory() as tmp:
         for label, base in configs.items():
-            for mode in BENCH_MODES:
+            for mode in MODES:
                 out = Path(tmp) / f"{label}_{mode}"
                 payload = copy.deepcopy(base)
                 payload["train"].update(mode=mode, iters=iters)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilevel import TrainConfig, train
+from .bilevel import MODES, TrainConfig, train
 from .data import (
     Dataset, ImbalanceProfile, class_counts, one_hot, split_counts, synth_gaussian_mixture
 )
@@ -18,7 +18,6 @@ from .metrics import balanced_accuracy, confusion, evaluate, headline_means
 from .numcore import log_softmax, make_rng, weighted_ce
 
 SCENARIOS = ("matched", "uniform", "reversed")
-BENCH_MODES = ("baseline", "plain_attractor", "single_level", "l2ac")
 
 
 @dataclass
@@ -138,9 +137,12 @@ def run_single(
     """Train one mode; returns its cell and its trace. The cell holds the
     headline numbers: the mean over the last `last_e` EMA evaluations of
     balanced accuracy, recall geometric mean, plain accuracy, and worst
-    per-class recall. Raises before training when no evaluation would be made."""
+    per-class recall. Raises before training when no evaluation would be made
+    or `last_e` is negative."""
     if not 1 <= eval_interval <= config.iters:
         raise ValueError(f"evaluation interval {eval_interval} is outside 1..{config.iters} iterations")
+    if last_e < 0:
+        raise ValueError(f"last_e: expected >= 0, got {last_e!r}")
     reports = []
 
     def hook(iteration, state):
@@ -159,14 +161,14 @@ def run_single(
 
 def _run_group(settings: BenchmarkSettings, scenario: str, seed: int) -> list[dict]:
     """One (scenario, seed) group: its datasets, then every mode's cell in
-    BENCH_MODES order."""
+    MODES order."""
     d_l, d_u, d_test = build_benchmark_data(settings, scenario, seed)
     return [
         run_single(
             benchmark_train_config(settings, mode, seed), d_l, d_u, d_test,
             settings.eval_interval, settings.last_e,
         )[0]
-        for mode in BENCH_MODES
+        for mode in MODES
     ]
 
 
@@ -193,21 +195,25 @@ def _pooled_groups(settings: BenchmarkSettings, groups: list, workers: int):
 
 
 def run_benchmark(settings: BenchmarkSettings, progress=None, workers: int = 1) -> dict:
-    """Run every mode of BENCH_MODES in every (scenario, seed) group, in this
+    """Run every mode of MODES in every (scenario, seed) group, in this
     process or, with `workers` > 1, in that many worker processes; cells merge
     and progress lines print in scenario -> seed -> mode order either way.
-    Raises before any group trains when the grid is empty or names a seed or
-    scenario twice, and through run_single when no run would be evaluated.
+    Raises before any group trains when the grid is empty, names a seed or
+    scenario twice or a scenario outside SCENARIOS, and through run_single
+    when no run would be evaluated.
     Returns {"cells": {scenario: {mode: [per-seed dicts]}}, "criteria": ...}."""
     for name, values in (("seeds", settings.seeds), ("scenarios", settings.scenarios)):
         if not values or len(set(values)) < len(values):
             raise ValueError(f"{name} {tuple(values)}: expected at least one, none named twice")
+    for scenario in settings.scenarios:
+        if scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
     groups = [(scenario, seed) for scenario in settings.scenarios for seed in settings.seeds]
     if workers > 1:
         results = _pooled_groups(settings, groups, workers)
     else:
         results = (_run_group(settings, *group) for group in groups)
-    cells = {scenario: {mode: [] for mode in BENCH_MODES} for scenario in settings.scenarios}
+    cells = {scenario: {mode: [] for mode in MODES} for scenario in settings.scenarios}
     for (scenario, seed), group_cells in zip(groups, results):
         for cell in group_cells:
             cells[scenario][cell["mode"]].append(cell)
@@ -248,7 +254,7 @@ def evaluate_criteria(cells: dict, settings: BenchmarkSettings) -> dict:
             "b_pass": wins_min >= need,
         }
     aggregate = {
-        mode: float(np.mean([out[sc]["mean_bacc"][mode] for sc in cells])) for mode in BENCH_MODES
+        mode: float(np.mean([out[sc]["mean_bacc"][mode] for sc in cells])) for mode in MODES
     }
     ordering = all(
         aggregate["baseline"] < aggregate[mode] < aggregate["l2ac"]

@@ -41,7 +41,7 @@ from .model import (
 from .numcore import NonFinite, child_seeds, log_softmax, make_rng, weighted_ce
 from .pseudo import PseudoBatch, assign_pseudo_labels, augment
 
-MODES = ("l2ac", "baseline", "plain_attractor", "single_level")
+MODES = ("baseline", "plain_attractor", "single_level", "l2ac")
 SCHEDULES = ("constant", "theorem_f")
 # One trace row per iteration, the columns of trace.csv: `iter`, then the
 # lower and balanced losses (upper_loss is NaN in modes without one) and the

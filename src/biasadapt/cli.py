@@ -4,16 +4,33 @@ Subcommands: gen-data (synthesize a profile-shaped dataset CSV), train (run
 an experiment from a YAML config), eval (score a checkpoint on a test CSV),
 selfcheck (run the executable invariant suite), bench-overhead (time the
 second-order step against a full lower backward), compare (aggregate run
-metrics into a mode table). Flags override config scalars; errors go to
-stderr with a nonzero exit status.
+metrics into a mode table), benchmark (every mode on the desk task against
+matched / uniform / reversed unlabeled profiles, across seeds), schedules
+(constant rates against the decaying schedule on one benchmark dataset).
+Flags override config scalars. A refused argument or a diverged run prints
+one `error:` line to stderr and exits 2; a failed check (selfcheck) or
+criterion (benchmark) exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import time
+from dataclasses import replace
 
+import numpy as np
+
+from .benchmark import (
+    SCENARIOS,
+    BenchmarkSettings,
+    benchmark_train_config,
+    build_benchmark_data,
+    run_benchmark,
+    run_single,
+)
 from .bilevel import MODES, TrainingDiverged
 from .data import PROFILE_KINDS, ImbalanceProfile
 from .harness import (
@@ -64,6 +81,28 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="tabulate bACC/GM mean±std across completed runs")
     c.add_argument("runs", nargs="+")
     c.add_argument("--csv-out", default=None)
+
+    bm = sub.add_parser(
+        "benchmark",
+        help="every mode x scenario x seed on the desk task, the (scenario, seed) "
+        "groups on every core; exit 1 when a criterion fails",
+    )
+    bm.add_argument("--seeds", type=int, nargs="+", default=list(BenchmarkSettings.seeds))
+    bm.add_argument("--iters", type=int, default=BenchmarkSettings.iters)
+    bm.add_argument("--separation", type=float, default=BenchmarkSettings.class_separation)
+    bm.add_argument("--scenarios", nargs="+", default=list(SCENARIOS), choices=SCENARIOS)
+    bm.add_argument("--out", default="runs/benchmark.json")
+
+    s = sub.add_parser(
+        "schedules",
+        help="l2ac with constant rates vs alpha_t = c1/t, eta_t = c2/sqrt(t) "
+        "on one benchmark dataset",
+    )
+    s.add_argument("--scenario", default=SCENARIOS[0], choices=SCENARIOS)
+    s.add_argument("--seed", type=int, default=1)
+    s.add_argument("--iters", type=int, default=BenchmarkSettings.iters)
+    s.add_argument("--c1", type=float, default=1.0, help="alpha_t = c1 / t")
+    s.add_argument("--c2", type=float, default=10.0, help="eta_t = c2 / sqrt(t)")
     return parser
 
 
@@ -131,6 +170,55 @@ def _dispatch(args) -> int:
         if args.csv_out:
             with open(args.csv_out, "w") as fh:
                 fh.write(csv_text)
+        return 0
+
+    if args.command == "benchmark":
+        settings = BenchmarkSettings(
+            seeds=tuple(args.seeds),
+            iters=args.iters,
+            class_separation=args.separation,
+            scenarios=tuple(args.scenarios),
+        )
+        t0 = time.time()
+        results = run_benchmark(settings, progress=print, workers=os.cpu_count() or 1)
+        elapsed = time.time() - t0
+        out_path = resolve_out_dir(args.out)
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        with out_path.open("w") as fh:
+            json.dump(results, fh, indent=2, sort_keys=True)
+        print(f"\nwrote {out_path} ({elapsed:.0f}s)")
+        crit = results["criteria"]
+        for scenario in settings.scenarios:
+            row = crit[scenario]
+            print(
+                f"{scenario:9s} bACC+GM wins {row['wins_bacc_gm']}/{len(settings.seeds)} "
+                f"min-recall wins {row['wins_min_recall']}/{len(settings.seeds)} "
+                f"mean bACC {row['mean_bacc']}"
+            )
+        print(f"aggregate mean bACC: {crit['aggregate_mean_bacc']}")
+        print(f"ablation ordering: {'ok' if crit['c_pass'] else 'VIOLATED'}")
+        print("all criteria:", "PASS" if crit["all_pass"] else "FAIL")
+        return 0 if crit["all_pass"] else 1
+
+    if args.command == "schedules":
+        settings = BenchmarkSettings(iters=args.iters)
+        constant = benchmark_train_config(settings, "l2ac", args.seed)
+        configs = {
+            "constant": constant,
+            "theorem_f": replace(constant, schedule="theorem_f", c1=args.c1, c2=args.c2),
+        }
+        for config in configs.values():
+            config.validate()
+        d_l, d_u, d_test = build_benchmark_data(settings, args.scenario, args.seed)
+        for label, config in configs.items():
+            result, traces = run_single(
+                config, d_l, d_u, d_test, settings.eval_interval, settings.last_e
+            )
+            upper_tail = float(np.mean(traces["upper_loss"][-200:]))
+            print(
+                f"{label:10s} bACC {result['bacc']:.4f} GM {result['gm']:.4f} "
+                f"min-recall {result['min_recall']:.4f} upper-loss tail {upper_tail:.4f}"
+            )
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")

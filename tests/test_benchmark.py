@@ -10,6 +10,7 @@ from biasadapt.benchmark import (
     run_benchmark,
     run_single,
 )
+from biasadapt.bilevel import MODES
 
 SMALL = BenchmarkSettings(seeds=(1,), scenarios=("matched",), iters=100)
 
@@ -35,6 +36,8 @@ def train_calls(monkeypatch):
         (replace(SMALL, scenarios=("matched", "matched")), r"^scenarios \('matched', 'matched'\)"),
         (replace(SMALL, iters=50), r"^evaluation interval 100 is outside 1\.\.50 "),
         (replace(SMALL, eval_interval=0), r"^evaluation interval 0 is outside 1\.\.100 "),
+        (replace(SMALL, scenarios=("matched", "skewed")), r"^unknown scenario 'skewed'"),
+        (replace(SMALL, last_e=-1), r"^last_e: expected >= 0, got -1$"),
     ],
 )
 def test_run_benchmark_refuses_a_grid_before_any_group_trains(train_calls, settings, message):
@@ -62,5 +65,5 @@ def test_worker_processes_give_the_in_process_cells_in_order():
     assert results[2] == results[1]
     assert lines[2] == lines[1]
     assert [line.split()[:3] for line in lines[1]] == [
-        ["matched", "seed", str(seed)] for seed in (1, 2) for _ in benchmark.BENCH_MODES
+        ["matched", "seed", str(seed)] for seed in (1, 2) for _ in MODES
     ]

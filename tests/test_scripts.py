@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args, cwd=None):
+def run_cli(*args, cwd=None):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, timeout=300, cwd=cwd,
+        [sys.executable, "-m", "biasadapt.cli", *args],
+        capture_output=True, text=True, timeout=300, cwd=cwd, env=env,
     )
 
 
@@ -175,14 +178,15 @@ def test_perfbench_blocks_leave_the_evaluation_out(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "script,args",
+    "command,args",
     [
-        ("run_benchmark.py", ["--seeds", "1", "--scenarios", "matched"]),
-        ("compare_schedules.py", []),
+        ("benchmark", ["--seeds", "1", "--scenarios", "matched"]),
+        ("schedules", []),
     ],
+    ids=["run_benchmark.py-args0", "compare_schedules.py-args1"],
 )
-def test_experiment_scripts_refuse_runs_with_no_evaluation(tmp_path, script, args):
-    proc = run_script(script, *args, "--iters", "50", cwd=tmp_path)
+def test_experiment_scripts_refuse_runs_with_no_evaluation(tmp_path, command, args):
+    proc = run_cli(command, *args, "--iters", "50", cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stderr == "error: evaluation interval 100 is outside 1..50 iterations\n"
     assert proc.stdout == ""
@@ -195,7 +199,7 @@ def test_experiment_scripts_refuse_runs_with_no_evaluation(tmp_path, script, arg
 )
 def test_run_benchmark_refuses_a_grid_before_training(tmp_path, args):
     out = tmp_path / "bench.json"
-    proc = run_script("run_benchmark.py", "--iters", "100", *args, "--out", str(out))
+    proc = run_cli("benchmark", "--iters", "100", *args, "--out", str(out))
     assert proc.returncode == 2
     assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
     assert proc.stdout == ""
@@ -204,8 +208,8 @@ def test_run_benchmark_refuses_a_grid_before_training(tmp_path, args):
 
 def test_run_benchmark_smoke(tmp_path):
     out = tmp_path / "bench.json"
-    proc = run_script(
-        "run_benchmark.py", "--seeds", "1", "--scenarios", "matched", "--iters", "100",
+    proc = run_cli(
+        "benchmark", "--seeds", "1", "--scenarios", "matched", "--iters", "100",
         "--out", str(out),
     )
     # one evaluation per run; the pass/fail criteria may go either way
@@ -218,8 +222,27 @@ def test_run_benchmark_smoke(tmp_path):
     assert any(line.startswith("matched   bACC+GM wins ") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        # the worker process's TrainingDiverged reaches main's error rule whole
+        (["benchmark", "--seeds", "1", "--scenarios", "matched", "--iters", "200",
+          "--separation", "1e8"], "iteration 5: non-finite grad_norm_theta (inf)"),
+        # both schedules' configs are validated before either trains
+        (["schedules", "--c1", "-1", "--iters", "100"], "c1 must be > 0, got -1.0"),
+    ],
+    ids=["benchmark-diverges", "schedules-refuses-c1"],
+)
+def test_experiments_fail_with_one_error_line_and_no_output(tmp_path, args, message):
+    proc = run_cli(*args, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_schedules_smoke():
-    proc = run_script("compare_schedules.py", "--iters", "100")
+    proc = run_cli("schedules", "--iters", "100")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
