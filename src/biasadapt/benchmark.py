@@ -11,11 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilevel import MODES, TrainConfig, train
-from .data import (
-    Dataset, ImbalanceProfile, class_counts, one_hot, split_counts, synth_gaussian_mixture
-)
-from .metrics import balanced_accuracy, confusion, evaluate, headline_means
-from .numcore import log_softmax, make_rng, weighted_ce
+from .data import Dataset, ImbalanceProfile, class_counts, split_counts, synth_gaussian_mixture
+from .metrics import evaluate, headline_means
+from .numcore import make_rng
 
 SCENARIOS = ("matched", "uniform", "reversed")
 
@@ -100,45 +98,14 @@ def build_benchmark_data(
     return d_l, d_u, d_test
 
 
-def linear_probe_bacc(
-    train_ds: Dataset,
-    test_ds: Dataset,
-    iters: int = 400,
-    lr: float = 0.5,
-    balanced: bool = True,
-) -> float:
-    """Full-batch softmax regression on raw features with true labels; the
-    fully-supervised sanity probe for mixture separability. Per-class
-    balanced weighting by default so the probe measures separability rather
-    than inheriting the pool's imbalance."""
-    x = train_ds.features
-    truth = train_ds.true_labels
-    k = train_ds.num_classes
-    y = one_hot(truth, k)
-    if balanced:
-        counts = np.bincount(truth, minlength=k).astype(np.float64)
-        weights = (1.0 / (k * counts))[truth]
-    else:
-        weights = np.full(x.shape[0], 1.0 / x.shape[0])
-    w = np.zeros((x.shape[1], k))
-    b = np.zeros(k)
-    for _ in range(iters):
-        _, _, d = weighted_ce(log_softmax(x @ w + b), y, weights)
-        w -= lr * (x.T @ d)
-        b -= lr * d.sum(axis=0)
-    preds = (test_ds.features @ w + b).argmax(axis=1)
-    return balanced_accuracy(confusion(test_ds.true_labels, preds, test_ds.num_classes))
-
-
 def run_single(
     config: TrainConfig, d_l: Dataset, d_u: Dataset, d_test: Dataset,
     eval_interval: int, last_e: int,
-) -> tuple[dict, np.ndarray]:
-    """Train one mode; returns its cell and its trace. The cell holds the
-    headline numbers: the mean over the last `last_e` EMA evaluations of
-    balanced accuracy, recall geometric mean, plain accuracy, and worst
-    per-class recall. Raises before training when no evaluation would be made
-    or `last_e` is negative."""
+) -> dict:
+    """Train one mode; returns its cell, the headline numbers: the mean over
+    the last `last_e` EMA evaluations of balanced accuracy, recall geometric
+    mean, plain accuracy, and worst per-class recall. Raises before training
+    when no evaluation would be made or `last_e` is negative."""
     if not 1 <= eval_interval <= config.iters:
         raise ValueError(f"evaluation interval {eval_interval} is outside 1..{config.iters} iterations")
     if last_e < 0:
@@ -148,15 +115,14 @@ def run_single(
     def hook(iteration, state):
         reports.append(evaluate(state, d_test, use_ema=True, distribution=False))
 
-    _, traces = train(config, d_l, d_u, eval_hook=hook, eval_interval=eval_interval)
-    cell = {
+    train(config, d_l, d_u, eval_hook=hook, eval_interval=eval_interval)
+    return {
         "mode": config.mode,
         "seed": config.seed,
         **headline_means(reports, last_e),
         "final_bacc": reports[-1].bacc,
         "evals": len(reports),
     }
-    return cell, traces
 
 
 def _run_group(settings: BenchmarkSettings, scenario: str, seed: int) -> list[dict]:
@@ -167,7 +133,7 @@ def _run_group(settings: BenchmarkSettings, scenario: str, seed: int) -> list[di
         run_single(
             benchmark_train_config(settings, mode, seed), d_l, d_u, d_test,
             settings.eval_interval, settings.last_e,
-        )[0]
+        )
         for mode in MODES
     ]
 
@@ -199,12 +165,15 @@ def run_benchmark(settings: BenchmarkSettings, progress=None, workers: int = 1) 
     process or, with `workers` > 1, in that many worker processes; cells merge
     and progress lines print in scenario -> seed -> mode order either way.
     Raises before any group trains when the grid is empty, names a seed or
-    scenario twice or a scenario outside SCENARIOS, and through run_single
-    when no run would be evaluated.
+    scenario twice, a negative seed or a scenario outside SCENARIOS, and
+    through run_single when no run would be evaluated.
     Returns {"cells": {scenario: {mode: [per-seed dicts]}}, "criteria": ...}."""
     for name, values in (("seeds", settings.seeds), ("scenarios", settings.scenarios)):
         if not values or len(set(values)) < len(values):
             raise ValueError(f"{name} {tuple(values)}: expected at least one, none named twice")
+    for seed in settings.seeds:
+        if seed < 0:
+            raise ValueError(f"seeds: expected >= 0, got {seed!r}")
     for scenario in settings.scenarios:
         if scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")

@@ -42,7 +42,6 @@ from .numcore import NonFinite, child_seeds, log_softmax, make_rng, weighted_ce
 from .pseudo import PseudoBatch, assign_pseudo_labels, augment
 
 MODES = ("baseline", "plain_attractor", "single_level", "l2ac")
-SCHEDULES = ("constant", "theorem_f")
 # One trace row per iteration, the columns of trace.csv: `iter`, then the
 # lower and balanced losses (upper_loss is NaN in modes without one) and the
 # norms of the extractor and classifier gradients the lower step took and of
@@ -64,9 +63,6 @@ class TrainConfig:
     balanced_n: int = 64
     iters: int = 4000
     ema_decay: float = 0.999
-    schedule: str = "constant"
-    c1: float = 1.0
-    c2: float = 1.0
     lambda_bal: float = 1.0
     pseudo_mode: str = "hard"
     pseudo_source: str = "plain"
@@ -82,12 +78,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         # written as `not value > bound` so that NaN fails
         positive = ["alpha", "eta"]
-        if self.schedule == "theorem_f":
-            positive += ["c1", "c2"]
         if self.pseudo_mode == "sharpen":
             positive.append("sharpen_temperature")
         for name in positive:
@@ -128,16 +120,6 @@ class TrainingDiverged(RuntimeError):
     def __reduce__(self):
         # pickled whole, so a benchmark worker process can raise it
         return type(self), (str(self), self.traces)
-
-
-def schedule_rates(config: TrainConfig, t: int) -> tuple[float, float]:
-    """(alpha_t, eta_t) for iteration t >= 1: the configured constants, or
-    the decaying pair (c1/t, c2/sqrt(t))."""
-    if t < 1:
-        raise ValueError(f"iteration must be >= 1, got {t}")
-    if config.schedule == "constant":
-        return config.alpha, config.eta
-    return config.c1 / t, config.c2 / math.sqrt(t)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +360,6 @@ def train(
         steps, EMA; returns its trace row. Every batch, cache and gradient
         is a local here, so none is alive when the eval hook runs or the
         next batch is drawn."""
-        alpha_t, eta_t = schedule_rates(config, t)
-
         l_idx = _sample_rows(batch_rng, len(d_l), config.batch_n)
         x_l = x_all_l[l_idx]
         y_l = y_all_l[l_idx]
@@ -411,13 +391,13 @@ def train(
             for g, b in zip(rec.grads, bal_grads):
                 g += config.lambda_bal * b
 
-        lower_step(state, rec, alpha_t)
+        lower_step(state, rec, config.alpha)
 
         if hyper:
             upper_val, upper_grad = upper_loss(bal_x, bal_y, state)
-            head_grads = omega_step(state, rec, upper_grad, eta_t)
+            head_grads = omega_step(state, rec, upper_grad, config.eta)
         elif head:
-            _SGD.step(state.omega_arrays(), head_grads, alpha_t)
+            _SGD.step(state.omega_arrays(), head_grads, config.alpha)
 
         # upper_loss is NaN by definition in modes without a balanced loss;
         # a finite sum of squares means every gradient entry is finite

@@ -5,9 +5,8 @@ an experiment from a YAML config), eval (score a checkpoint on a test CSV),
 selfcheck (run the executable invariant suite), bench-overhead (time the
 second-order step against a full lower backward), compare (aggregate run
 metrics into a mode table), benchmark (every mode on the desk task against
-matched / uniform / reversed unlabeled profiles, across seeds), schedules
-(constant rates against the decaying schedule on one benchmark dataset).
-Flags override config scalars. A refused argument or a diverged run prints
+matched / uniform / reversed unlabeled profiles, across seeds). Flags
+override config scalars. A refused argument or a diverged run prints
 one `error:` line to stderr and exits 2; a failed check (selfcheck) or
 criterion (benchmark) exits 1.
 """
@@ -19,18 +18,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
-import numpy as np
-
-from .benchmark import (
-    SCENARIOS,
-    BenchmarkSettings,
-    benchmark_train_config,
-    build_benchmark_data,
-    run_benchmark,
-    run_single,
-)
+from .benchmark import SCENARIOS, BenchmarkSettings, run_benchmark
 from .bilevel import MODES, TrainingDiverged
 from .data import PROFILE_KINDS, ImbalanceProfile
 from .harness import (
@@ -92,17 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--separation", type=float, default=BenchmarkSettings.class_separation)
     bm.add_argument("--scenarios", nargs="+", default=list(SCENARIOS), choices=SCENARIOS)
     bm.add_argument("--out", default="runs/benchmark.json")
-
-    s = sub.add_parser(
-        "schedules",
-        help="l2ac with constant rates vs alpha_t = c1/t, eta_t = c2/sqrt(t) "
-        "on one benchmark dataset",
-    )
-    s.add_argument("--scenario", default=SCENARIOS[0], choices=SCENARIOS)
-    s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--iters", type=int, default=BenchmarkSettings.iters)
-    s.add_argument("--c1", type=float, default=1.0, help="alpha_t = c1 / t")
-    s.add_argument("--c2", type=float, default=10.0, help="eta_t = c2 / sqrt(t)")
     return parser
 
 
@@ -179,10 +157,17 @@ def _dispatch(args) -> int:
             class_separation=args.separation,
             scenarios=tuple(args.scenarios),
         )
+        # refused before the grid trains, so a bad path loses no results;
+        # nothing is created until they are written
+        out_path = resolve_out_dir(args.out)
+        if out_path.is_dir():
+            raise ValueError(f"--out {out_path}: is a directory")
+        ancestor = next(p for p in out_path.parents if p.exists())
+        if not ancestor.is_dir():
+            raise ValueError(f"--out {out_path}: {ancestor} is not a directory")
         t0 = time.time()
         results = run_benchmark(settings, progress=print, workers=os.cpu_count() or 1)
         elapsed = time.time() - t0
-        out_path = resolve_out_dir(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         with out_path.open("w") as fh:
             json.dump(results, fh, indent=2, sort_keys=True)
@@ -199,27 +184,6 @@ def _dispatch(args) -> int:
         print(f"ablation ordering: {'ok' if crit['c_pass'] else 'VIOLATED'}")
         print("all criteria:", "PASS" if crit["all_pass"] else "FAIL")
         return 0 if crit["all_pass"] else 1
-
-    if args.command == "schedules":
-        settings = BenchmarkSettings(iters=args.iters)
-        constant = benchmark_train_config(settings, "l2ac", args.seed)
-        configs = {
-            "constant": constant,
-            "theorem_f": replace(constant, schedule="theorem_f", c1=args.c1, c2=args.c2),
-        }
-        for config in configs.values():
-            config.validate()
-        d_l, d_u, d_test = build_benchmark_data(settings, args.scenario, args.seed)
-        for label, config in configs.items():
-            result, traces = run_single(
-                config, d_l, d_u, d_test, settings.eval_interval, settings.last_e
-            )
-            upper_tail = float(np.mean(traces["upper_loss"][-200:]))
-            print(
-                f"{label:10s} bACC {result['bacc']:.4f} GM {result['gm']:.4f} "
-                f"min-recall {result['min_recall']:.4f} upper-loss tail {upper_tail:.4f}"
-            )
-        return 0
 
     raise ValueError(f"unknown command {args.command!r}")
 

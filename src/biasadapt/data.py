@@ -102,9 +102,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def per_class_counts(self) -> np.ndarray:
-        return np.bincount(self.true_labels, minlength=self.num_classes)
-
 
 def class_means_on_sphere(num_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """K unit vectors from the rng stream; orthonormalized (modified

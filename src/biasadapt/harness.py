@@ -275,6 +275,8 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
     if metrics_path.exists() and not force:
         raise FileExistsError(f"{metrics_path} exists; pass --force to overwrite")
 
+    if config.seed < 0:
+        raise ValueError(f"seed: expected >= 0, got {config.seed!r}")
     # master seed child 0 drives data synthesis (build_datasets); child 1
     # seeds the trainer so the two never share a stream. Any train.seed the
     # config carries is overwritten here: it is derived, not read.

@@ -50,10 +50,6 @@ class ModelState:
         return self.phi_b.size
 
     @property
-    def feature_dim(self) -> int:
-        return self.phi_w.shape[0]
-
-    @property
     def attractor_hidden(self) -> int:
         return self.omega_b1.size
 

@@ -1,12 +1,12 @@
 """Dense float64 training kernel: softmax, cross-entropy, RNG.
 
-`weighted_ce` is the one cross-entropy kernel: training calls it directly on
-log-probabilities, and `cross_entropy` is its validating entry (finiteness,
-shapes, target rows, weights). `softmax` and `log_softmax` check only their
-shape and do not scan for non-finite values: a NaN or inf input comes out as
-NaN rows, which training's per-iteration loss and gradient-norm checks report
-as divergence. Randomness everywhere in the package flows through explicitly
-passed `numpy.random.Generator` instances backed by PCG64, so a seed fully
+`weighted_ce` is the one cross-entropy kernel; every caller, training and
+selfcheck's finite-difference check included, applies it to `log_softmax`
+rows. `softmax` and `log_softmax` check only their shape and do not scan for
+non-finite values: a NaN or inf input comes out as NaN rows, which training's
+per-iteration loss and gradient-norm checks report as divergence. Randomness
+everywhere in the package flows through explicitly passed
+`numpy.random.Generator` instances backed by PCG64, so a seed fully
 determines every stream.
 """
 
@@ -35,15 +35,6 @@ class NonFinite(ValueError):
 def ensure_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFinite(f"non-finite {name}")
-
-
-def as_matrix(arr, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array and check finiteness."""
-    out = np.asarray(arr, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    ensure_finite(name, out)
-    return out
 
 
 def safe_log(x: np.ndarray) -> np.ndarray:
@@ -85,39 +76,3 @@ def weighted_ce(
     d_logits = coeff[:, None] * (p - targets)
     return loss, p, d_logits
 
-
-def cross_entropy(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Weighted-mean cross-entropy between softmax(logits) and target rows:
-    `weighted_ce` with coeff = weights / batch, after validation.
-
-    loss = (1/batch) * sum_i weights[i] * (-sum_k targets[i,k] * log p[i,k])
-
-    Returns (loss, grad) where grad[i] = weights[i] * (p[i] - targets[i]) / batch,
-    the exact analytic gradient of the loss w.r.t. the logits.
-
-    Target rows must be probability vectors (sum to 1 within 1e-9); weights
-    must be non-negative. weights=None means all ones.
-    """
-    logits = as_matrix(logits, "logits")
-    targets = as_matrix(targets, "targets")
-    if logits.shape != targets.shape:
-        raise ValueError(f"shape mismatch: logits {logits.shape} vs targets {targets.shape}")
-    batch = logits.shape[0]
-    if weights is None:
-        weights = np.ones(batch)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (batch,):
-        raise ValueError(f"weights must have shape ({batch},), got {weights.shape}")
-    if np.any(weights < 0):
-        raise ValueError("negative weights")
-    row_sums = targets.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-9):
-        bad = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise ValueError(f"target row {bad} sums to {row_sums[bad]!r}, not 1")
-
-    loss, _, grad = weighted_ce(log_softmax(logits), targets, weights / batch)
-    return loss, grad

@@ -8,7 +8,7 @@ import numpy as np
 
 from .bilevel import lower_loss, lower_step, omega_step, upper_loss
 from .model import copy_state, forward_eval, forward_train
-from .numcore import cross_entropy, make_rng, softmax
+from .numcore import log_softmax, make_rng, softmax, weighted_ce
 from .pseudo import PseudoBatch
 from .testing import (
     flatten_arrays,
@@ -31,9 +31,10 @@ def check_cross_entropy_grad(rng) -> Check:
         batch, k = int(rng.integers(1, 8)), int(rng.integers(2, 10))
         targets = rng.dirichlet(np.ones(k), size=batch)
         x0 = rng.standard_normal(batch * k)
+        coeff = np.full(batch, 1.0 / batch)
 
         def f(flat):
-            loss, grad = cross_entropy(flat.reshape(batch, k), targets)
+            loss, _, grad = weighted_ce(log_softmax(flat.reshape(batch, k)), targets, coeff)
             return loss, grad.ravel()
 
         worst = max(worst, grad_check(f, x0))

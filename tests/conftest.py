@@ -1,6 +1,11 @@
 import tracemalloc
 
+import numpy as np
 import pytest
+
+from biasadapt.data import Dataset, one_hot
+from biasadapt.metrics import balanced_accuracy, confusion
+from biasadapt.numcore import log_softmax, weighted_ce
 
 
 @pytest.fixture
@@ -21,3 +26,36 @@ def alloc_peak():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def linear_probe_bacc():
+    """Balanced accuracy on test_ds of a full-batch softmax regression fitted
+    to train_ds's raw features and true labels: the fully-supervised sanity
+    probe for mixture separability. Per-class balanced weighting by default,
+    so the probe measures separability rather than inheriting the pool's
+    imbalance."""
+
+    def probe(
+        train_ds: Dataset, test_ds: Dataset, iters: int = 400, lr: float = 0.5,
+        balanced: bool = True,
+    ) -> float:
+        x = train_ds.features
+        truth = train_ds.true_labels
+        k = train_ds.num_classes
+        y = one_hot(truth, k)
+        if balanced:
+            counts = np.bincount(truth, minlength=k).astype(np.float64)
+            weights = (1.0 / (k * counts))[truth]
+        else:
+            weights = np.full(x.shape[0], 1.0 / x.shape[0])
+        w = np.zeros((x.shape[1], k))
+        b = np.zeros(k)
+        for _ in range(iters):
+            _, _, d = weighted_ce(log_softmax(x @ w + b), y, weights)
+            w -= lr * (x.T @ d)
+            b -= lr * d.sum(axis=0)
+        preds = (test_ds.features @ w + b).argmax(axis=1)
+        return balanced_accuracy(confusion(test_ds.true_labels, preds, test_ds.num_classes))
+
+    return probe

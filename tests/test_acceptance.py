@@ -11,7 +11,6 @@ import pytest
 from biasadapt.benchmark import (
     BenchmarkSettings,
     build_benchmark_data,
-    linear_probe_bacc,
     run_benchmark,
 )
 from biasadapt.data import (
@@ -154,7 +153,7 @@ def benchmark_results():
 
 
 @pytest.mark.slow
-def test_criterion_7_desk_scale_benchmark(benchmark_results):
+def test_criterion_7_desk_scale_benchmark(benchmark_results, linear_probe_bacc):
     settings = benchmark_results["settings"]
 
     probe_floor = 1.0

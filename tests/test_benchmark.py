@@ -38,6 +38,7 @@ def train_calls(monkeypatch):
         (replace(SMALL, eval_interval=0), r"^evaluation interval 0 is outside 1\.\.100 "),
         (replace(SMALL, scenarios=("matched", "skewed")), r"^unknown scenario 'skewed'"),
         (replace(SMALL, last_e=-1), r"^last_e: expected >= 0, got -1$"),
+        (replace(SMALL, seeds=(1, -100)), r"^seeds: expected >= 0, got -100$"),
     ],
 )
 def test_run_benchmark_refuses_a_grid_before_any_group_trains(train_calls, settings, message):

@@ -21,7 +21,6 @@ from biasadapt.bilevel import (
     lower_step,
     omega_step,
     pseudo_label_logits,
-    schedule_rates,
     train,
     upper_loss,
     write_trace_csv,
@@ -59,22 +58,6 @@ over_depths = pytest.mark.parametrize(
 )
 
 
-class TestSchedules:
-    def test_theorem_schedule_values(self):
-        cfg = TrainConfig(schedule="theorem_f", c1=1.0, c2=1.0)
-        assert schedule_rates(cfg, 4) == (0.25, 0.5)
-        assert schedule_rates(cfg, 1) == (1.0, 1.0)
-
-    def test_constant_schedule(self):
-        cfg = TrainConfig(alpha=0.3, eta=0.01)
-        for t in (1, 10, 1000):
-            assert schedule_rates(cfg, t) == (0.3, 0.01)
-
-    def test_iteration_must_be_positive(self):
-        with pytest.raises(ValueError, match="iteration"):
-            schedule_rates(TrainConfig(), 0)
-
-
 class TestValidate:
     @pytest.mark.parametrize(
         "overrides,message",
@@ -83,7 +66,6 @@ class TestValidate:
             ({"eta": math.nan}, "eta must be > 0, got nan"),
             ({"lambda_u": math.nan}, "lambda_u must be >= 0, got nan"),
             ({"lambda_bal": math.nan}, "lambda_bal must be >= 0, got nan"),
-            ({"schedule": "theorem_f", "c1": math.nan}, "c1 must be > 0, got nan"),
             ({"pseudo_mode": "sharpen", "sharpen_temperature": math.nan},
              "sharpen_temperature must be > 0, got nan"),
         ],
@@ -92,9 +74,6 @@ class TestValidate:
         # the CLI rejects a NaN while reading the YAML; this is the library path
         with pytest.raises(ValueError, match=f"^{message}$"):
             TrainConfig(**overrides).validate()
-
-    def test_theorem_rates_unchecked_under_the_constant_schedule(self):
-        TrainConfig(c1=0.0, c2=math.nan).validate()
 
 
 class TestLowerLoss:
@@ -601,13 +580,6 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="by message only") as excinfo:
             train(quick_config(iters=5), d_l, d_u)
         assert not isinstance(excinfo.value, TrainingDiverged)
-
-    def test_theorem_schedule_runs(self):
-        d_l, d_u = desk_datasets()
-        _, traces = train(
-            quick_config(schedule="theorem_f", c1=0.5, c2=0.1, iters=10), d_l, d_u
-        )
-        assert len(traces) == 10
 
     def test_no_unlabeled_data_supported(self):
         d_l, _ = desk_datasets()

@@ -79,7 +79,7 @@ class TestSynthMixture:
     def test_counts_bookkeeping(self):
         ds = synth_gaussian_mixture(2, 2, 1.0, [5, 5], make_rng(0))
         assert len(ds) == 10
-        assert ds.per_class_counts().tolist() == [5, 5]
+        assert np.bincount(ds.true_labels, minlength=2).tolist() == [5, 5]
         assert np.array_equal(ds.labels, ds.true_labels)
 
     def test_zero_separation_indistinguishable(self):
@@ -92,17 +92,13 @@ class TestSynthMixture:
         ]
         assert max(mean_norms) < 0.5
 
-    def test_separated_classes_probe(self):
-        from biasadapt.benchmark import linear_probe_bacc
-
+    def test_separated_classes_probe(self, linear_probe_bacc):
         ds = synth_gaussian_mixture(4, 8, 8.0, [100] * 4, make_rng(2))
         test = synth_gaussian_mixture(4, 8, 8.0, [100] * 4, make_rng(2))
         assert linear_probe_bacc(ds, test) >= 0.99
 
-    def test_probe_pinned_value(self):
+    def test_probe_pinned_value(self, linear_probe_bacc):
         # pinned figures: a change to the shared cross-entropy kernel must not move them
-        from biasadapt.benchmark import linear_probe_bacc
-
         rng = make_rng(5)
         pool = synth_gaussian_mixture(3, 4, 1.0, [240, 220, 210], rng)
         train_ds, test_ds = split_counts(
@@ -168,8 +164,8 @@ class TestSplits:
         counts_u = class_counts(ImbalanceProfile("reversed_longtail", 100.0, 50, 4))
         pool = synth_gaussian_mixture(4, 4, 2.0, counts_l + counts_u, make_rng(7))
         d_l, d_u = split_counts(pool, [counts_l, counts_u], [True, False], make_rng(8))
-        lc = d_l.per_class_counts()
-        uc = d_u.per_class_counts()
+        lc = np.bincount(d_l.true_labels, minlength=4)
+        uc = np.bincount(d_u.true_labels, minlength=4)
         assert lc[0] == lc.max() and uc[3] == uc.max()
         assert lc[0] == 50 and uc[3] == 50
 

@@ -85,7 +85,7 @@ class TestForwardFeatures:
         problem = make_small_problem(rng, hidden=(3, 3))
         state = problem.state
         x = problem.x_l
-        v = rng.standard_normal((x.shape[0], state.feature_dim))
+        v = rng.standard_normal((x.shape[0], state.phi_w.shape[0]))
         arrays = [a for pair in state.theta for a in pair]
         flat0 = flatten_arrays(arrays)
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from biasadapt.numcore import (
     LOG_FLOOR,
     NonFinite,
-    cross_entropy,
     log_softmax,
     make_rng,
     safe_log,
@@ -33,17 +32,7 @@ class TestSoftmax:
         out = softmax(np.array([[1.0, 2.0, 3.0]]))
         np.testing.assert_allclose(out[0], SOFTMAX_123, rtol=1e-15)
 
-    def test_rejects_nonfinite(self):
-        # the training kernels do not scan; cross_entropy is the checked entry
-        target = np.array([[1.0, 0.0]])
-        with pytest.raises(ValueError, match="non-finite logits"):
-            cross_entropy(np.array([[np.nan, 0.0]]), target)
-        with pytest.raises(ValueError, match="non-finite logits"):
-            cross_entropy(np.array([[np.inf, 0.0]]), target)
-
     def test_nonfinite_input_raises_nonfinite(self):
-        with pytest.raises(NonFinite):
-            cross_entropy(np.array([[np.inf, 0.0]]), np.array([[1.0, 0.0]]))
         assert issubclass(NonFinite, ValueError)
         # unchecked, a non-finite row comes out as a NaN row and leaves the
         # other rows alone, so a training loss built on it is NaN
@@ -79,25 +68,28 @@ class TestSoftmax:
 
 
 class TestCrossEntropy:
+    # weighted_ce on log_softmax rows, with coeff = weights / batch: the
+    # weighted-mean cross-entropy every caller computes
     def test_perfect_prediction(self):
-        loss, _ = cross_entropy(np.array([[30.0, -30.0]]), np.array([[1.0, 0.0]]))
+        logp = log_softmax(np.array([[30.0, -30.0]]))
+        loss, _, _ = weighted_ce(logp, np.array([[1.0, 0.0]]), np.ones(1))
         assert abs(loss) < 1e-9
 
     def test_zero_weights_zero_everything(self):
         logits = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 2.0]])
         targets = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        loss, grad = cross_entropy(logits, targets, np.zeros(2))
+        loss, _, grad = weighted_ce(log_softmax(logits), targets, np.zeros(2))
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
     def test_reference_value_and_fd(self):
         logits = np.array([[1.0, 2.0, 3.0]])
         targets = np.array([[0.0, 0.0, 1.0]])
-        loss, _ = cross_entropy(logits, targets)
+        loss, _, _ = weighted_ce(log_softmax(logits), targets, np.ones(1))
         assert abs(loss - CE_123) < 1e-14
 
         def f(flat):
-            value, grad = cross_entropy(flat.reshape(1, 3), targets)
+            value, _, grad = weighted_ce(log_softmax(flat.reshape(1, 3)), targets, np.ones(1))
             return value, grad.ravel()
 
         assert grad_check(f, logits.ravel()) < 1e-6
@@ -108,27 +100,9 @@ class TestCrossEntropy:
         rng = make_rng(7)
         logits = rng.standard_normal((5, 4))
         targets = rng.dirichlet(np.ones(4), size=5)
-        _, grad = cross_entropy(logits, targets)
+        _, _, grad = weighted_ce(log_softmax(logits), targets, np.full(5, 1.0 / 5))
         expected = 0.2 * (np.exp(log_softmax(logits)) - targets)
         assert np.array_equal(grad, expected)
-
-    def test_is_the_training_kernel(self):
-        rng = make_rng(8)
-        logits = rng.standard_normal((6, 5))
-        targets = rng.dirichlet(np.ones(5), size=6)
-        weights = rng.uniform(0, 2, size=6)
-        loss, grad = cross_entropy(logits, targets, weights)
-        k_loss, _, k_grad = weighted_ce(log_softmax(logits), targets, weights / 6)
-        assert loss == k_loss
-        assert np.array_equal(grad, k_grad)
-
-    def test_rejects_bad_target_rows(self):
-        with pytest.raises(ValueError, match="sums to"):
-            cross_entropy(np.zeros((1, 2)), np.array([[0.5, 0.6]]))
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError, match="negative"):
-            cross_entropy(np.zeros((1, 2)), np.array([[1.0, 0.0]]), np.array([-1.0]))
 
     def test_gradient_fd_random_instances(self):
         rng = make_rng(123)
@@ -137,11 +111,11 @@ class TestCrossEntropy:
             batch = int(rng.integers(1, 9))
             k = int(rng.integers(2, 11))
             targets = rng.dirichlet(np.ones(k), size=batch)
-            weights = rng.uniform(0, 2, size=batch)
+            coeff = rng.uniform(0, 2, size=batch) / batch
             x0 = rng.standard_normal(batch * k)
 
             def f(flat):
-                value, grad = cross_entropy(flat.reshape(batch, k), targets, weights)
+                value, _, grad = weighted_ce(log_softmax(flat.reshape(batch, k)), targets, coeff)
                 return value, grad.ravel()
 
             worst = max(worst, grad_check(f, x0))

@@ -181,9 +181,8 @@ def test_perfbench_blocks_leave_the_evaluation_out(tmp_path):
     "command,args",
     [
         ("benchmark", ["--seeds", "1", "--scenarios", "matched"]),
-        ("schedules", []),
     ],
-    ids=["run_benchmark.py-args0", "compare_schedules.py-args1"],
+    ids=["run_benchmark.py-args0"],
 )
 def test_experiment_scripts_refuse_runs_with_no_evaluation(tmp_path, command, args):
     proc = run_cli(command, *args, "--iters", "50", cwd=tmp_path)
@@ -228,10 +227,8 @@ def test_run_benchmark_smoke(tmp_path):
         # the worker process's TrainingDiverged reaches main's error rule whole
         (["benchmark", "--seeds", "1", "--scenarios", "matched", "--iters", "200",
           "--separation", "1e8"], "iteration 5: non-finite grad_norm_theta (inf)"),
-        # both schedules' configs are validated before either trains
-        (["schedules", "--c1", "-1", "--iters", "100"], "c1 must be > 0, got -1.0"),
     ],
-    ids=["benchmark-diverges", "schedules-refuses-c1"],
+    ids=["benchmark-diverges"],
 )
 def test_experiments_fail_with_one_error_line_and_no_output(tmp_path, args, message):
     proc = run_cli(*args, cwd=tmp_path)
@@ -241,10 +238,23 @@ def test_experiments_fail_with_one_error_line_and_no_output(tmp_path, args, mess
     assert list(tmp_path.iterdir()) == []
 
 
-def test_compare_schedules_smoke():
-    proc = run_cli("schedules", "--iters", "100")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    lines = proc.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["constant", "theorem_f"]
-    assert not any("nan" in line for line in lines)
+@pytest.mark.parametrize("taken_by", ["directory", "file"])
+def test_benchmark_refuses_an_out_it_cannot_write_before_training(tmp_path, taken_by):
+    # --out names a directory, or a path under a file: refused before the
+    # grid trains, and nothing is created
+    taken = tmp_path / "taken"
+    if taken_by == "directory":
+        taken.mkdir()
+        out, reason = taken, "is a directory"
+    else:
+        taken.write_text("")
+        out, reason = taken / "sub" / "bench.json", f"{taken} is not a directory"
+    proc = run_cli(
+        "benchmark", "--seeds", "1", "--scenarios", "matched", "--iters", "100",
+        "--out", str(out),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: --out {out}: {reason}\n"
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.is_file() or list(taken.iterdir()) == []
