@@ -269,14 +269,20 @@ def final_pseudo_recall(config: TrainConfig, state, d_u: Dataset | None):
     return pseudo_label_recall(d_u.true_labels, y_hat, lam)
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative master seed by name, before anything is written;
+    numpy's own refusal names neither the seed nor the flag."""
+    if seed < 0:
+        raise ValueError(f"seed: expected >= 0, got {seed!r}")
+
+
 def run_train(config: ExperimentConfig, force: bool = False) -> dict:
     out_dir = resolve_out_dir(config.eval.out_dir)
     metrics_path = out_dir / "metrics.json"
     if metrics_path.exists() and not force:
         raise FileExistsError(f"{metrics_path} exists; pass --force to overwrite")
 
-    if config.seed < 0:
-        raise ValueError(f"seed: expected >= 0, got {config.seed!r}")
+    check_seed(config.seed)
     # master seed child 0 drives data synthesis (build_datasets); child 1
     # seeds the trainer so the two never share a stream. Any train.seed the
     # config carries is overwritten here: it is derived, not read.
@@ -376,6 +382,7 @@ def run_gen_data(
 ) -> dict:
     """Synthesize one fully labeled dataset following the profile and write
     data.csv plus a counts summary."""
+    check_seed(seed)
     out = resolve_out_dir(str(out_dir))
     target = out / "data.csv"
     if target.exists() and not force:
@@ -408,6 +415,7 @@ def bench_overhead(config: ExperimentConfig, reps: int = 30) -> dict:
     and the one l2ac's training loop runs, which skips the head's lower
     gradient (`ratio_l2ac`). Also the parameter-count ratio that motivates
     the head-only unroll."""
+    check_seed(config.seed)
     tc = config.train
     rng = make_rng(config.seed)
     k = config.data.num_classes

@@ -507,6 +507,30 @@ class TestTrainLoop:
             assert len(traces) == 10
             assert np.isfinite(traces["lower_loss"]).all()
 
+    @pytest.mark.parametrize("mode", ["l2ac", "baseline", "plain_attractor", "single_level"])
+    def test_every_step_uses_the_configured_rates(self, monkeypatch, mode):
+        # constant rates: each lower step (and each plain SGD head step) moves
+        # by config.alpha, and each l2ac head step by config.eta, every iteration
+        alphas, etas = [], []
+        real_sgd, real_omega = bilevel.LowerOptimizer.step, bilevel.omega_step
+
+        def sgd(self, arrays, grads, alpha):
+            alphas.append(alpha)
+            real_sgd(self, arrays, grads, alpha)
+
+        def omega(state, rec, upper_grad, eta):
+            etas.append(eta)
+            return real_omega(state, rec, upper_grad, eta)
+
+        monkeypatch.setattr(bilevel.LowerOptimizer, "step", sgd)
+        monkeypatch.setattr(bilevel, "omega_step", omega)
+        d_l, d_u = desk_datasets()
+        config = quick_config(mode=mode, iters=7, alpha=0.03, eta=0.01)
+        train(config, d_l, d_u)
+        sgd_steps = 2 if mode in ("plain_attractor", "single_level") else 1
+        assert alphas == [0.03] * (7 * sgd_steps)
+        assert etas == ([0.01] * 7 if mode == "l2ac" else [])
+
     def test_trainer_never_reads_unlabeled_truth(self):
         d_l, d_u = desk_datasets()
         poisoned = Dataset(

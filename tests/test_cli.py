@@ -467,6 +467,17 @@ class TestGenData:
         assert main(args + ["--force"]) == 0
 
 
+    def test_negative_seed_rejected_before_the_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        rc = main([
+            "gen-data", "--kind", "longtail", "--n1", "50", "--classes", "3",
+            "--seed", "-1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed: expected >= 0, got -1\n"
+        assert not out.exists()
+
+
 class TestEvalCommand:
     def test_eval_checkpoint(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -585,6 +596,15 @@ class TestBenchOverhead:
         assert result["second_order_seconds"] > 0
         assert result["backward_seconds"] > 0
         assert result["phi_params"] < result["total_params"]
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        payload = tiny_config_dict(tmp_path / "run")
+        payload["seed"] = -1
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(yaml.safe_dump(payload))
+        assert main(["bench-overhead", "--config", str(cfg), "--reps", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: seed: expected >= 0, got -1\n")
 
     def test_default_sizes_ratio_bounded(self, tmp_path):
         # default sizes: the head-only second-order step must not exceed one

@@ -104,6 +104,49 @@ class TestCrossEntropy:
         expected = 0.2 * (np.exp(log_softmax(logits)) - targets)
         assert np.array_equal(grad, expected)
 
+    def test_weighted_mean_of_per_row_losses(self):
+        # coeff = weights / batch gives the weighted-mean cross-entropy, row
+        # by row -sum_k targets[i,k] * log p[i,k] scaled by weights[i] / batch
+        rng = make_rng(8)
+        logits = rng.standard_normal((6, 5))
+        targets = rng.dirichlet(np.ones(5), size=6)
+        weights = rng.uniform(0, 2, size=6)
+        loss, _, _ = weighted_ce(log_softmax(logits), targets, weights / 6)
+        rows = [
+            -sum(t * np.log(p) for t, p in zip(targets[i], softmax(logits[i : i + 1])[0]))
+            for i in range(6)
+        ]
+        assert abs(loss - float(np.dot(weights, rows)) / 6) < 1e-12
+
+    def test_probabilities_are_the_softmax(self):
+        rng = make_rng(9)
+        logits = rng.uniform(-20, 20, size=(4, 7))
+        _, p, _ = weighted_ce(log_softmax(logits), softmax(logits), np.ones(4))
+        np.testing.assert_allclose(p, softmax(logits), rtol=1e-12, atol=1e-300)
+
+    def test_loss_and_grad_scale_with_coeff(self):
+        # doubling every coefficient is exact in floating point, so the loss
+        # and the gradient double bit for bit
+        rng = make_rng(10)
+        logp = log_softmax(rng.standard_normal((5, 3)))
+        targets = rng.dirichlet(np.ones(3), size=5)
+        coeff = rng.uniform(0, 1, size=5)
+        loss, _, grad = weighted_ce(logp, targets, coeff)
+        loss2, _, grad2 = weighted_ce(logp, targets, 2.0 * coeff)
+        assert loss2 == 2.0 * loss
+        assert np.array_equal(grad2, 2.0 * grad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_logits_give_a_nan_loss(self, bad):
+        # no scan: the bad row's NaN reaches the loss and its gradient row,
+        # which training reports as divergence; the other row stays finite
+        logits = np.array([[bad, 0.0], [1.0, 2.0]])
+        targets = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with np.errstate(invalid="ignore"):
+            loss, _, grad = weighted_ce(log_softmax(logits), targets, np.full(2, 0.5))
+        assert np.isnan(loss)
+        assert np.isnan(grad[0]).all() and np.isfinite(grad[1]).all()
+
     def test_gradient_fd_random_instances(self):
         rng = make_rng(123)
         worst = 0.0
