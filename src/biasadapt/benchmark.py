@@ -6,16 +6,21 @@ evaluations) plus the pass/fail verdicts the acceptance suite asserts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bilevel import MODES, TrainConfig, train
-from .data import Dataset, ImbalanceProfile, class_counts, split_counts, synth_gaussian_mixture
+from .data import (
+    Dataset, ImbalanceProfile, check_mixture, class_counts, split_counts, synth_gaussian_mixture,
+)
 from .metrics import evaluate, headline_means
 from .numcore import make_rng
 
-SCENARIOS = ("matched", "uniform", "reversed")
+# the unlabeled profile's kind in each scenario; class_counts ignores gamma
+# for uniform
+SCENARIO_KINDS = {"matched": "longtail", "uniform": "uniform", "reversed": "reversed_longtail"}
+SCENARIOS = tuple(SCENARIO_KINDS)
 
 
 @dataclass
@@ -23,10 +28,8 @@ class BenchmarkSettings:
     num_classes: int = 6
     dim: int = 16
     class_separation: float = 3.5
-    labeled_n1: int = 100
-    labeled_gamma: float = 20.0
-    unlabeled_m1: int = 500
-    unlabeled_gamma: float = 20.0
+    labeled_profile: ImbalanceProfile = ImbalanceProfile("longtail", 20.0, 100)
+    unlabeled_profile: ImbalanceProfile = ImbalanceProfile("longtail", 20.0, 500)
     test_per_class: int = 250
     seeds: tuple = (1, 2, 3, 4, 5)
     scenarios: tuple = SCENARIOS
@@ -65,26 +68,14 @@ def benchmark_train_config(settings: BenchmarkSettings, mode: str, seed: int) ->
     )
 
 
-def unlabeled_profile(settings: BenchmarkSettings, scenario: str) -> ImbalanceProfile:
-    k = settings.num_classes
-    if scenario == "matched":
-        return ImbalanceProfile("longtail", settings.unlabeled_gamma, settings.unlabeled_m1, k)
-    if scenario == "uniform":
-        return ImbalanceProfile("uniform", 1.0, settings.unlabeled_m1, k)
-    if scenario == "reversed":
-        return ImbalanceProfile("reversed_longtail", settings.unlabeled_gamma, settings.unlabeled_m1, k)
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
 def build_benchmark_data(
     settings: BenchmarkSettings, scenario: str, seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Per-seed labeled/unlabeled/test datasets drawn from one mixture pool
     so all three share class means."""
-    labeled = class_counts(
-        ImbalanceProfile("longtail", settings.labeled_gamma, settings.labeled_n1, settings.num_classes)
-    )
-    unlabeled = class_counts(unlabeled_profile(settings, scenario))
+    labeled = class_counts(settings.labeled_profile, settings.num_classes)
+    unlabeled_profile = replace(settings.unlabeled_profile, kind=SCENARIO_KINDS[scenario])
+    unlabeled = class_counts(unlabeled_profile, settings.num_classes)
     test = np.full(settings.num_classes, settings.test_per_class, dtype=np.int64)
     rng = make_rng(90_000 + 1000 * seed + SCENARIOS.index(scenario))
     pool = synth_gaussian_mixture(
@@ -165,8 +156,9 @@ def run_benchmark(settings: BenchmarkSettings, progress=None, workers: int = 1) 
     process or, with `workers` > 1, in that many worker processes; cells merge
     and progress lines print in scenario -> seed -> mode order either way.
     Raises before any group trains when the grid is empty, names a seed or
-    scenario twice, a negative seed or a scenario outside SCENARIOS, and
-    through run_single when no run would be evaluated.
+    scenario twice, a negative seed or a scenario outside SCENARIOS, or the
+    mixture is one check_mixture refuses, and through run_single when no run
+    would be evaluated.
     Returns {"cells": {scenario: {mode: [per-seed dicts]}}, "criteria": ...}."""
     for name, values in (("seeds", settings.seeds), ("scenarios", settings.scenarios)):
         if not values or len(set(values)) < len(values):
@@ -177,6 +169,7 @@ def run_benchmark(settings: BenchmarkSettings, progress=None, workers: int = 1) 
     for scenario in settings.scenarios:
         if scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
+    check_mixture(settings.num_classes, settings.dim, settings.class_separation)
     groups = [(scenario, seed) for scenario in settings.scenarios for seed in settings.seeds]
     if workers > 1:
         results = _pooled_groups(settings, groups, workers)

@@ -95,8 +95,10 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "gen-data":
-        profile = ImbalanceProfile(args.kind, args.gamma, args.n1, args.classes)
-        summary = run_gen_data(profile, args.dim, args.separation, args.seed, args.out, args.force)
+        profile = ImbalanceProfile(args.kind, args.gamma, args.n1)
+        summary = run_gen_data(
+            profile, args.classes, args.dim, args.separation, args.seed, args.out, args.force
+        )
         print(json.dumps(summary, sort_keys=True))
         return 0
 

@@ -18,29 +18,38 @@ PROFILE_KINDS = ("longtail", "step", "reversed_longtail", "uniform")
 
 @dataclass(frozen=True)
 class ImbalanceProfile:
-    """Per-class count recipe. gamma is the max/min count ratio, n1 the
-    largest class count, num_classes the number of classes."""
+    """Per-class count recipe, for any class count. gamma is the max/min
+    count ratio, n1 the largest class count. The defaults are a config's, so
+    a config's profile mapping may leave a key out."""
 
-    kind: str
-    gamma: float
-    n1: int
-    num_classes: int
+    kind: str = "longtail"
+    gamma: float = 20.0
+    n1: int = 100
 
     def __post_init__(self):
         # each message starts with its field's name, which a config prefixes
         # with the field's key path
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"kind: expected one of {PROFILE_KINDS}, got {self.kind!r}")
-        if self.gamma < 1.0:
+        if not self.gamma >= 1.0:
             raise ValueError(f"gamma: expected >= 1, got {self.gamma}")
         if self.n1 < 1:
             raise ValueError(f"n1: expected >= 1, got {self.n1}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes: expected >= 2, got {self.num_classes}")
 
 
-def class_counts(profile: ImbalanceProfile) -> np.ndarray:
-    """Per-class sample counts, length num_classes, every entry >= 1.
+def check_mixture(num_classes: int, dim: int, class_separation: float) -> None:
+    """Refuse a Gaussian mixture that synth_gaussian_mixture cannot draw,
+    each message starting with its field's name; a NaN or infinite
+    separation fails."""
+    for name, value, low in (
+        ("num_classes", num_classes, 2), ("dim", dim, 2), ("class_separation", class_separation, 0)
+    ):
+        if not low <= value < math.inf:
+            raise ValueError(f"{name}: expected >= {low}, got {value!r}")
+
+
+def class_counts(profile: ImbalanceProfile, num_classes: int) -> np.ndarray:
+    """Per-class sample counts, length num_classes (>= 2), every entry >= 1.
 
     longtail decays geometrically from n1 at class 0 down to n1/gamma at the
     last class; reversed_longtail is that sequence reversed; step gives the
@@ -48,7 +57,7 @@ def class_counts(profile: ImbalanceProfile) -> np.ndarray:
     Fractional counts are floored (with a 1e-9 guard so exact ratios like
     1500/100 stay exact in floating point) and clamped at 1.
     """
-    k = profile.num_classes
+    k = num_classes
     g = profile.gamma
     n1 = profile.n1
     if profile.kind == "uniform":
@@ -127,13 +136,10 @@ def synth_gaussian_mixture(
 ) -> Dataset:
     """Fully-labeled mixture dataset: class k gets counts[k] rows drawn from an
     isotropic unit-variance Gaussian at class_separation * (unit direction k)."""
+    check_mixture(num_classes, dim, class_separation)
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (num_classes,):
         raise ValueError(f"counts must have length {num_classes}")
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if class_separation < 0:
-        raise ValueError("class_separation must be >= 0")
     means = class_separation * class_means_on_sphere(num_classes, dim, rng)
     features = np.empty((int(counts.sum()), dim))
     start = 0

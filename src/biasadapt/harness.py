@@ -40,6 +40,7 @@ from .data import (
     UNLABELED,
     Dataset,
     ImbalanceProfile,
+    check_mixture,
     class_counts,
     load_csv_dataset,
     one_hot,
@@ -63,24 +64,12 @@ RUN_ARTIFACTS = ("trace.csv", "metrics.json", "config.yaml")
 
 
 @dataclass
-class ProfileSpec:
-    kind: str = "longtail"
-    gamma: float = 20.0
-    n1: int = 100
-
-    def to_profile(self, num_classes: int) -> ImbalanceProfile:
-        return ImbalanceProfile(self.kind, self.gamma, self.n1, num_classes)
-
-
-@dataclass
 class DataConfig:
     dim: int = 16
     num_classes: int = 6
     class_separation: float = 3.0
-    labeled_profile: ProfileSpec = field(default_factory=ProfileSpec)
-    unlabeled_profile: ProfileSpec = field(
-        default_factory=lambda: ProfileSpec(kind="longtail", gamma=20.0, n1=500)
-    )
+    labeled_profile: ImbalanceProfile = ImbalanceProfile()
+    unlabeled_profile: ImbalanceProfile = ImbalanceProfile(n1=500)
     test_per_class: int = 250
     labeled_csv: str | None = None
     unlabeled_csv: str | None = None
@@ -142,7 +131,12 @@ def _from_dict(cls, payload: dict, path: str):
             kwargs[name] = _number(fields[name], value, sub)
         else:
             kwargs[name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        # a nested record (ImbalanceProfile) checks itself when built, naming
+        # only its field
+        raise ValueError(f"{path}.{exc}") from None
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -157,14 +151,10 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     dc = config.data
     if not dc.labeled_csv:
         # what the synthetic build would refuse only once the run started
-        for key, low in (("dim", 2), ("num_classes", 2), ("class_separation", 0)):
-            if getattr(dc, key) < low:
-                raise ValueError(f"data.{key}: expected >= {low}, got {getattr(dc, key)!r}")
-        for key in ("labeled_profile", "unlabeled_profile"):
-            try:
-                getattr(dc, key).to_profile(dc.num_classes)
-            except ValueError as exc:
-                raise ValueError(f"data.{key}.{exc}") from None
+        try:
+            check_mixture(dc.num_classes, dc.dim, dc.class_separation)
+        except ValueError as exc:
+            raise ValueError(f"data.{exc}") from None
     if not dc.test_csv and dc.test_per_class < 1:
         raise ValueError(f"data.test_per_class: expected >= 1, got {dc.test_per_class!r}")
     for name in ("interval", "last_e", "ckpt_interval"):
@@ -243,8 +233,8 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset | None, D
         return d_l, d_u, d_test
     data_seed = child_seeds(config.seed, 2)[0]
     rng = make_rng(data_seed)
-    labeled = class_counts(dc.labeled_profile.to_profile(dc.num_classes))
-    unlabeled = class_counts(dc.unlabeled_profile.to_profile(dc.num_classes))
+    labeled = class_counts(dc.labeled_profile, dc.num_classes)
+    unlabeled = class_counts(dc.unlabeled_profile, dc.num_classes)
     test = np.full(dc.num_classes, dc.test_per_class, dtype=np.int64)
     pool = synth_gaussian_mixture(
         dc.num_classes, dc.dim, dc.class_separation, labeled + unlabeled + test, rng
@@ -374,6 +364,7 @@ def run_eval(ckpt_path, test_csv, use_ema: bool = True) -> MetricsReport:
 
 def run_gen_data(
     profile: ImbalanceProfile,
+    num_classes: int,
     dim: int,
     class_separation: float,
     seed: int,
@@ -381,17 +372,17 @@ def run_gen_data(
     force: bool = False,
 ) -> dict:
     """Synthesize one fully labeled dataset following the profile and write
-    data.csv plus a counts summary."""
+    data.csv plus a counts summary. Refuses a bad seed or mixture before it
+    creates out_dir."""
     check_seed(seed)
+    check_mixture(num_classes, dim, class_separation)
     out = resolve_out_dir(str(out_dir))
     target = out / "data.csv"
     if target.exists() and not force:
         raise FileExistsError(f"{target} exists; pass --force to overwrite")
     out.mkdir(parents=True, exist_ok=True)
-    counts = class_counts(profile)
-    ds = synth_gaussian_mixture(
-        profile.num_classes, dim, class_separation, counts, make_rng(seed)
-    )
+    counts = class_counts(profile, num_classes)
+    ds = synth_gaussian_mixture(num_classes, dim, class_separation, counts, make_rng(seed))
     save_csv_dataset(ds, target)
     summary = {
         "counts": [int(c) for c in counts],
@@ -414,8 +405,11 @@ def bench_overhead(config: ExperimentConfig, reps: int = 30) -> dict:
     gradient included, as plain_attractor and single_level run it (`ratio`),
     and the one l2ac's training loop runs, which skips the head's lower
     gradient (`ratio_l2ac`). Also the parameter-count ratio that motivates
-    the head-only unroll."""
+    the head-only unroll. Refuses a negative seed or reps < 1 before it
+    times anything."""
     check_seed(config.seed)
+    if reps < 1:
+        raise ValueError(f"reps: expected >= 1, got {reps!r}")
     tc = config.train
     rng = make_rng(config.seed)
     k = config.data.num_classes

@@ -92,11 +92,11 @@ def test_criterion_4_residual_and_removal_identities():
 
 
 def test_criterion_5_dataset_recipes():
-    counts = class_counts(ImbalanceProfile("longtail", 100.0, 1500, 10))
+    counts = class_counts(ImbalanceProfile("longtail", 100.0, 1500), 10)
     endpoints_ok = counts[0] == 1500 and counts[-1] == 15 and counts[0] / counts[-1] == 100.0
 
-    lt = class_counts(ImbalanceProfile("longtail", 20.0, 100, 6))
-    rev = class_counts(ImbalanceProfile("reversed_longtail", 20.0, 100, 6))
+    lt = class_counts(ImbalanceProfile("longtail", 20.0, 100), 6)
+    rev = class_counts(ImbalanceProfile("reversed_longtail", 20.0, 100), 6)
     reversed_ok = rev.tolist() == lt.tolist()[::-1]
 
     ds = synth_gaussian_mixture(5, 4, 2.0, [9, 7, 5, 3, 1], make_rng(11))

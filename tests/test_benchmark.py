@@ -1,9 +1,13 @@
+import dataclasses
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from biasadapt import benchmark
 from biasadapt.benchmark import (
+    SCENARIO_KINDS,
     BenchmarkSettings,
     benchmark_train_config,
     build_benchmark_data,
@@ -11,6 +15,9 @@ from biasadapt.benchmark import (
     run_single,
 )
 from biasadapt.bilevel import MODES
+from biasadapt.harness import DataConfig, load_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL = BenchmarkSettings(seeds=(1,), scenarios=("matched",), iters=100)
 
@@ -39,6 +46,9 @@ def train_calls(monkeypatch):
         (replace(SMALL, scenarios=("matched", "skewed")), r"^unknown scenario 'skewed'"),
         (replace(SMALL, last_e=-1), r"^last_e: expected >= 0, got -1$"),
         (replace(SMALL, seeds=(1, -100)), r"^seeds: expected >= 0, got -100$"),
+        (replace(SMALL, dim=1), r"^dim: expected >= 2, got 1$"),
+        (replace(SMALL, class_separation=-1.0), r"^class_separation: expected >= 0, got -1\.0$"),
+        (replace(SMALL, class_separation=math.nan), r"^class_separation: expected >= 0, got nan$"),
     ],
 )
 def test_run_benchmark_refuses_a_grid_before_any_group_trains(train_calls, settings, message):
@@ -68,3 +78,22 @@ def test_worker_processes_give_the_in_process_cells_in_order():
     assert [line.split()[:3] for line in lines[1]] == [
         ["matched", "seed", str(seed)] for seed in (1, 2) for _ in MODES
     ]
+
+
+def test_example_config_is_the_benchmarks_reversed_l2ac_cell():
+    # the desk task is stated twice, in configs/example.yaml and in
+    # BenchmarkSettings with benchmark_train_config; this keeps them equal
+    config = load_config(ROOT / "configs" / "example.yaml")
+    settings = BenchmarkSettings()
+    # run_train derives the train seed from the master seed
+    train = dataclasses.asdict(benchmark_train_config(settings, "l2ac", config.train.seed))
+    assert dataclasses.asdict(config.train) == train
+    assert config.data == DataConfig(
+        dim=settings.dim,
+        num_classes=settings.num_classes,
+        class_separation=settings.class_separation,
+        labeled_profile=settings.labeled_profile,
+        unlabeled_profile=replace(settings.unlabeled_profile, kind=SCENARIO_KINDS["reversed"]),
+        test_per_class=settings.test_per_class,
+    )
+    assert (config.eval.interval, config.eval.last_e) == (settings.eval_interval, settings.last_e)

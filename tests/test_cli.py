@@ -466,15 +466,26 @@ class TestGenData:
         assert main(args) == 2
         assert main(args + ["--force"]) == 0
 
-
-    def test_negative_seed_rejected_before_the_out_dir(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--seed", "-1"], "seed: expected >= 0, got -1"),
+            (["--dim", "1"], "dim: expected >= 2, got 1"),
+            (["--classes", "1"], "num_classes: expected >= 2, got 1"),
+            (["--separation", "-1"], "class_separation: expected >= 0, got -1.0"),
+            (["--separation", "inf"], "class_separation: expected >= 0, got inf"),
+            (["--gamma", "nan"], "gamma: expected >= 1, got nan"),
+        ],
+        ids=["seed", "dim", "classes", "separation", "infinite-separation", "gamma"],
+    )
+    def test_bad_flag_rejected_before_the_out_dir(self, tmp_path, capsys, flags, message):
         out = tmp_path / "gen"
         rc = main([
             "gen-data", "--kind", "longtail", "--n1", "50", "--classes", "3",
-            "--seed", "-1", "--out", str(out),
+            *flags, "--out", str(out),
         ])
         assert rc == 2
-        assert capsys.readouterr().err == "error: seed: expected >= 0, got -1\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 
@@ -597,14 +608,19 @@ class TestBenchOverhead:
         assert result["backward_seconds"] > 0
         assert result["phi_params"] < result["total_params"]
 
-    def test_negative_seed_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "seed,reps,message",
+        [(-1, 5, "seed: expected >= 0, got -1"), (7, 0, "reps: expected >= 1, got 0")],
+        ids=["seed", "reps"],
+    )
+    def test_bad_input_rejected(self, tmp_path, capsys, seed, reps, message):
         payload = tiny_config_dict(tmp_path / "run")
-        payload["seed"] = -1
+        payload["seed"] = seed
         cfg = tmp_path / "config.yaml"
         cfg.write_text(yaml.safe_dump(payload))
-        assert main(["bench-overhead", "--config", str(cfg), "--reps", "5"]) == 2
+        assert main(["bench-overhead", "--config", str(cfg), "--reps", str(reps)]) == 2
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: seed: expected >= 0, got -1\n")
+        assert (out, err) == ("", f"error: {message}\n")
 
     def test_default_sizes_ratio_bounded(self, tmp_path):
         # default sizes: the head-only second-order step must not exceed one

@@ -24,37 +24,36 @@ LONGTAIL_1500_100_10 = [1500, 899, 539, 323, 193, 116, 69, 41, 25, 15]
 
 class TestClassCounts:
     def test_longtail_endpoints(self):
-        profile = ImbalanceProfile("longtail", 100.0, 1500, 10)
-        counts = class_counts(profile)
+        counts = class_counts(ImbalanceProfile("longtail", 100.0, 1500), 10)
         assert counts[0] == 1500
         assert counts[9] == 15
         assert counts[0] / counts[9] == 100.0
 
     def test_longtail_reference_row(self):
-        counts = class_counts(ImbalanceProfile("longtail", 100.0, 1500, 10))
+        counts = class_counts(ImbalanceProfile("longtail", 100.0, 1500), 10)
         assert counts.tolist() == LONGTAIL_1500_100_10
 
     def test_uniform(self):
-        counts = class_counts(ImbalanceProfile("uniform", 1.0, 150, 10))
+        counts = class_counts(ImbalanceProfile("uniform", 1.0, 150), 10)
         assert counts.tolist() == [150] * 10
 
     def test_reversed_is_reverse(self):
-        lt = class_counts(ImbalanceProfile("longtail", 20.0, 100, 6))
-        rev = class_counts(ImbalanceProfile("reversed_longtail", 20.0, 100, 6))
+        lt = class_counts(ImbalanceProfile("longtail", 20.0, 100), 6)
+        rev = class_counts(ImbalanceProfile("reversed_longtail", 20.0, 100), 6)
         assert rev.tolist() == lt.tolist()[::-1]
 
     def test_step_profile(self):
-        counts = class_counts(ImbalanceProfile("step", 10.0, 100, 10))
+        counts = class_counts(ImbalanceProfile("step", 10.0, 100), 10)
         assert counts.tolist() == [100] * 5 + [10] * 5
-        odd = class_counts(ImbalanceProfile("step", 10.0, 100, 5))
+        odd = class_counts(ImbalanceProfile("step", 10.0, 100), 5)
         assert odd.tolist() == [100] * 3 + [10] * 2
 
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
-            ImbalanceProfile("longtail", 0.5, 100, 10)
+            ImbalanceProfile("longtail", 0.5, 100)
 
     def test_min_count_clamped_to_one(self):
-        counts = class_counts(ImbalanceProfile("longtail", 1000.0, 10, 4))
+        counts = class_counts(ImbalanceProfile("longtail", 1000.0, 10), 4)
         assert counts.min() == 1
         assert counts[0] == 10
 
@@ -65,7 +64,7 @@ class TestClassCounts:
         st.integers(min_value=2, max_value=20),
     )
     def test_longtail_monotone_and_ratio(self, gamma, n1, k):
-        counts = class_counts(ImbalanceProfile("longtail", gamma, n1, k))
+        counts = class_counts(ImbalanceProfile("longtail", gamma, n1), k)
         assert counts[0] == n1
         assert np.all(np.diff(counts) <= 0)
         if n1 >= gamma:
@@ -160,8 +159,8 @@ class TestSplits:
 
     def test_reversed_scenario_structure(self):
         # labeled head-heavy, unlabeled tail-heavy
-        counts_l = class_counts(ImbalanceProfile("longtail", 100.0, 50, 4))
-        counts_u = class_counts(ImbalanceProfile("reversed_longtail", 100.0, 50, 4))
+        counts_l = class_counts(ImbalanceProfile("longtail", 100.0, 50), 4)
+        counts_u = class_counts(ImbalanceProfile("reversed_longtail", 100.0, 50), 4)
         pool = synth_gaussian_mixture(4, 4, 2.0, counts_l + counts_u, make_rng(7))
         d_l, d_u = split_counts(pool, [counts_l, counts_u], [True, False], make_rng(8))
         lc = np.bincount(d_l.true_labels, minlength=4)
