@@ -17,8 +17,10 @@ from .data import (
 from .metrics import evaluate, headline_means
 from .numcore import make_rng
 
-# the unlabeled profile's kind in each scenario; class_counts ignores gamma
+LABELED_PROFILE = ImbalanceProfile("longtail", 20.0, 100)
+# a scenario sets the unlabeled profile's kind; class_counts ignores gamma
 # for uniform
+UNLABELED_PROFILE = ImbalanceProfile(n1=500)
 SCENARIO_KINDS = {"matched": "longtail", "uniform": "uniform", "reversed": "reversed_longtail"}
 SCENARIOS = tuple(SCENARIO_KINDS)
 
@@ -28,8 +30,6 @@ class BenchmarkSettings:
     num_classes: int = 6
     dim: int = 16
     class_separation: float = 3.5
-    labeled_profile: ImbalanceProfile = ImbalanceProfile("longtail", 20.0, 100)
-    unlabeled_profile: ImbalanceProfile = ImbalanceProfile("longtail", 20.0, 500)
     test_per_class: int = 250
     seeds: tuple = (1, 2, 3, 4, 5)
     scenarios: tuple = SCENARIOS
@@ -73,8 +73,8 @@ def build_benchmark_data(
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Per-seed labeled/unlabeled/test datasets drawn from one mixture pool
     so all three share class means."""
-    labeled = class_counts(settings.labeled_profile, settings.num_classes)
-    unlabeled_profile = replace(settings.unlabeled_profile, kind=SCENARIO_KINDS[scenario])
+    labeled = class_counts(LABELED_PROFILE, settings.num_classes)
+    unlabeled_profile = replace(UNLABELED_PROFILE, kind=SCENARIO_KINDS[scenario])
     unlabeled = class_counts(unlabeled_profile, settings.num_classes)
     test = np.full(settings.num_classes, settings.test_per_class, dtype=np.int64)
     rng = make_rng(90_000 + 1000 * seed + SCENARIOS.index(scenario))

@@ -49,7 +49,7 @@ def check_mixture(num_classes: int, dim: int, class_separation: float) -> None:
 
 
 def class_counts(profile: ImbalanceProfile, num_classes: int) -> np.ndarray:
-    """Per-class sample counts, length num_classes (>= 2), every entry >= 1.
+    """Per-class sample counts, length num_classes, every entry >= 1.
 
     longtail decays geometrically from n1 at class 0 down to n1/gamma at the
     last class; reversed_longtail is that sequence reversed; step gives the
@@ -57,6 +57,8 @@ def class_counts(profile: ImbalanceProfile, num_classes: int) -> np.ndarray:
     Fractional counts are floored (with a 1e-9 guard so exact ratios like
     1500/100 stay exact in floating point) and clamped at 1.
     """
+    if num_classes < 2:
+        raise ValueError(f"num_classes: expected >= 2, got {num_classes!r}")
     k = num_classes
     g = profile.gamma
     n1 = profile.n1

@@ -7,7 +7,9 @@ import pytest
 
 from biasadapt import benchmark
 from biasadapt.benchmark import (
+    LABELED_PROFILE,
     SCENARIO_KINDS,
+    UNLABELED_PROFILE,
     BenchmarkSettings,
     benchmark_train_config,
     build_benchmark_data,
@@ -92,8 +94,8 @@ def test_example_config_is_the_benchmarks_reversed_l2ac_cell():
         dim=settings.dim,
         num_classes=settings.num_classes,
         class_separation=settings.class_separation,
-        labeled_profile=settings.labeled_profile,
-        unlabeled_profile=replace(settings.unlabeled_profile, kind=SCENARIO_KINDS["reversed"]),
+        labeled_profile=LABELED_PROFILE,
+        unlabeled_profile=replace(UNLABELED_PROFILE, kind=SCENARIO_KINDS["reversed"]),
         test_per_class=settings.test_per_class,
     )
     assert (config.eval.interval, config.eval.last_e) == (settings.eval_interval, settings.last_e)

@@ -48,6 +48,10 @@ class TestClassCounts:
         odd = class_counts(ImbalanceProfile("step", 10.0, 100), 5)
         assert odd.tolist() == [100] * 3 + [10] * 2
 
+    def test_one_class_rejected(self):
+        with pytest.raises(ValueError, match=r"^num_classes: expected >= 2, got 1$"):
+            class_counts(ImbalanceProfile(), 1)
+
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
             ImbalanceProfile("longtail", 0.5, 100)
