@@ -95,12 +95,8 @@ def run_single(
 ) -> dict:
     """Train one mode; returns its cell, the headline numbers: the mean over
     the last `last_e` EMA evaluations of balanced accuracy, recall geometric
-    mean, plain accuracy, and worst per-class recall. Raises before training
-    when no evaluation would be made or `last_e` is negative."""
-    if not 1 <= eval_interval <= config.iters:
-        raise ValueError(f"evaluation interval {eval_interval} is outside 1..{config.iters} iterations")
-    if last_e < 0:
-        raise ValueError(f"last_e: expected >= 0, got {last_e!r}")
+    mean, plain accuracy, and worst per-class recall. The interval and
+    last_e are trusted: run_benchmark checks them before any group trains."""
     reports = []
 
     def hook(iteration, state):
@@ -155,10 +151,10 @@ def run_benchmark(settings: BenchmarkSettings, progress=None, workers: int = 1) 
     """Run every mode of MODES in every (scenario, seed) group, in this
     process or, with `workers` > 1, in that many worker processes; cells merge
     and progress lines print in scenario -> seed -> mode order either way.
-    Raises before any group trains when the grid is empty, names a seed or
-    scenario twice, a negative seed or a scenario outside SCENARIOS, or the
-    mixture is one check_mixture refuses, and through run_single when no run
-    would be evaluated.
+    Raises before any group trains or worker starts when the grid is empty,
+    names a seed or scenario twice, a negative seed or a scenario outside
+    SCENARIOS, the mixture is one check_mixture refuses, eval_interval lies
+    outside 1..iters, last_e is negative or test_per_class below 1.
     Returns {"cells": {scenario: {mode: [per-seed dicts]}}, "criteria": ...}."""
     for name, values in (("seeds", settings.seeds), ("scenarios", settings.scenarios)):
         if not values or len(set(values)) < len(values):
@@ -170,6 +166,12 @@ def run_benchmark(settings: BenchmarkSettings, progress=None, workers: int = 1) 
         if scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
     check_mixture(settings.num_classes, settings.dim, settings.class_separation)
+    interval, iters = settings.eval_interval, settings.iters
+    if not 1 <= interval <= iters:
+        raise ValueError(f"evaluation interval {interval} is outside 1..{iters} iterations")
+    for name, low in (("last_e", 0), ("test_per_class", 1)):
+        if getattr(settings, name) < low:
+            raise ValueError(f"{name}: expected >= {low}, got {getattr(settings, name)!r}")
     groups = [(scenario, seed) for scenario in settings.scenarios for seed in settings.seeds]
     if workers > 1:
         results = _pooled_groups(settings, groups, workers)

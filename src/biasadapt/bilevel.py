@@ -76,8 +76,11 @@ class TrainConfig:
     seed: int = 0  # harness.run_train derives it from ExperimentConfig.seed
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        choices = {"mode": MODES, "pseudo_mode": ("hard", "sharpen"),
+                   "pseudo_source": ("plain", "biased"), "attractor_norm": NORM_MODES}
+        for name, allowed in choices.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         # written as `not value > bound` so that NaN fails
         positive = ["alpha", "eta"]
         if self.pseudo_mode == "sharpen":
@@ -85,28 +88,19 @@ class TrainConfig:
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("lambda_u", "lambda_bal"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not (0.0 <= self.tau <= 1.0):
-            raise ValueError("tau must lie in [0, 1]")
-        if self.batch_n < 1 or self.batch_m < 0 or self.iters < 0:
-            raise ValueError("batch_n must be >= 1, batch_m and iters >= 0")
-        for name in ("balanced_n", "feature_dim", "attractor_hidden"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        minimums = {"lambda_u": 0, "lambda_bal": 0, "batch_n": 1, "batch_m": 0, "iters": 0,
+                    "balanced_n": 1, "feature_dim": 1, "attractor_hidden": 1}
+        for name, low in minimums.items():
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("tau", "ema_decay"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if not all(width >= 1 for width in self.extractor_hidden):
             raise ValueError(f"extractor_hidden widths must be >= 1, got {list(self.extractor_hidden)}")
-        if not (0.0 <= self.ema_decay <= 1.0):
-            raise ValueError("ema_decay must lie in [0, 1]")
-        if self.pseudo_mode not in ("hard", "sharpen"):
-            raise ValueError(f"unknown pseudo mode {self.pseudo_mode!r}")
-        if self.pseudo_source not in ("plain", "biased"):
-            raise ValueError(f"unknown pseudo source {self.pseudo_source!r}")
-        if not (0.0 <= self.sigma_weak < self.sigma_strong):
-            raise ValueError("need 0 <= sigma_weak < sigma_strong")
-        if self.attractor_norm not in NORM_MODES:
-            raise ValueError(f"unknown attractor_norm {self.attractor_norm!r}")
+        if not 0.0 <= self.sigma_weak < self.sigma_strong:
+            raise ValueError(f"sigma_weak must lie in [0, sigma_strong={self.sigma_strong}), "
+                             f"got {self.sigma_weak}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -151,10 +145,9 @@ class LowerPass:
 
 def _stack_lower_batch(x_l, y_l, pseudo: PseudoBatch | None):
     """Stack labeled rows (weight 1/n each) with pseudo-labeled strong views
-    (weight lam_i/m each); returns (X, targets, per-row coefficients)."""
+    (weight lam_i/m each); returns (X, targets, per-row coefficients).
+    TrainConfig.validate has checked batch_n >= 1, so x_l has rows."""
     n = x_l.shape[0]
-    if n == 0:
-        raise ValueError("labeled batch must be non-empty")
     if pseudo is None or len(pseudo) == 0:
         return x_l, y_l, np.full(n, 1.0 / n)
     m = len(pseudo)

@@ -84,12 +84,36 @@ class EvalConfig:
     out_dir: str = "runs/run"
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative master seed by name; numpy's refusal names neither."""
+    if seed < 0:
+        raise ValueError(f"seed: expected >= 0, got {seed!r}")
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 0
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
+
+    def validate(self) -> None:
+        """Refuse, naming the key, a value no run can use; the profiles check
+        themselves when built, and the CSVs are checked when loaded."""
+        check_seed(self.seed)
+        self.train.validate()
+        dc = self.data
+        if not dc.labeled_csv:
+            try:
+                check_mixture(dc.num_classes, dc.dim, dc.class_separation)
+            except ValueError as exc:
+                raise ValueError(f"data.{exc}") from None
+        if not dc.test_csv and dc.test_per_class < 1:
+            raise ValueError(f"data.test_per_class: expected >= 1, got {dc.test_per_class!r}")
+        for name in ("interval", "last_e", "ckpt_interval"):
+            value = getattr(self.eval, name)
+            if value < 0:
+                raise ValueError(f"eval.{name}: expected >= 0, got {value!r}")
 
 
 def _number(kind: type, value, key: str):
@@ -147,20 +171,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
     config = _from_dict(ExperimentConfig, payload, "")
-    config.train.validate()
-    dc = config.data
-    if not dc.labeled_csv:
-        # what the synthetic build would refuse only once the run started
-        try:
-            check_mixture(dc.num_classes, dc.dim, dc.class_separation)
-        except ValueError as exc:
-            raise ValueError(f"data.{exc}") from None
-    if not dc.test_csv and dc.test_per_class < 1:
-        raise ValueError(f"data.test_per_class: expected >= 1, got {dc.test_per_class!r}")
-    for name in ("interval", "last_e", "ckpt_interval"):
-        value = getattr(config.eval, name)
-        if value < 0:
-            raise ValueError(f"eval.{name}: expected >= 0, got {value!r}")
+    config.validate()
     return config
 
 
@@ -213,22 +224,31 @@ def _check_csvs_agree(dc: DataConfig, d_l: Dataset, d_u: Dataset | None, d_test:
         )
 
 
+def load_labeled_csv(path, key: str) -> Dataset:
+    """load_csv_dataset(path), refused naming the file, the count and the first
+    line when a row is unlabeled (label -1); `key` names the input for the message."""
+    ds = load_csv_dataset(path)
+    unlabeled = np.flatnonzero(ds.labels == UNLABELED)
+    if unlabeled.size:
+        raise ValueError(
+            f"{path}: {unlabeled.size} unlabeled row(s) (label -1), the first "
+            f"at line {int(unlabeled[0]) + 2}; every {key} row needs a label"
+        )
+    return ds
+
+
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset | None, Dataset]:
     """(labeled, unlabeled, test) from CSVs when given, otherwise synthesized
     from one mixture pool using the data child stream of the master seed."""
     dc = config.data
     if dc.labeled_csv:
-        d_l = load_csv_dataset(dc.labeled_csv)
-        unlabeled = np.flatnonzero(d_l.labels == UNLABELED)
-        if unlabeled.size:
-            raise ValueError(
-                f"{dc.labeled_csv}: {unlabeled.size} unlabeled row(s) (label -1), the first "
-                f"at line {int(unlabeled[0]) + 2}; every labeled_csv row needs a label"
-            )
+        d_l = load_labeled_csv(dc.labeled_csv, "labeled_csv")
+        if d_l.num_classes < 2:
+            raise ValueError(f"{dc.labeled_csv}: {d_l.num_classes} class, expected >= 2")
         d_u = load_csv_dataset(dc.unlabeled_csv) if dc.unlabeled_csv else None
         if not dc.test_csv:
             raise ValueError("test_csv required when training from CSVs")
-        d_test = load_csv_dataset(dc.test_csv)
+        d_test = load_labeled_csv(dc.test_csv, "test_csv")
         _check_csvs_agree(dc, d_l, d_u, d_test)
         return d_l, d_u, d_test
     data_seed = child_seeds(config.seed, 2)[0]
@@ -259,28 +279,19 @@ def final_pseudo_recall(config: TrainConfig, state, d_u: Dataset | None):
     return pseudo_label_recall(d_u.true_labels, y_hat, lam)
 
 
-def check_seed(seed: int) -> None:
-    """Refuse a negative master seed by name, before anything is written;
-    numpy's own refusal names neither the seed nor the flag."""
-    if seed < 0:
-        raise ValueError(f"seed: expected >= 0, got {seed!r}")
-
-
 def run_train(config: ExperimentConfig, force: bool = False) -> dict:
     out_dir = resolve_out_dir(config.eval.out_dir)
     metrics_path = out_dir / "metrics.json"
     if metrics_path.exists() and not force:
         raise FileExistsError(f"{metrics_path} exists; pass --force to overwrite")
 
-    check_seed(config.seed)
+    # the config, the data and the balanced sampler are checked first, so a
+    # run that fails on its input neither creates nor clears out_dir
+    config.validate()
     # master seed child 0 drives data synthesis (build_datasets); child 1
     # seeds the trainer so the two never share a stream. Any train.seed the
     # config carries is overwritten here: it is derived, not read.
     config.train.seed = child_seeds(config.seed, 2)[1]
-    # the config is validated, the data built and the balanced sampler
-    # checked first, so a run that fails on its input neither creates
-    # out_dir nor clears the previous run's artifacts
-    config.train.validate()
     d_l, d_u, d_test = build_datasets(config)
     try:
         balanced_sampler(config.train, d_l)
@@ -345,10 +356,10 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
 
 
 def run_eval(ckpt_path, test_csv, use_ema: bool = True) -> MetricsReport:
-    """Score a checkpoint on a test CSV; raises naming both numbers when the
-    CSV's feature dim or class count differs from the checkpoint's."""
+    """Score a checkpoint on a fully labeled test CSV; raises naming both
+    numbers when its feature dim or class count differs from the checkpoint's."""
     state = load_checkpoint(ckpt_path)
-    test = load_csv_dataset(test_csv)
+    test = load_labeled_csv(test_csv, "test_csv")
     in_dim = state.extractor_dims()[0]
     if test.dim != in_dim:
         raise ValueError(
@@ -405,9 +416,9 @@ def bench_overhead(config: ExperimentConfig, reps: int = 30) -> dict:
     gradient included, as plain_attractor and single_level run it (`ratio`),
     and the one l2ac's training loop runs, which skips the head's lower
     gradient (`ratio_l2ac`). Also the parameter-count ratio that motivates
-    the head-only unroll. Refuses a negative seed or reps < 1 before it
-    times anything."""
-    check_seed(config.seed)
+    the head-only unroll. Refuses a config ExperimentConfig.validate
+    refuses, or reps < 1, before it times anything."""
+    config.validate()
     if reps < 1:
         raise ValueError(f"reps: expected >= 1, got {reps!r}")
     tc = config.train

@@ -250,9 +250,8 @@ def forward_eval(x: np.ndarray, state: ModelState, use_ema: bool = False) -> np.
 
 
 def ema_update(state: ModelState, decay: float) -> ModelState:
-    """shadow <- decay * shadow + (1 - decay) * param for theta and phi."""
-    if not (0.0 <= decay <= 1.0):
-        raise ValueError(f"decay {decay} outside [0, 1]")
+    """shadow <- decay * shadow + (1 - decay) * param for theta and phi;
+    TrainConfig.validate has checked that decay (ema_decay) lies in [0, 1]."""
     for shadow, param in zip(state.ema_arrays(), state.lower_arrays()):
         shadow *= decay
         shadow += (1.0 - decay) * param

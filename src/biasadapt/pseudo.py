@@ -32,9 +32,8 @@ def augment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two independent additive-Gaussian views of x, weak drawn first: one
     fresh noise draw for both views (the same stream as a weak then a strong
-    draw), each half scaled and shifted in place, so x is never written."""
-    if not (0.0 <= sigma_weak < sigma_strong):
-        raise ValueError(f"need 0 <= sigma_weak < sigma_strong, got {sigma_weak}, {sigma_strong}")
+    draw), each half scaled and shifted in place, so x is never written.
+    TrainConfig.validate has checked 0 <= sigma_weak < sigma_strong."""
     x = np.asarray(x, dtype=np.float64)
     weak, strong = rng.standard_normal((2, *x.shape))
     weak *= sigma_weak
@@ -55,12 +54,9 @@ def assign_pseudo_labels(
 
     hard: one-hot argmax (ties toward the lowest class index). sharpen:
     p^(1/T) renormalized per row. Either way lam[i] = lambda_u when
-    max p[i] >= tau, else 0.
+    max p[i] >= tau, else 0. TrainConfig.validate has checked tau, mode and
+    (under sharpen) temperature.
     """
-    if not (0.0 <= tau <= 1.0):
-        raise ValueError(f"tau {tau} outside [0, 1]")
-    if mode not in ("hard", "sharpen"):
-        raise ValueError(f"unknown pseudo-label mode {mode!r}")
     p = softmax(logits_weak)
     rows = np.arange(p.shape[0])
     top = p.argmax(axis=1)
@@ -69,8 +65,6 @@ def assign_pseudo_labels(
         y_hat = np.zeros_like(p)
         y_hat[rows, top] = 1.0
     else:
-        if temperature <= 0.0:
-            raise ValueError(f"temperature must be > 0, got {temperature}")
         powered = np.exp(safe_log(p) / temperature)
         y_hat = powered / powered.sum(axis=1, keepdims=True)
     return y_hat, lam

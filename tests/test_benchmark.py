@@ -12,9 +12,7 @@ from biasadapt.benchmark import (
     UNLABELED_PROFILE,
     BenchmarkSettings,
     benchmark_train_config,
-    build_benchmark_data,
     run_benchmark,
-    run_single,
 )
 from biasadapt.bilevel import MODES
 from biasadapt.harness import DataConfig, load_config
@@ -51,6 +49,7 @@ def train_calls(monkeypatch):
         (replace(SMALL, dim=1), r"^dim: expected >= 2, got 1$"),
         (replace(SMALL, class_separation=-1.0), r"^class_separation: expected >= 0, got -1\.0$"),
         (replace(SMALL, class_separation=math.nan), r"^class_separation: expected >= 0, got nan$"),
+        (replace(SMALL, test_per_class=0), r"^test_per_class: expected >= 1, got 0$"),
     ],
 )
 def test_run_benchmark_refuses_a_grid_before_any_group_trains(train_calls, settings, message):
@@ -59,13 +58,29 @@ def test_run_benchmark_refuses_a_grid_before_any_group_trains(train_calls, setti
     assert train_calls == []
 
 
-def test_run_single_refuses_a_run_with_no_evaluation_before_training(train_calls):
-    settings = replace(SMALL, iters=50)
-    d_l, d_u, d_test = build_benchmark_data(settings, "matched", 1)
-    config = benchmark_train_config(settings, "l2ac", 1)
-    with pytest.raises(ValueError, match=r"^evaluation interval 100 is outside 1\.\.50 "):
-        run_single(config, d_l, d_u, d_test, 100, settings.last_e)
-    assert train_calls == []
+@pytest.mark.parametrize(
+    "settings,message",
+    [
+        (replace(SMALL, iters=50), r"^evaluation interval 100 is outside 1\.\.50 "),
+        (replace(SMALL, test_per_class=0), r"^test_per_class: expected >= 1, got 0$"),
+    ],
+    ids=["iters=50", "test_per_class=0"],
+)
+def test_run_benchmark_refuses_a_grid_before_any_worker_starts(
+    monkeypatch, train_calls, settings, message
+):
+    # the workers would run their groups out of this process, where
+    # train_calls cannot see them; the grid must be refused before the pool
+    pooled = []
+
+    def pool(*args):
+        pooled.append(args)
+        return iter(())
+
+    monkeypatch.setattr(benchmark, "_pooled_groups", pool)
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(settings, workers=2)
+    assert pooled == [] and train_calls == []
 
 
 def test_worker_processes_give_the_in_process_cells_in_order():

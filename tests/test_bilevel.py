@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -75,6 +76,29 @@ class TestValidate:
         with pytest.raises(ValueError, match=f"^{message}$"):
             TrainConfig(**overrides).validate()
 
+    # the kernels these values reach every iteration (augment,
+    # assign_pseudo_labels, ema_update, the lower batch) trust validate
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"tau": 1.5}, "tau must lie in [0, 1], got 1.5"),
+            ({"sigma_weak": 0.5, "sigma_strong": 0.5},
+             "sigma_weak must lie in [0, sigma_strong=0.5), got 0.5"),
+            ({"ema_decay": 1.5}, "ema_decay must lie in [0, 1], got 1.5"),
+            ({"pseudo_mode": "soft"}, "unknown pseudo_mode 'soft'"),
+            ({"pseudo_mode": "sharpen", "sharpen_temperature": 0.0},
+             "sharpen_temperature must be > 0, got 0.0"),
+            ({"batch_n": 0}, "batch_n must be >= 1, got 0"),
+            ({"batch_m": -1}, "batch_m must be >= 0, got -1"),
+            ({"iters": -1}, "iters must be >= 0, got -1"),
+        ],
+        ids=["tau", "sigma", "ema_decay", "pseudo_mode", "sharpen_temperature", "batch_n",
+             "batch_m", "iters"],
+    )
+    def test_out_of_range_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**overrides).validate()
+
 
 class TestLowerLoss:
     def test_zero_head_matches_plain_pseudo_labeling_loss(self):
@@ -118,11 +142,6 @@ class TestLowerLoss:
         )
         errs = lower_fd_errors(problem)
         assert max(errs.values()) < 1e-6
-
-    def test_empty_labeled_batch_rejected(self):
-        problem = make_small_problem(make_rng(2))
-        with pytest.raises(ValueError, match="labeled"):
-            lower_loss(np.zeros((0, 3)), np.zeros((0, 3)), None, problem.state)
 
 
 class TestLowerStep:

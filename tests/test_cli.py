@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import yaml
 from biasadapt import harness
 from biasadapt.cli import main
 from biasadapt.harness import (
+    EvalConfig,
     ExperimentConfig,
     bench_overhead,
     config_from_dict,
@@ -245,6 +247,28 @@ class TestTrainCommand:
         with pytest.raises(ValueError, match="^alpha must be > 0, got -1.0$"):
             harness.run_train(config, force=True)
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("data", "test_per_class", 0, "data.test_per_class: expected >= 1, got 0"),
+            ("eval", "interval", -5, "eval.interval: expected >= 0, got -5"),
+            ("data", "dim", 1, "data.dim: expected >= 2, got 1"),
+        ],
+        ids=["test_per_class", "interval", "dim"],
+    )
+    def test_code_built_config_refused_before_the_out_dir(
+        self, tmp_path, monkeypatch, section, key, value, message
+    ):
+        # a config built in code never passes through config_from_dict, so
+        # run_train runs ExperimentConfig.validate itself
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: trained.append(args))
+        config = ExperimentConfig(eval=EvalConfig(out_dir=str(tmp_path / "run")))
+        setattr(getattr(config, section), key, value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            harness.run_train(config)
+        assert trained == [] and not (tmp_path / "run").exists()
 
     def test_forced_rerun_that_fails_on_its_input_keeps_the_previous_run(
         self, tmp_path, capsys
@@ -556,6 +580,21 @@ class TestEvalCommand:
         assert proc.stdout == ""
         assert proc.stderr == f"error: {ckpt}: ema_phi_w holds non-finite values\n"
 
+    def test_eval_rejects_an_unlabeled_test_row(self, tmp_path, capsys):
+        from biasadapt.data import Dataset, save_csv_dataset
+
+        ckpt = tmp_path / "model.npz"
+        save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0), "softmax_input"))
+        labels = np.arange(8) % 4
+        observed = np.where(np.arange(8) == 5, -1, labels)
+        test_csv = tmp_path / "test.csv"
+        save_csv_dataset(Dataset(make_rng(1).standard_normal((8, 5)), observed, labels, 4), test_csv)
+        assert main(["eval", "--ckpt", str(ckpt), "--test", str(test_csv)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {test_csv}: 1 unlabeled row(s) (label -1), the first at line 7; "
+            "every test_csv row needs a label\n"
+        ))
+
     def test_eval_rejects_a_checkpoint_with_an_unknown_norm(self, tmp_path, capsys):
         ckpt = tmp_path / "bogus.npz"
         save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0), "bogus"))
@@ -621,6 +660,21 @@ class TestBenchOverhead:
         assert main(["bench-overhead", "--config", str(cfg), "--reps", str(reps)]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("alpha", -1.0, "alpha must be > 0, got -1.0"), ("tau", 5.0, "tau must lie in [0, 1], got 5.0")],
+        ids=["alpha", "tau"],
+    )
+    def test_code_built_config_refused_before_timing(self, monkeypatch, key, value, message):
+        # bench_overhead's first work is the model it times
+        built = []
+        monkeypatch.setattr(harness, "init_model", lambda *args: built.append(args))
+        config = ExperimentConfig()
+        setattr(config.train, key, value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bench_overhead(config, reps=5)
+        assert built == []
 
     def test_default_sizes_ratio_bounded(self, tmp_path):
         # default sizes: the head-only second-order step must not exceed one

@@ -125,6 +125,8 @@ def _train_rejects(tmp_path, payload, message, capsys):
     capsys.readouterr()
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert re.search(message, capsys.readouterr().err)
+    # refused before run_train creates its out_dir, so nothing trained
+    assert not (tmp_path / "csvrun").exists()
 
 
 def test_labeled_csv_with_unlabeled_rows_rejected(tmp_path, csv_triplet, capsys):
@@ -132,6 +134,29 @@ def test_labeled_csv_with_unlabeled_rows_rejected(tmp_path, csv_triplet, capsys)
     labels[[4, 7]] = -1
     paths = dict(csv_triplet, labeled=_csv(tmp_path / "partly.csv", 3, 6, labels))
     message = r"partly\.csv: 2 unlabeled row\(s\) \(label -1\), the first at line 6"
+    _train_rejects(tmp_path, csv_config(tmp_path, paths), message, capsys)
+
+
+@pytest.mark.parametrize(
+    "role,message",
+    [
+        ("test", r"test\.csv: 1 unlabeled row\(s\) \(label -1\), the first at line 5; "
+                 r"every test_csv row needs a label"),
+        ("labeled", r"labeled\.csv: 1 class, expected >= 2"),
+    ],
+    ids=["test-unlabeled-row", "labeled-one-class"],
+)
+def test_csv_the_run_cannot_use_rejected(tmp_path, csv_triplet, capsys, role, message):
+    path = tmp_path / "other" / f"{role}.csv"
+    if role == "test":
+        labels = np.repeat(np.arange(3), 3)
+        labels[3] = -1
+        _csv(path, 3, 6, labels)
+    else:
+        path.parent.mkdir()
+        zeros = np.zeros(6, dtype=np.int64)
+        save_csv_dataset(Dataset(make_rng(3).standard_normal((6, 6)), zeros, zeros, 1), path)
+    paths = dict(csv_triplet, **{role: path})
     _train_rejects(tmp_path, csv_config(tmp_path, paths), message, capsys)
 
 

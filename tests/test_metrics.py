@@ -155,13 +155,6 @@ class TestEvaluate:
         # one whole-set pass would add rows * 8 * hidden (16.8 MB here)
         assert peak <= 1.25 * 8 * (rows * (feature_dim + k) + SCORE_BLOCK_ROWS * hidden)
 
-    def test_requires_labels(self):
-        problem = make_small_problem(make_rng(2), input_dim=4, num_classes=3)
-        test = balanced_test_set()
-        unlabeled = Dataset(test.features, np.full(len(test), -1), test.true_labels, 3)
-        with pytest.raises(ValueError, match="labeled"):
-            evaluate(problem.state, unlabeled)
-
     def test_hand_binary_case(self):
         state = init_model([2, 2], 2, 2, make_rng(3), "softmax_input")
         state.theta[0] = (np.eye(2), np.zeros(2))
