@@ -15,7 +15,7 @@ from .data import (
     Dataset, ImbalanceProfile, check_mixture, class_counts, split_counts, synth_gaussian_mixture,
 )
 from .metrics import evaluate, headline_means
-from .numcore import make_rng
+from .numcore import check_seed, make_rng
 
 LABELED_PROFILE = ImbalanceProfile("longtail", 20.0, 100)
 # a scenario sets the unlabeled profile's kind; class_counts ignores gamma
@@ -160,8 +160,7 @@ def run_benchmark(settings: BenchmarkSettings, progress=None, workers: int = 1) 
         if not values or len(set(values)) < len(values):
             raise ValueError(f"{name} {tuple(values)}: expected at least one, none named twice")
     for seed in settings.seeds:
-        if seed < 0:
-            raise ValueError(f"seeds: expected >= 0, got {seed!r}")
+        check_seed(seed)
     for scenario in settings.scenarios:
         if scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")

@@ -302,6 +302,12 @@ def _sample_rows(rng: np.random.Generator, n_rows: int, size: int) -> np.ndarray
     return rng.integers(0, n_rows, size=size)
 
 
+def init_state(config: TrainConfig, d_l: Dataset, rng: np.random.Generator) -> ModelState:
+    """The untrained model at d_l's shape: train and harness.bench_overhead build it here."""
+    dims = [d_l.dim, *config.extractor_hidden, config.feature_dim]
+    return init_model(dims, d_l.num_classes, config.attractor_hidden, rng, config.attractor_norm)
+
+
 def balanced_sampler(config: TrainConfig, d_l: Dataset):
     """balanced_index(d_l, balanced_n) in the modes with a balanced loss
     (l2ac, single_level), else None. train builds it, and harness.run_train
@@ -332,8 +338,7 @@ def train(
     batch_rng = make_rng(seeds[1])
     aug_rng = make_rng(seeds[2])
 
-    dims = [d_l.dim, *config.extractor_hidden, config.feature_dim]
-    state = init_model(dims, k, config.attractor_hidden, init_rng, config.attractor_norm)
+    state = init_state(config, d_l, init_rng)
 
     # the modes differ on three axes: the head sits in the lower path (all
     # but baseline); the balanced loss joins the lower loss with weight

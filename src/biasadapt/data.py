@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numcore import ensure_finite
+from .numcore import NonFinite, ensure_finite
 
 UNLABELED = -1
 
@@ -37,15 +37,15 @@ class ImbalanceProfile:
             raise ValueError(f"n1: expected >= 1, got {self.n1}")
 
 
-def check_mixture(num_classes: int, dim: int, class_separation: float) -> None:
+def check_mixture(num_classes: int, dim: int, class_separation: float, key: str = "") -> None:
     """Refuse a Gaussian mixture that synth_gaussian_mixture cannot draw,
-    each message starting with its field's name; a NaN or infinite
+    each message starting with `key` and its field's name; a NaN or infinite
     separation fails."""
     for name, value, low in (
         ("num_classes", num_classes, 2), ("dim", dim, 2), ("class_separation", class_separation, 0)
     ):
         if not low <= value < math.inf:
-            raise ValueError(f"{name}: expected >= {low}, got {value!r}")
+            raise ValueError(f"{key}{name}: expected >= {low}, got {value!r}")
 
 
 def class_counts(profile: ImbalanceProfile, num_classes: int) -> np.ndarray:
@@ -77,10 +77,19 @@ def class_counts(profile: ImbalanceProfile, num_classes: int) -> np.ndarray:
     return decay
 
 
+class BadRow(ValueError):
+    """A Dataset row breaks a rule: `row` is its index, `rule` the message without it."""
+
+    def __init__(self, row: int, rule: str):
+        super().__init__(f"row {row}: {rule}")
+        self.row, self.rule = row, rule
+
+
 @dataclass
 class Dataset:
     """Feature matrix with observed labels (-1 = unlabeled) and hidden
-    ground-truth labels kept only for diagnostics."""
+    ground-truth labels kept only for diagnostics. Building one is the one
+    scan of its values: BadRow names the first bad row."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -91,20 +100,23 @@ class Dataset:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.true_labels = np.asarray(self.true_labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ValueError("features must be 2-D")
-        ensure_finite("features", self.features)
-        n = self.features.shape[0]
-        if self.labels.shape != (n,) or self.true_labels.shape != (n,):
-            raise ValueError("labels and true_labels must have one entry per row")
-        k = self.num_classes
-        if np.any((self.labels < UNLABELED) | (self.labels >= k)):
-            raise ValueError(f"labels must lie in {{-1, 0..{k - 1}}}")
-        if np.any((self.true_labels < 0) | (self.true_labels >= k)):
-            raise ValueError(f"true_labels must lie in {{0..{k - 1}}}")
-        observed = self.labels >= 0
-        if np.any(self.labels[observed] != self.true_labels[observed]):
-            raise ValueError("labeled rows must have labels == true_labels")
+        rows = self.features.shape[:1]
+        if self.features.ndim != 2 or not self.labels.shape == self.true_labels.shape == rows:
+            raise ValueError("features must be 2-D, with one label and true_label per row")
+        try:
+            ensure_finite("features", self.features)
+        except NonFinite:
+            row = np.flatnonzero(~np.isfinite(self.features).all(axis=1))[0]
+            raise BadRow(int(row), "non-finite features") from None
+        y, truth, k = self.labels, self.true_labels, self.num_classes
+        for bad, rule in (
+            ((y < UNLABELED) | (y >= k), f"labels must lie in {{-1, 0..{k - 1}}}"),
+            ((truth < 0) | (truth >= k), f"true_labels must lie in {{0..{k - 1}}}"),
+            ((y >= 0) & (y != truth), "labeled rows must have labels == true_labels"),
+        ):
+            if bad.any():
+                r = int(bad.argmax())
+                raise BadRow(r, f"label {y[r]}, true_label {truth[r]}; {rule}")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -250,31 +262,20 @@ def load_csv_dataset(path) -> Dataset:
         raise ValueError(f"{path}: line 1: bad header, want f0..fd,label,true_label")
     d = len(header) - 2
     features = np.empty((len(lines) - 1, d))
-    labels = np.empty(len(lines) - 1, dtype=np.int64)
-    truths = np.empty(len(lines) - 1, dtype=np.int64)
+    labels, truths = np.empty((2, len(lines) - 1), dtype=np.int64)
     for row, line in enumerate(lines[1:]):
-        lineno = row + 2
         cells = line.split(",")
         if len(cells) != d + 2:
-            raise ValueError(f"{path}: line {lineno}: expected {d + 2} cells, got {len(cells)}")
+            raise ValueError(f"{path}: line {row + 2}: expected {d + 2} cells, got {len(cells)}")
         try:
             features[row] = [float(c) for c in cells[:d]]
             labels[row] = int(cells[d])
             truths[row] = int(cells[d + 1])
         except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            raise ValueError(f"{path}: line {row + 2}: {exc}") from None
     if truths.size == 0:
         raise ValueError(f"{path}: no data rows")
-    num_classes = int(truths.max()) + 1
-    bad = np.flatnonzero(
-        ~np.all(np.isfinite(features), axis=1)
-        | (labels < UNLABELED)
-        | (labels >= num_classes)
-        | (truths < 0)
-    )
-    if bad.size:
-        raise ValueError(f"{path}: line {int(bad[0]) + 2}: bad feature or label value")
     try:
-        return Dataset(features, labels, truths, num_classes)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        return Dataset(features, labels, truths, int(truths.max()) + 1)
+    except BadRow as exc:
+        raise ValueError(f"{path}: line {exc.row + 2}: {exc.rule}") from None

@@ -28,6 +28,7 @@ from .bilevel import (
     TrainingDiverged,
     _hypergrad_unrolled,
     balanced_sampler,
+    init_state,
     lower_backward,
     lower_forward,
     lower_step,
@@ -54,8 +55,8 @@ from .metrics import (
     headline_means,
     pseudo_label_recall,
 )
-from .model import init_model, load_checkpoint, save_checkpoint
-from .numcore import child_seeds, make_rng
+from .model import load_checkpoint, save_checkpoint
+from .numcore import check_seed, child_seeds, make_rng
 from .pseudo import PseudoBatch, assign_pseudo_labels
 
 OUT_ROOT_ENV = "BIASADAPT_OUT"
@@ -84,12 +85,6 @@ class EvalConfig:
     out_dir: str = "runs/run"
 
 
-def check_seed(seed: int) -> None:
-    """Refuse a negative master seed by name; numpy's refusal names neither."""
-    if seed < 0:
-        raise ValueError(f"seed: expected >= 0, got {seed!r}")
-
-
 @dataclass
 class ExperimentConfig:
     seed: int = 0
@@ -103,13 +98,16 @@ class ExperimentConfig:
         check_seed(self.seed)
         self.train.validate()
         dc = self.data
-        if not dc.labeled_csv:
-            try:
-                check_mixture(dc.num_classes, dc.dim, dc.class_separation)
-            except ValueError as exc:
-                raise ValueError(f"data.{exc}") from None
-        if not dc.test_csv and dc.test_per_class < 1:
-            raise ValueError(f"data.test_per_class: expected >= 1, got {dc.test_per_class!r}")
+        if dc.labeled_csv:
+            if not dc.test_csv:
+                raise ValueError("data.test_csv: required with data.labeled_csv")
+        else:
+            for key in ("test_csv", "unlabeled_csv"):
+                if getattr(dc, key):
+                    raise ValueError(f"data.{key}: given without data.labeled_csv")
+            check_mixture(dc.num_classes, dc.dim, dc.class_separation, "data.")
+            if dc.test_per_class < 1:
+                raise ValueError(f"data.test_per_class: expected >= 1, got {dc.test_per_class!r}")
         for name in ("interval", "last_e", "ckpt_interval"):
             value = getattr(self.eval, name)
             if value < 0:
@@ -203,25 +201,20 @@ def resolve_out_dir(out_dir: str) -> Path:
 # dataset assembly
 
 
-def _check_csvs_agree(dc: DataConfig, d_l: Dataset, d_u: Dataset | None, d_test: Dataset) -> None:
-    """The unlabeled and test CSVs have the labeled CSV's feature dim, the
-    test CSV its class count and the unlabeled CSV at most that count;
-    raises naming both files and both numbers."""
-    for path, d in ((dc.unlabeled_csv, d_u), (dc.test_csv, d_test)):
-        if d is not None and d.dim != d_l.dim:
-            raise ValueError(
-                f"{path}: {d.dim} features per row, but labeled_csv {dc.labeled_csv} has {d_l.dim}"
-            )
-    if d_test.num_classes != d_l.num_classes:
-        raise ValueError(
-            f"{dc.test_csv}: {d_test.num_classes} classes, but labeled_csv {dc.labeled_csv} "
-            f"has {d_l.num_classes}"
-        )
-    if d_u is not None and d_u.num_classes > d_l.num_classes:
-        raise ValueError(
-            f"{dc.unlabeled_csv}: {d_u.num_classes} classes, more than the {d_l.num_classes} "
-            f"of labeled_csv {dc.labeled_csv}"
-        )
+def check_fits(ds: Dataset, path, dim: int, k: int, against: str, every_class=True) -> None:
+    """Refuse a dataset that a model of dim inputs and k classes, read from
+    `against` (a labeled CSV or checkpoint), cannot take: another feature
+    count, a (true) label at or above k, or, with every_class (a fully
+    labeled test set), a class with no row, as bACC and GM average them all."""
+    if ds.dim != dim:
+        raise ValueError(f"{path}: {ds.dim} features per row, but {against} has {dim}")
+    if ds.num_classes > k:
+        raise ValueError(f"{path}: {ds.num_classes} classes, but {against} has {k}")
+    if every_class:
+        rows = np.bincount(ds.labels, minlength=k)
+        if not rows.all():
+            c = int(np.argmin(rows))
+            raise ValueError(f"{path}: class {c} has no row, but {against} has {k} classes")
 
 
 def load_labeled_csv(path, key: str) -> Dataset:
@@ -239,17 +232,20 @@ def load_labeled_csv(path, key: str) -> Dataset:
 
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset | None, Dataset]:
     """(labeled, unlabeled, test) from CSVs when given, otherwise synthesized
-    from one mixture pool using the data child stream of the master seed."""
+    from one mixture pool using the data child stream of the master seed.
+    Trusts ExperimentConfig.validate for the keys; the other CSVs must pass
+    check_fits against the labeled one."""
     dc = config.data
     if dc.labeled_csv:
         d_l = load_labeled_csv(dc.labeled_csv, "labeled_csv")
         if d_l.num_classes < 2:
             raise ValueError(f"{dc.labeled_csv}: {d_l.num_classes} class, expected >= 2")
         d_u = load_csv_dataset(dc.unlabeled_csv) if dc.unlabeled_csv else None
-        if not dc.test_csv:
-            raise ValueError("test_csv required when training from CSVs")
         d_test = load_labeled_csv(dc.test_csv, "test_csv")
-        _check_csvs_agree(dc, d_l, d_u, d_test)
+        labeled = f"labeled_csv {dc.labeled_csv}"
+        check_fits(d_test, dc.test_csv, d_l.dim, d_l.num_classes, labeled)
+        if d_u is not None:
+            check_fits(d_u, dc.unlabeled_csv, d_l.dim, d_l.num_classes, labeled, every_class=False)
         return d_l, d_u, d_test
     data_seed = child_seeds(config.seed, 2)[0]
     rng = make_rng(data_seed)
@@ -356,20 +352,12 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
 
 
 def run_eval(ckpt_path, test_csv, use_ema: bool = True) -> MetricsReport:
-    """Score a checkpoint on a fully labeled test CSV; raises naming both
-    numbers when its feature dim or class count differs from the checkpoint's."""
+    """Score a checkpoint on a fully labeled test CSV (load_labeled_csv) that
+    check_fits accepts against the checkpoint's input dim and classes."""
     state = load_checkpoint(ckpt_path)
     test = load_labeled_csv(test_csv, "test_csv")
     in_dim = state.extractor_dims()[0]
-    if test.dim != in_dim:
-        raise ValueError(
-            f"{test_csv}: {test.dim} features per row, but checkpoint {ckpt_path} takes {in_dim}"
-        )
-    if test.num_classes != state.num_classes:
-        raise ValueError(
-            f"{test_csv}: {test.num_classes} classes, but checkpoint {ckpt_path} "
-            f"has {state.num_classes}"
-        )
+    check_fits(test, test_csv, in_dim, state.num_classes, f"checkpoint {ckpt_path}")
     return evaluate(state, test, use_ema=use_ema)
 
 
@@ -411,30 +399,30 @@ def run_gen_data(
 
 
 def bench_overhead(config: ExperimentConfig, reps: int = 30) -> dict:
-    """Median wall-clock of the backward-on-backward head step at the
-    configured sizes, against two lower backward passes: the full one, head
-    gradient included, as plain_attractor and single_level run it (`ratio`),
-    and the one l2ac's training loop runs, which skips the head's lower
-    gradient (`ratio_l2ac`). Also the parameter-count ratio that motivates
-    the head-only unroll. Refuses a config ExperimentConfig.validate
-    refuses, or reps < 1, before it times anything."""
+    """Median wall-clock of the backward-on-backward head step at the run's
+    sizes, against two lower backward passes: the full one, head gradient
+    included, as plain_attractor and single_level run it (`ratio`), and the
+    one l2ac's training loop runs, which skips the head's lower gradient
+    (`ratio_l2ac`). Also the parameter-count ratio that motivates the
+    head-only unroll. ExperimentConfig.validate and a reps < 1 refuse before
+    anything is built; build_datasets' labeled set sizes the model."""
     config.validate()
     if reps < 1:
         raise ValueError(f"reps: expected >= 1, got {reps!r}")
+    d_l = build_datasets(config)[0]
     tc = config.train
     rng = make_rng(config.seed)
-    k = config.data.num_classes
-    dims = [config.data.dim, *tc.extractor_hidden, tc.feature_dim]
-    state = init_model(dims, k, tc.attractor_hidden, rng, tc.attractor_norm)
+    k, dim = d_l.num_classes, d_l.dim
+    state = init_state(tc, d_l, rng)
     state.omega_w2 += 0.1 * rng.standard_normal(state.omega_w2.shape)
 
-    x_l = rng.standard_normal((tc.batch_n, config.data.dim))
+    x_l = rng.standard_normal((tc.batch_n, dim))
     y_l = one_hot(rng.integers(0, k, tc.batch_n), k)
-    x_u = rng.standard_normal((tc.batch_m, config.data.dim))
+    x_u = rng.standard_normal((tc.batch_m, dim))
     y_hat = one_hot(rng.integers(0, k, tc.batch_m), k)
     pseudo = PseudoBatch(x_u, y_hat, np.ones(tc.batch_m))
     bal_n = tc.balanced_n - tc.balanced_n % k
-    bal_x = rng.standard_normal((max(bal_n, k), config.data.dim))
+    bal_x = rng.standard_normal((max(bal_n, k), dim))
     bal_y = one_hot(np.arange(max(bal_n, k)) % k, k)
 
     def median_seconds(fn) -> float:

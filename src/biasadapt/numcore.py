@@ -23,6 +23,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative master seed by name; numpy's refusal names neither."""
+    if seed < 0:
+        raise ValueError(f"seed: expected >= 0, got {seed!r}")
+
+
 def child_seeds(seed: int, n: int) -> list[int]:
     """Derive n independent child seeds from a master seed (SeedSequence spawn)."""
     return [int(s.generate_state(1, np.uint64)[0]) for s in np.random.SeedSequence(seed).spawn(n)]

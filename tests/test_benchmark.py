@@ -45,7 +45,7 @@ def train_calls(monkeypatch):
         (replace(SMALL, eval_interval=0), r"^evaluation interval 0 is outside 1\.\.100 "),
         (replace(SMALL, scenarios=("matched", "skewed")), r"^unknown scenario 'skewed'"),
         (replace(SMALL, last_e=-1), r"^last_e: expected >= 0, got -1$"),
-        (replace(SMALL, seeds=(1, -100)), r"^seeds: expected >= 0, got -100$"),
+        (replace(SMALL, seeds=(1, -100)), r"^seed: expected >= 0, got -100$"),
         (replace(SMALL, dim=1), r"^dim: expected >= 2, got 1$"),
         (replace(SMALL, class_separation=-1.0), r"^class_separation: expected >= 0, got -1\.0$"),
         (replace(SMALL, class_separation=math.nan), r"^class_separation: expected >= 0, got nan$"),

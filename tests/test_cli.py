@@ -299,6 +299,13 @@ class TestTrainCommand:
             ("data", None, "class 1 has no labeled rows; mode l2ac draws class-balanced batches"),
             ("data", {"test_per_class": 0}, "data.test_per_class: expected >= 1, got 0"),
             ("data", {"test_per_class": -3}, "data.test_per_class: expected >= 1, got -3"),
+            # a CSV beside synthetic data is refused by its key, whether or
+            # not the file exists
+            ("data", {"test_csv": "missing.csv"}, "data.test_csv: given without data.labeled_csv"),
+            ("data", {"unlabeled_csv": "missing.csv"},
+             "data.unlabeled_csv: given without data.labeled_csv"),
+            ("data", {"test_csv": "missing.csv", "test_per_class": 0},
+             "data.test_csv: given without data.labeled_csv"),
             ("train", {"lower_optimizer": "sgd"},
              "unknown config key(s) ['lower_optimizer'] under train"),
             ("train", {"lower_optimizer": "adam"},
@@ -308,6 +315,7 @@ class TestTrainCommand:
              "unknown config key(s) ['c1', 'c2', 'schedule'] under train"),
         ],
         ids=["balanced_n", "empty_class", "test_per_class=0", "test_per_class=-3",
+             "test_csv_alone", "unlabeled_csv_alone", "test_csv_with_test_per_class=0",
              "lower_optimizer=sgd", "lower_optimizer=adam", "log_timings", "schedule"],
     )
     def test_input_error_stops_before_the_out_dir(self, tmp_path, capsys, section, edit, message):
@@ -595,6 +603,21 @@ class TestEvalCommand:
             "every test_csv row needs a label\n"
         ))
 
+    def test_eval_rejects_a_test_csv_missing_a_class(self, tmp_path, capsys):
+        # bACC and GM average every class's recall, so a class with no test
+        # row is refused before scoring, naming the file and the class
+        from biasadapt.data import Dataset, save_csv_dataset
+
+        ckpt = tmp_path / "model.npz"
+        save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0), "softmax_input"))
+        labels = np.array([0, 2, 3, 0, 2, 3])
+        test_csv = tmp_path / "test.csv"
+        save_csv_dataset(Dataset(make_rng(1).standard_normal((6, 5)), labels, labels, 4), test_csv)
+        assert main(["eval", "--ckpt", str(ckpt), "--test", str(test_csv)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {test_csv}: class 1 has no row, but checkpoint {ckpt} has 4 classes\n"
+        ))
+
     def test_eval_rejects_a_checkpoint_with_an_unknown_norm(self, tmp_path, capsys):
         ckpt = tmp_path / "bogus.npz"
         save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0), "bogus"))
@@ -607,7 +630,7 @@ class TestEvalCommand:
         "dim,classes,message",
         [
             (TINY_DATA["dim"], 6, "6 classes, but checkpoint .* has 4"),
-            (7, TINY_DATA["num_classes"], "7 features per row, but checkpoint .* takes 5"),
+            (7, TINY_DATA["num_classes"], "7 features per row, but checkpoint .* has 5"),
         ],
     )
     def test_eval_rejects_mismatched_test_csv(self, tmp_path, capsys, dim, classes, message):
@@ -667,14 +690,46 @@ class TestBenchOverhead:
         ids=["alpha", "tau"],
     )
     def test_code_built_config_refused_before_timing(self, monkeypatch, key, value, message):
-        # bench_overhead's first work is the model it times
+        # bench_overhead's first work is the datasets that size its model
         built = []
-        monkeypatch.setattr(harness, "init_model", lambda *args: built.append(args))
+        monkeypatch.setattr(harness, "build_datasets", lambda *args: built.append(args))
         config = ExperimentConfig()
         setattr(config.train, key, value)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             bench_overhead(config, reps=5)
         assert built == []
+
+    def test_csv_config_times_the_csvs_shapes(self, tmp_path, capsys):
+        # an 8-dim, 3-class CSV run, not the 5-dim, 4-class synthetic
+        # defaults its data section still carries
+        from biasadapt.data import save_csv_dataset, synth_gaussian_mixture
+
+        payload = tiny_config_dict(tmp_path / "run")
+        for name in ("labeled_csv", "test_csv"):
+            path = tmp_path / f"{name}.csv"
+            save_csv_dataset(synth_gaussian_mixture(3, 8, 3.0, [6, 4, 2], make_rng(2)), path)
+            payload["data"][name] = str(path)
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(yaml.safe_dump(payload))
+        assert main(["bench-overhead", "--config", str(cfg), "--reps", "2"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["phi_params"] == TINY_TRAIN["feature_dim"] * 3 + 3
+
+    def test_one_class_labeled_csv_refused_by_its_file(self, tmp_path, capsys):
+        from biasadapt.data import Dataset, save_csv_dataset
+
+        payload = tiny_config_dict(tmp_path / "run")
+        zeros = np.zeros(6, dtype=np.int64)
+        for name in ("labeled_csv", "test_csv"):
+            path = tmp_path / f"{name}.csv"
+            save_csv_dataset(Dataset(make_rng(3).standard_normal((6, 5)), zeros, zeros, 1), path)
+            payload["data"][name] = str(path)
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(yaml.safe_dump(payload))
+        assert main(["bench-overhead", "--config", str(cfg), "--reps", "2"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {tmp_path / 'labeled_csv.csv'}: 1 class, expected >= 2\n"
+        )
 
     def test_default_sizes_ratio_bounded(self, tmp_path):
         # default sizes: the head-only second-order step must not exceed one

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biasadapt.data import (
+    BadRow,
     Dataset,
     ImbalanceProfile,
     balanced_batch,
@@ -302,6 +305,22 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 3"):
             load_csv_dataset(path)
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("nan,1,1", r"line 4: non-finite features$"),
+            ("2.0,3,1", r"line 4: label 3, true_label 1; labels must lie in \{-1, 0\.\.1\}$"),
+            ("2.0,0,1", r"line 4: label 0, true_label 1; labeled rows must have labels == "
+                        r"true_labels$"),
+        ],
+        ids=["nan-feature", "label-out-of-range", "label-differs-from-true-label"],
+    )
+    def test_bad_value_reports_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "values.csv"
+        path.write_text(f"f0,label,true_label\n1.0,0,0\n1.5,-1,1\n{row}\n0.5,1,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_csv_dataset(path)
+
 
 class TestDatasetInvariants:
     def test_labeled_rows_must_match_truth(self):
@@ -311,6 +330,21 @@ class TestDatasetInvariants:
     def test_label_range_checked(self):
         with pytest.raises(ValueError, match="labels"):
             Dataset(np.zeros((1, 2)), np.array([3]), np.array([0]), 2)
+
+    @pytest.mark.parametrize(
+        "features,labels,truth,row,rule",
+        [
+            ([[0.0], [np.inf], [np.nan]], [0, 1, 1], [0, 1, 1], 1, "non-finite features"),
+            ([[0.0], [1.0], [2.0]], [0, -1, -2], [0, 1, 1], 2, "label -2, true_label 1; labels"),
+            ([[0.0], [1.0], [2.0]], [0, -1, -1], [0, 2, 2], 1, "label -1, true_label 2; true_labels"),
+            ([[0.0], [1.0], [2.0]], [0, -1, 0], [0, 1, 1], 2, "label 0, true_label 1; labeled rows"),
+        ],
+        ids=["features", "labels", "true_labels", "labels-differ"],
+    )
+    def test_first_bad_row_named(self, features, labels, truth, row, rule):
+        with pytest.raises(BadRow, match=f"^row {row}: {re.escape(rule)}") as info:
+            Dataset(np.array(features), np.array(labels), np.array(truth), 2)
+        assert info.value.row == row and info.value.rule.startswith(rule)
 
 
 def test_one_hot_rejects_labels_outside_range():

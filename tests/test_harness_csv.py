@@ -70,10 +70,11 @@ def test_train_from_csvs(tmp_path, csv_triplet):
 
 
 def test_missing_test_csv_rejected(tmp_path, csv_triplet):
+    # a config-only rule: refused when the config is loaded, naming the key
     payload = csv_config(tmp_path, csv_triplet)
     del payload["data"]["test_csv"]
-    with pytest.raises(ValueError, match="test_csv"):
-        build_datasets(config_from_dict(payload))
+    with pytest.raises(ValueError, match=r"^data\.test_csv: required with data\.labeled_csv$"):
+        config_from_dict(payload)
 
 
 def test_eval_raw_flag(tmp_path, csv_triplet, capsys):
@@ -106,9 +107,11 @@ def test_csv_header_and_empty_errors(tmp_path):
         load_csv_dataset(header_only)
 
 
-def _csv(path, num_classes, dim, labels=None):
-    """A CSV of a 3-row-per-class mixture; labels defaults to the true labels."""
-    ds = synth_gaussian_mixture(num_classes, dim, 4.0, [3] * num_classes, make_rng(7))
+def _csv(path, num_classes, dim, labels=None, counts=None):
+    """A CSV of a mixture, 3 rows per class unless counts says otherwise;
+    labels defaults to the true labels."""
+    counts = [3] * num_classes if counts is None else counts
+    ds = synth_gaussian_mixture(num_classes, dim, 4.0, counts, make_rng(7))
     labels = ds.true_labels if labels is None else labels
     path.parent.mkdir(exist_ok=True)
     save_csv_dataset(Dataset(ds.features, labels, ds.true_labels, num_classes), path)
@@ -161,21 +164,22 @@ def test_csv_the_run_cannot_use_rejected(tmp_path, csv_triplet, capsys, role, me
 
 
 @pytest.mark.parametrize(
-    "role,num_classes,dim,message",
+    "role,counts,dim,message",
     [
-        ("test", 4, 6, r"test\.csv: 4 classes, but labeled_csv .*labeled\.csv has 3"),
-        ("test", 2, 6, r"test\.csv: 2 classes, but labeled_csv .*labeled\.csv has 3"),
-        ("test", 3, 7, r"test\.csv: 7 features per row, but labeled_csv .*labeled\.csv has 6"),
-        ("unlabeled", 3, 5, r"unlabeled\.csv: 5 features per row, but labeled_csv .*labeled\.csv has 6"),
-        ("unlabeled", 4, 6, r"unlabeled\.csv: 4 classes, more than the 3 of labeled_csv .*labeled\.csv"),
+        ("test", [3, 3, 3, 3], 6, r"test\.csv: 4 classes, but labeled_csv .*labeled\.csv has 3"),
+        ("test", [3, 3], 6, r"test\.csv: class 2 has no row, but labeled_csv .*labeled\.csv has 3 classes"),
+        ("test", [3, 0, 3], 6, r"test\.csv: class 1 has no row, but labeled_csv .*labeled\.csv has 3 classes"),
+        ("test", [3, 3, 3], 7, r"test\.csv: 7 features per row, but labeled_csv .*labeled\.csv has 6"),
+        ("unlabeled", [3, 3, 3], 5, r"unlabeled\.csv: 5 features per row, but labeled_csv .*labeled\.csv has 6"),
+        ("unlabeled", [3, 3, 3, 3], 6, r"unlabeled\.csv: 4 classes, but labeled_csv .*labeled\.csv has 3"),
     ],
-    ids=["test-more-classes", "test-fewer-classes", "test-dim", "unlabeled-dim",
-         "unlabeled-more-classes"],
+    ids=["test-more-classes", "test-fewer-classes", "test-no-class-1", "test-dim",
+         "unlabeled-dim", "unlabeled-more-classes"],
 )
-def test_mismatched_csvs_rejected(tmp_path, csv_triplet, capsys, role, num_classes, dim, message):
-    labels = np.full(3 * num_classes, -1) if role == "unlabeled" else None
+def test_mismatched_csvs_rejected(tmp_path, csv_triplet, capsys, role, counts, dim, message):
+    labels = np.full(sum(counts), -1) if role == "unlabeled" else None
     paths = dict(csv_triplet)
-    paths[role] = _csv(tmp_path / "other" / f"{role}.csv", num_classes, dim, labels)
+    paths[role] = _csv(tmp_path / "other" / f"{role}.csv", len(counts), dim, labels, counts)
     _train_rejects(tmp_path, csv_config(tmp_path, paths), message, capsys)
 
 
