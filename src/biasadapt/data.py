@@ -110,8 +110,9 @@ class Dataset:
             raise BadRow(int(row), "non-finite features") from None
         y, truth, k = self.labels, self.true_labels, self.num_classes
         for bad, rule in (
+            (truth < 0, "true_labels must be >= 0"),
             ((y < UNLABELED) | (y >= k), f"labels must lie in {{-1, 0..{k - 1}}}"),
-            ((truth < 0) | (truth >= k), f"true_labels must lie in {{0..{k - 1}}}"),
+            (truth >= k, f"true_labels must lie in {{0..{k - 1}}}"),
             ((y >= 0) & (y != truth), "labeled rows must have labels == true_labels"),
         ):
             if bad.any():
@@ -176,18 +177,12 @@ def _subset(full: Dataset, idx: np.ndarray, labeled: bool) -> Dataset:
 def split_counts(full: Dataset, parts, labeled_flags, rng: np.random.Generator) -> list[Dataset]:
     """Partition a fully-labeled dataset into disjoint per-class subsets.
 
-    parts is a sequence of per-class count arrays (one per output dataset);
-    labeled_flags says which outputs keep their labels. Raises naming the
-    class when a class has too few rows to cover all parts.
+    parts is a sequence of per-class count arrays (one per output dataset)
+    whose sum is at most full's per-class counts: both callers draw full from
+    exactly that sum. labeled_flags says which outputs keep their labels.
     """
     parts = [np.asarray(p, dtype=np.int64) for p in parts]
     perms = [rng.permutation(np.flatnonzero(full.true_labels == k)) for k in range(full.num_classes)]
-    need = np.sum(parts, axis=0)
-    for k in range(full.num_classes):
-        if need[k] > perms[k].size:
-            raise ValueError(
-                f"class {k} has {perms[k].size} rows, need {int(need[k])}"
-            )
     outputs = []
     offsets = np.zeros(full.num_classes, dtype=np.int64)
     for counts, labeled in zip(parts, labeled_flags):
@@ -228,11 +223,8 @@ def balanced_batch(index: tuple[np.ndarray, ...], rng: np.random.Generator) -> n
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Indicator rows; an unlabeled -1 (or any label outside 0..K-1) raises."""
-    labels = np.asarray(labels, dtype=np.int64)
-    bad = labels[(labels < 0) | (labels >= num_classes)]
-    if bad.size:
-        raise ValueError(f"label {int(bad[0])} outside 0..{num_classes - 1}")
+    """Indicator rows of labels in 0..K-1, unchecked: harness.load_labeled_csv
+    refuses a -1 row, and a synthetic labeled split labels every row."""
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out

@@ -96,10 +96,11 @@ def init_model(
     at exactly zero, so the residual correction is the identity at step 0.
     """
     dims = [int(d) for d in dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError(f"bad extractor dims {dims}")
-    if num_classes < 2 or attractor_hidden < 1:
-        raise ValueError("need num_classes >= 2 and attractor_hidden >= 1")
+    if len(dims) < 2 or min(dims) < 1:
+        raise ValueError(f"extractor_dims: expected >= 2 widths, each >= 1, got {dims}")
+    for name, value, low in (("num_classes", num_classes, 2), ("attractor_hidden", attractor_hidden, 1)):
+        if value < low:
+            raise ValueError(f"{name}: expected >= {low}, got {value}")
     theta = [
         (_glorot(rng, dims[i], dims[i + 1]), np.zeros(dims[i + 1]))
         for i in range(len(dims) - 1)
@@ -125,7 +126,7 @@ def forward_features(x: np.ndarray, theta: list[Layer]) -> np.ndarray:
     call. Every row's output is bit-identical to the whole-batch call at the
     extractor widths in use (multiples of 8 under OpenBLAS)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] <= SCORE_BLOCK_ROWS:
+    if x.shape[0] <= SCORE_BLOCK_ROWS:
         return features_with_cache(x, theta)[0]
     z = np.empty((x.shape[0], theta[-1][0].shape[1]))
     for start in range(0, x.shape[0], SCORE_BLOCK_ROWS):
@@ -138,10 +139,9 @@ def features_with_cache(x: np.ndarray, theta: list[Layer]):
     """Extractor forward pass: ReLU after every layer except the last, each
     layer's output a fresh array biased and rectified in place (x is never
     written). The cache is the list of layer inputs only: backward reads its
-    ReLU gates from them, so no preactivation is kept."""
+    ReLU gates from them, so no preactivation is kept. x has the input width:
+    harness.check_fits refuses a CSV of another feature count."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != theta[0][0].shape[0]:
-        raise ValueError(f"input shape {x.shape} does not match extractor width {theta[0][0].shape[0]}")
     inputs = []
     h = x
     for li, (w, b) in enumerate(theta):
@@ -178,13 +178,12 @@ def classifier_scores(z: np.ndarray, phi_w: np.ndarray, phi_b: np.ndarray) -> np
 def normalize_scores(s: np.ndarray, norm: str) -> np.ndarray:
     """Attractor input: softmax of the scores or their L2-normalized value.
     Callers must treat the result as a constant (stop-gradient); a zero score
-    row under l2_input maps to the zero vector."""
+    row under l2_input maps to the zero vector. TrainConfig.validate and
+    load_checkpoint refuse a norm outside NORM_MODES."""
     if norm == "softmax_input":
         return softmax(s)
-    if norm == "l2_input":
-        norms = np.linalg.norm(s, axis=1, keepdims=True)
-        return np.where(norms > 0.0, s / np.where(norms > 0.0, norms, 1.0), 0.0)
-    raise ValueError(f"unknown attractor norm {norm!r}")
+    norms = np.linalg.norm(s, axis=1, keepdims=True)
+    return np.where(norms > 0.0, s / np.where(norms > 0.0, norms, 1.0), 0.0)
 
 
 def attractor_forward(state: ModelState, u: np.ndarray):

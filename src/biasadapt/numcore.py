@@ -2,12 +2,11 @@
 
 `weighted_ce` is the one cross-entropy kernel; every caller, training and
 selfcheck's finite-difference check included, applies it to `log_softmax`
-rows. `softmax` and `log_softmax` check only their shape and do not scan for
-non-finite values: a NaN or inf input comes out as NaN rows, which training's
-per-iteration loss and gradient-norm checks report as divergence. Randomness
-everywhere in the package flows through explicitly passed
-`numpy.random.Generator` instances backed by PCG64, so a seed fully
-determines every stream.
+rows. `softmax` and `log_softmax` check nothing: a NaN or inf input comes out
+as NaN rows, which training's per-iteration loss and gradient-norm checks
+report as divergence. Randomness everywhere in the package flows through
+explicitly passed `numpy.random.Generator` instances backed by PCG64, so a
+seed fully determines every stream.
 """
 
 from __future__ import annotations
@@ -49,14 +48,12 @@ def safe_log(x: np.ndarray) -> np.ndarray:
 
 
 def _shift_rows(logits) -> np.ndarray:
-    """Logits minus each row's maximum; needs a 2-D input with at least two
-    columns and does not check finiteness. The maxima are reduced over a
-    class-major copy: the same values as x.max(axis=1, keepdims=True), since
-    a max is exact in any order, for a fraction of the per-call cost on
-    short rows."""
+    """Logits minus each row's maximum, for an (N, K) input: K >= 2, as
+    init_model refuses fewer for every config, labeled CSV and checkpoint.
+    The maxima are reduced over a class-major copy: the same values as
+    x.max(axis=1, keepdims=True), since a max is exact in any order, for a
+    fraction of the per-call cost on short rows."""
     x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ValueError(f"logits must be 2-D with >= 2 classes, got shape {x.shape}")
     return x - np.ascontiguousarray(x.T).max(axis=0)[:, None]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from biasadapt.data import Dataset, one_hot
-from biasadapt.metrics import balanced_accuracy, confusion
+from biasadapt.metrics import balanced_accuracy, confusion, per_class_recall
 from biasadapt.numcore import log_softmax, weighted_ce
 
 
@@ -56,6 +56,7 @@ def linear_probe_bacc():
             w -= lr * (x.T @ d)
             b -= lr * d.sum(axis=0)
         preds = (test_ds.features @ w + b).argmax(axis=1)
-        return balanced_accuracy(confusion(test_ds.true_labels, preds, test_ds.num_classes))
+        cm = confusion(test_ds.true_labels, preds, test_ds.num_classes)
+        return balanced_accuracy(per_class_recall(cm))
 
     return probe

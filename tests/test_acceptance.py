@@ -21,7 +21,7 @@ from biasadapt.data import (
     class_counts,
     synth_gaussian_mixture,
 )
-from biasadapt.metrics import balanced_accuracy, geometric_mean
+from biasadapt.metrics import balanced_accuracy, geometric_mean, per_class_recall
 from biasadapt.numcore import make_rng
 from biasadapt.selfcheck import (
     check_cross_entropy_grad,
@@ -115,8 +115,8 @@ def test_criterion_5_dataset_recipes():
 
 
 def test_criterion_6_metric_identities():
-    cm = np.array([[8, 0], [3, 3]])
-    hand_ok = balanced_accuracy(cm) == 0.75 and abs(geometric_mean(cm) - math.sqrt(0.5)) < 1e-12
+    recall = per_class_recall(np.array([[8, 0], [3, 3]]))
+    hand_ok = balanced_accuracy(recall) == 0.75 and abs(geometric_mean(recall) - math.sqrt(0.5)) < 1e-12
 
     rng = make_rng(13)
     amgm_ok = True
@@ -124,16 +124,18 @@ def test_criterion_6_metric_identities():
         k = int(rng.integers(2, 8))
         rand_cm = rng.integers(0, 40, size=(k, k))
         rand_cm[np.arange(k), np.arange(k)] += 1
-        amgm_ok &= geometric_mean(rand_cm) <= balanced_accuracy(rand_cm) + 1e-12
+        recall = per_class_recall(rand_cm)
+        amgm_ok &= geometric_mean(recall) <= balanced_accuracy(recall) + 1e-12
 
     dup_ok = True
     for _ in range(100):
         k = int(rng.integers(2, 6))
         rand_cm = rng.integers(0, 30, size=(k, k))
         rand_cm[np.arange(k), np.arange(k)] += 1
-        dup = np.diag(rng.integers(1, 9, size=k)) @ rand_cm
-        dup_ok &= abs(balanced_accuracy(dup) - balanced_accuracy(rand_cm)) < 1e-12
-        dup_ok &= abs(geometric_mean(dup) - geometric_mean(rand_cm)) < 1e-12
+        recall = per_class_recall(rand_cm)
+        dup = per_class_recall(np.diag(rng.integers(1, 9, size=k)) @ rand_cm)
+        dup_ok &= abs(balanced_accuracy(dup) - balanced_accuracy(recall)) < 1e-12
+        dup_ok &= abs(geometric_mean(dup) - geometric_mean(recall)) < 1e-12
     report(
         6,
         bool(hand_ok and amgm_ok and dup_ok),

@@ -626,6 +626,28 @@ class TestEvalCommand:
             f"error: {ckpt}: unknown attractor norm 'bogus' in checkpoint meta\n"
         )
 
+    def test_eval_rejects_a_one_class_checkpoint(self, tmp_path, capsys):
+        # every array and the metadata agree on K = 1; init_model's floor is
+        # the one class-count check on this path, as the softmax kernels trust it
+        from biasadapt.model import load_checkpoint
+
+        ckpt = tmp_path / "one_class.npz"
+        save_checkpoint(ckpt, init_model([5, 8, 4], 2, 8, make_rng(0), "softmax_input"))
+        with np.load(ckpt) as z:
+            arrays = dict(z)
+        for name in ("phi_w", "ema_phi_w", "omega_w2"):
+            arrays[name] = arrays[name][:, :1]
+        for name in ("phi_b", "ema_phi_b", "omega_w1", "omega_b2"):
+            arrays[name] = arrays[name][:1]
+        meta = {**json.loads(bytes(arrays["meta"]).decode()), "num_classes": 1}
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(ckpt, **arrays)
+        message = f"{ckpt}: num_classes: expected >= 2, got 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(ckpt)
+        assert main(["eval", "--ckpt", str(ckpt), "--test", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize(
         "dim,classes,message",
         [

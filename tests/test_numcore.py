@@ -43,10 +43,6 @@ class TestSoftmax:
                 assert np.isnan(out[[0, 2]]).all()
                 assert np.array_equal(out[1], kernel(x[1:2])[0])
 
-    def test_rejects_single_class(self):
-        with pytest.raises(ValueError, match="classes"):
-            softmax(np.array([[1.0]]))
-
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_rows_sum_to_one(self, seed):
