@@ -62,6 +62,21 @@ class TestInit:
         assert np.array_equal(state.ema_phi_w, state.phi_w)
         assert state.ema_phi_w is not state.phi_w
 
+    @pytest.mark.parametrize(
+        "dims,classes,hidden,message",
+        [
+            ([4, 3], 1, 8, "num_classes: expected >= 2, got 1"),
+            ([4, 3], 2, 0, "attractor_hidden: expected >= 1, got 0"),
+            ([4], 2, 8, "extractor_dims: expected >= 2 widths, each >= 1, got [4]"),
+            ([4, 0, 3], 2, 8, "extractor_dims: expected >= 2 widths, each >= 1, got [4, 0, 3]"),
+        ],
+        ids=["one-class", "no-attractor-units", "one-width", "zero-width"],
+    )
+    def test_refusal_names_the_value(self, dims, classes, hidden, message):
+        # the entry check the softmax kernels and the extractor pass rely on
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            init_model(dims, classes, hidden, make_rng(0), "softmax_input")
+
 
 class TestForwardFeatures:
     def test_identity_single_layer(self):
