@@ -32,6 +32,10 @@ Layer = tuple[np.ndarray, np.ndarray]  # (W: (fan_in, fan_out), b: (fan_out,))
 
 @dataclass
 class ModelState:
+    """Every parameter array and the head's input normalisation; the four
+    *_arrays methods state the layout that copying, the EMA, the SGD steps,
+    the oracles, the checkpoint format and every gradient list follow."""
+
     theta: list[Layer]
     phi_w: np.ndarray
     phi_b: np.ndarray

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# log() inputs are clamped here to avoid -inf; log(1e-300) ~= -690.78
-LOG_FLOOR = 1e-300
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 generator; the same seed yields the same stream on any platform."""
@@ -40,11 +37,6 @@ class NonFinite(ValueError):
 def ensure_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFinite(f"non-finite {name}")
-
-
-def safe_log(x: np.ndarray) -> np.ndarray:
-    """Elementwise log with inputs clamped at LOG_FLOOR (never returns -inf)."""
-    return np.log(np.maximum(x, LOG_FLOOR))
 
 
 def _shift_rows(logits) -> np.ndarray:

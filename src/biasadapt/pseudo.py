@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import safe_log, softmax
+from .numcore import log_softmax, softmax
 
 
 @dataclass
@@ -53,9 +53,11 @@ def assign_pseudo_labels(
     """Targets and confidence-mask weights from weak-view logits.
 
     hard: one-hot argmax (ties toward the lowest class index). sharpen:
-    p^(1/T) renormalized per row. Either way lam[i] = lambda_u when
-    max p[i] >= tau, else 0. TrainConfig.validate has checked tau, mode and
-    (under sharpen) temperature.
+    p^(1/T) renormalized per row, computed as softmax(log p / T), whose
+    largest entry is exp(0), so a row whose every p^(1/T) underflows still
+    sums to 1. Either way lam[i] = lambda_u when max p[i] >= tau, else 0.
+    TrainConfig.validate has checked tau, mode and (under sharpen)
+    temperature.
     """
     p = softmax(logits_weak)
     rows = np.arange(p.shape[0])
@@ -65,6 +67,5 @@ def assign_pseudo_labels(
         y_hat = np.zeros_like(p)
         y_hat[rows, top] = 1.0
     else:
-        powered = np.exp(safe_log(p) / temperature)
-        y_hat = powered / powered.sum(axis=1, keepdims=True)
+        y_hat = softmax(log_softmax(logits_weak) / temperature)
     return y_hat, lam

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biasadapt import bilevel, model
@@ -305,6 +305,10 @@ def test_every_gradient_list_is_in_parameter_order(hidden):
     lambda_u=st.floats(0.0, 2.0),
     alpha=st.floats(0.01, 0.2),
 )
+# a draw whose hypergradient peaks at 1.8e-5, where a 1e-6 step's round-off
+# put route C 1.12e-5 away from route A
+@example(seed=4788, hidden=(3, 3), norm="softmax_input", pseudo_mode="hard",
+         tau=0.0, lambda_u=0.0, alpha=0.015625)
 def test_three_routes_agree_on_every_accepted_axis(
     seed, hidden, norm, pseudo_mode, tau, lambda_u, alpha
 ):

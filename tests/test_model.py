@@ -90,7 +90,7 @@ class TestForwardFeatures:
         z = forward_features(np.zeros((0, 3)), state.theta)
         assert z.shape == (0, 2)
 
-    def test_jvp_matches_fd(self):
+    def test_features_backward_matches_fd(self):
         rng = make_rng(11)
         problem = make_small_problem(rng, hidden=(3, 3))
         state = problem.state

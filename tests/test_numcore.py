@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biasadapt.numcore import (
-    LOG_FLOOR,
     NonFinite,
     log_softmax,
     make_rng,
-    safe_log,
     softmax,
     weighted_ce,
 )
@@ -194,11 +192,6 @@ class TestGradCheck:
 
         with pytest.raises(ValueError, match="epsilon"):
             grad_check(f, np.zeros(1), epsilon=1e-2)
-
-
-def test_safe_log_floor():
-    assert safe_log(np.array([[0.0]]))[0, 0] == np.log(LOG_FLOOR)
-    assert np.isfinite(safe_log(np.zeros((2, 2)))).all()
 
 
 def test_rng_reproducible():

@@ -68,6 +68,17 @@ class TestAssignPseudoLabels:
         y_hat, _ = assign_pseudo_labels(logits, 0.0, 1.0, mode="sharpen", temperature=0.5)
         assert np.all(np.abs(y_hat.sum(axis=1) - 1.0) < 1e-9)
 
+    def test_sharpen_rows_whose_powers_all_underflow_stay_finite(self):
+        # p^(1/T) underflows to 0 on every entry of a row whose top
+        # probability is below exp(-745 T); such a row must still sum to 1
+        temperature = 0.002
+        logits = 0.1 * make_rng(9).standard_normal((8, 6))
+        assert softmax(logits).max() < np.exp(-745.0 * temperature)
+        y_hat, _ = assign_pseudo_labels(logits, 0.0, 1.0, mode="sharpen", temperature=temperature)
+        assert np.isfinite(y_hat).all()
+        assert np.all(np.abs(y_hat.sum(axis=1) - 1.0) < 1e-12)
+        assert np.array_equal(y_hat.argmax(axis=1), logits.argmax(axis=1))
+
     def test_hard_argmax_matches_logits_argmax_with_ties(self):
         logits = np.array([[2.0, 2.0, 1.0], [0.0, 3.0, 3.0]])
         y_hat, _ = assign_pseudo_labels(logits, 0.0, 1.0)
