@@ -27,10 +27,11 @@ SCENARIOS = tuple(SCENARIO_KINDS)
 
 @dataclass
 class BenchmarkSettings:
-    num_classes: int = 6
-    dim: int = 16
+    # the desk task's shape: class attributes, not fields, so no run sets them
+    num_classes = 6
+    dim = 16
+    test_per_class = 250
     class_separation: float = 3.5
-    test_per_class: int = 250
     seeds: tuple = (1, 2, 3, 4, 5)
     scenarios: tuple = SCENARIOS
     iters: int = 4000
@@ -57,7 +58,6 @@ def benchmark_train_config(settings: BenchmarkSettings, mode: str, seed: int) ->
         batch_m=128,
         balanced_n=60,
         ema_decay=0.999,
-        lambda_bal=1.0,
         pseudo_source="plain",
         sigma_weak=0.5,
         sigma_strong=1.5,
@@ -154,7 +154,7 @@ def run_benchmark(settings: BenchmarkSettings, progress=None, workers: int = 1) 
     Raises before any group trains or worker starts when the grid is empty,
     names a seed or scenario twice, a negative seed or a scenario outside
     SCENARIOS, the mixture is one check_mixture refuses, eval_interval lies
-    outside 1..iters, last_e is negative or test_per_class below 1.
+    outside 1..iters or last_e is negative.
     Returns {"cells": {scenario: {mode: [per-seed dicts]}}, "criteria": ...}."""
     for name, values in (("seeds", settings.seeds), ("scenarios", settings.scenarios)):
         if not values or len(set(values)) < len(values):
@@ -168,9 +168,8 @@ def run_benchmark(settings: BenchmarkSettings, progress=None, workers: int = 1) 
     interval, iters = settings.eval_interval, settings.iters
     if not 1 <= interval <= iters:
         raise ValueError(f"evaluation interval {interval} is outside 1..{iters} iterations")
-    for name, low in (("last_e", 0), ("test_per_class", 1)):
-        if getattr(settings, name) < low:
-            raise ValueError(f"{name}: expected >= {low}, got {getattr(settings, name)!r}")
+    if settings.last_e < 0:
+        raise ValueError(f"last_e: expected >= 0, got {settings.last_e!r}")
     groups = [(scenario, seed) for scenario in settings.scenarios for seed in settings.seeds]
     if workers > 1:
         results = _pooled_groups(settings, groups, workers)
@@ -191,12 +190,11 @@ def run_benchmark(settings: BenchmarkSettings, progress=None, workers: int = 1) 
 
 def evaluate_criteria(cells: dict, settings: BenchmarkSettings) -> dict:
     """Verdicts: per scenario, (a) l2ac beats baseline on bACC and GM in
-    >= 4/5 seeds and (b) likewise on worst-class recall; (c) over the
-    scenario-aggregated mean bACC, the two ablation modes land strictly
-    between baseline and l2ac."""
+    all seeds but one, and in at least one (4 of 5, 1 of 2, 1 of 1), and
+    (b) likewise on worst-class recall; (c) over the scenario-aggregated mean
+    bACC, the two ablation modes land strictly between baseline and l2ac."""
     out = {}
-    n_seeds = len(settings.seeds)
-    need = n_seeds - 1
+    need = max(1, len(settings.seeds) - 1)
     for scenario, by_mode in cells.items():
         baseline = by_mode["baseline"]
         l2ac = by_mode["l2ac"]

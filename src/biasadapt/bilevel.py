@@ -63,7 +63,6 @@ class TrainConfig:
     balanced_n: int = 64
     iters: int = 4000
     ema_decay: float = 0.999
-    lambda_bal: float = 1.0
     pseudo_mode: str = "hard"
     pseudo_source: str = "plain"
     sharpen_temperature: float = 0.5
@@ -88,8 +87,8 @@ class TrainConfig:
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        minimums = {"lambda_u": 0, "lambda_bal": 0, "batch_n": 1, "batch_m": 0, "iters": 0,
-                    "balanced_n": 1, "feature_dim": 1, "attractor_hidden": 1}
+        minimums = {"lambda_u": 0, "batch_n": 1, "batch_m": 0, "iters": 0, "balanced_n": 1,
+                    "feature_dim": 1, "attractor_hidden": 1}
         for name, low in minimums.items():
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -341,9 +340,9 @@ def train(
     state = init_state(config, d_l, init_rng)
 
     # the modes differ on three axes: the head sits in the lower path (all
-    # but baseline); the balanced loss joins the lower loss with weight
-    # lambda_bal (single_level) or is the upper level (l2ac); the head moves
-    # along the hypergradient (l2ac), else along its lower gradient
+    # but baseline); the balanced loss is added to the lower loss
+    # (single_level) or is the upper level (l2ac); the head moves along the
+    # hypergradient (l2ac), else along its lower gradient
     head = config.mode != "baseline"
     joint = config.mode == "single_level"
     hyper = config.mode == "l2ac"
@@ -387,7 +386,7 @@ def train(
         if joint:
             upper_val, bal_grads = upper_loss(bal_x, bal_y, state, need_theta=True)
             for g, b in zip(rec.grads, bal_grads):
-                g += config.lambda_bal * b
+                g += b
 
         lower_step(state, rec, config.alpha)
 

@@ -6,9 +6,9 @@ selfcheck (run the executable invariant suite), bench-overhead (time the
 second-order step against a full lower backward), compare (aggregate run
 metrics into a mode table), benchmark (every mode on the desk task against
 matched / uniform / reversed unlabeled profiles, across seeds). Flags
-override config scalars. A refused argument or a diverged run prints
-one `error:` line to stderr and exits 2; a failed check (selfcheck) or
-criterion (benchmark) exits 1.
+override config scalars. A refused argument, a path the OS refuses or a
+diverged run prints one `error:` line to stderr and exits 2; a failed
+check (selfcheck) or criterion (benchmark) exits 1.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, FileNotFoundError, FileExistsError, TrainingDiverged) as exc:
+    except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

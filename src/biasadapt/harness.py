@@ -468,11 +468,12 @@ def run_compare(run_dirs) -> tuple[str, str]:
             raise FileNotFoundError(f"no metrics.json in run {d}")
         with open(path) as fh:
             payload = json.load(fh)
-        headline = payload.get("headline") or {
-            "bacc": payload["final"]["bacc"],
-            "gm": payload["final"]["gm"],
-        }
-        rows.append((payload["mode"], float(headline["bacc"]), float(headline["gm"])))
+        try:
+            # headline is null when the run made no evaluation
+            scores = payload.get("headline") or payload["final"]
+            rows.append((payload["mode"], float(scores["bacc"]), float(scores["gm"])))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     by_mode: dict[str, list[tuple[float, float]]] = {}
     for mode, bacc, gm in rows:
         by_mode.setdefault(mode, []).append((bacc, gm))

@@ -97,7 +97,6 @@ def payloads(draw) -> tuple[dict, str | None]:
             "sharpen_temperature": draw(st.just(0.001) | st.floats(0.001, 2.0)),
             "tau": draw(st.floats(0.0, 1.0)),
             "lambda_u": draw(st.floats(0.0, 2.0)),
-            "lambda_bal": draw(st.floats(0.0, 2.0)),
             "ema_decay": draw(st.floats(0.0, 1.0)),
             "sigma_weak": draw(st.floats(0.0, sigma_strong, exclude_max=True)),
             "sigma_strong": sigma_strong,

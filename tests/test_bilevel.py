@@ -66,7 +66,6 @@ class TestValidate:
             ({"alpha": math.nan}, "alpha must be > 0, got nan"),
             ({"eta": math.nan}, "eta must be > 0, got nan"),
             ({"lambda_u": math.nan}, "lambda_u must be >= 0, got nan"),
-            ({"lambda_bal": math.nan}, "lambda_bal must be >= 0, got nan"),
             ({"pseudo_mode": "sharpen", "sharpen_temperature": math.nan},
              "sharpen_temperature must be > 0, got nan"),
         ],

@@ -313,10 +313,13 @@ class TestTrainCommand:
             ("train", {"log_timings": True}, "unknown config key(s) ['log_timings'] under train"),
             ("train", {"schedule": "theorem_f", "c1": 1.0, "c2": 10.0},
              "unknown config key(s) ['c1', 'c2', 'schedule'] under train"),
+            # single_level adds the balanced loss unweighted
+            ("train", {"lambda_bal": 1.0}, "unknown config key(s) ['lambda_bal'] under train"),
         ],
         ids=["balanced_n", "empty_class", "test_per_class=0", "test_per_class=-3",
              "test_csv_alone", "unlabeled_csv_alone", "test_csv_with_test_per_class=0",
-             "lower_optimizer=sgd", "lower_optimizer=adam", "log_timings", "schedule"],
+             "lower_optimizer=sgd", "lower_optimizer=adam", "log_timings", "schedule",
+             "lambda_bal"],
     )
     def test_input_error_stops_before_the_out_dir(self, tmp_path, capsys, section, edit, message):
         # a forced rerun keeps every file of the previous run, and a fresh
@@ -368,7 +371,6 @@ class TestTrainCommand:
             ({"pseudo_mode": "sharpen", "sharpen_temperature": 0},
              "sharpen_temperature must be > 0, got 0.0"),
             ({"alpha": float("nan")}, "train.alpha: expected float, got nan"),
-            ({"lambda_bal": float("nan")}, "train.lambda_bal: expected float, got nan"),
             ({"eta": float("inf")}, "train.eta: expected float, got inf"),
             ({"feature_dim": 0}, "feature_dim must be >= 1, got 0"),
             ({"attractor_hidden": 0}, "attractor_hidden must be >= 1, got 0"),
@@ -789,6 +791,38 @@ class TestCompare:
     def test_missing_run_errors(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "nope")]) == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload,key",
+        [
+            ({"mode": "l2ac", "final": {}}, "bacc"),
+            ({"mode": "l2ac", "headline": None}, "final"),
+            ({"final": {"bacc": 0.5, "gm": 0.5}}, "mode"),
+        ],
+        ids=["bacc", "final", "mode"],
+    )
+    def test_malformed_run_refused_by_its_key(self, tmp_path, capsys, payload, key):
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(payload))
+        assert main(["compare", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: missing key {key!r}\n"
+
+
+@pytest.mark.parametrize("case", ["train --out", "gen-data --out", "train --config"])
+def test_a_path_the_os_refuses_prints_one_error_line(tmp_path, capsys, case):
+    # a file where a directory belongs, or a directory where a file belongs
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv, named = {
+        "train --out": (["train", "--config", str(ROOT / "configs" / "example.yaml"),
+                         "--iters", "2", "--out", str(blocker / "run")], blocker),
+        "gen-data --out": (["gen-data", "--kind", "longtail", "--n1", "10", "--classes", "3",
+                            "--out", str(blocker / "d")], blocker),
+        "train --config": (["train", "--config", str(ROOT / "configs")], ROOT / "configs"),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1 and str(named) in err
 
 
 def test_config_mirrors_dataclass_round_trip(tmp_path):
