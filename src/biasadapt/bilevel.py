@@ -38,7 +38,7 @@ from .model import (
     forward_train,
     init_model,
 )
-from .numcore import NonFinite, child_seeds, log_softmax, make_rng, weighted_ce
+from .numcore import NonFinite, child_seeds, log_softmax, make_rng, normals_ahead, weighted_ce
 from .pseudo import PseudoBatch, assign_pseudo_labels, augment
 
 MODES = ("baseline", "plain_attractor", "single_level", "l2ac")
@@ -367,7 +367,7 @@ def train(
         if have_unlabeled:
             u_idx = _sample_rows(batch_rng, len(d_u), config.batch_m)
             x_u = d_u.features[u_idx]
-            x_weak, x_strong = augment(x_u, config.sigma_weak, config.sigma_strong, aug_rng)
+            x_weak, x_strong = augment(x_u, config.sigma_weak, config.sigma_strong, aug_noise)
             y_hat, lam = assign_pseudo_labels(
                 pseudo_label_logits(x_weak, state, config), config.tau, config.lambda_u,
                 config.pseudo_mode, config.sharpen_temperature,
@@ -408,9 +408,13 @@ def train(
         return t, rec.loss, upper_val, nt, nphi, nomega
 
     table = np.empty(config.iters, TRACE_DTYPE)
-    # a blow-up is reported by the explicit checks below, not by NumPy's
-    # overflow and invalid-value warnings on the way to it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # augment draws from aug_rng once per iteration, and nothing else does, so
+    # aug_noise may draw that stream ahead on another CPU; a blow-up is
+    # reported by the explicit checks below, not by NumPy's overflow and
+    # invalid-value warnings on the way to it
+    noise_shape = (2, config.batch_m, d_u.dim) if have_unlabeled else ()
+    with normals_ahead(aug_rng, noise_shape, config.iters if have_unlabeled else 0) as aug_noise, \
+            np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.iters + 1):
             try:
                 table[t - 1] = iteration(t)

@@ -466,8 +466,13 @@ def run_compare(run_dirs) -> tuple[str, str]:
         path = resolve_out_dir(str(d)) / "metrics.json"
         if not path.exists():
             raise FileNotFoundError(f"no metrics.json in run {d}")
-        with open(path) as fh:
-            payload = json.load(fh)
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"{path}: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
         try:
             # headline is null when the run made no evaluation
             scores = payload.get("headline") or payload["final"]

@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
 import math
+import os
 import pickle
 import re
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -38,7 +41,7 @@ from biasadapt.model import (
     forward_train,
     init_model,
 )
-from biasadapt.numcore import child_seeds, log_softmax, make_rng
+from biasadapt.numcore import HELPER_NAME, NormalsAhead, child_seeds, log_softmax, make_rng
 from biasadapt.pseudo import PseudoBatch, assign_pseudo_labels, augment
 from biasadapt.testing import (
     SmallProblem,
@@ -726,6 +729,114 @@ class TestTrainLoop:
         _, t1 = train(quick_config(), d_l, d_u, eval_hook=lambda i, s: None, eval_interval=3)
         _, t2 = train(quick_config(), d_l, d_u)
         assert np.array_equal(t1["lower_loss"], t2["lower_loss"])
+
+
+def helpers_alive() -> int:
+    return sum(thread.name == HELPER_NAME for thread in threading.enumerate())
+
+
+@pytest.fixture
+def noise_sources(monkeypatch):
+    """What each train call drew its augmentation noise from."""
+    sources = []
+    real = bilevel.normals_ahead
+
+    @contextlib.contextmanager
+    def recorded(*args):
+        with real(*args) as source:
+            sources.append(type(source))
+            yield source
+
+    monkeypatch.setattr(bilevel, "normals_ahead", recorded)
+    return sources
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="the noise is drawn ahead only with a second allowed CPU")
+class TestNoiseDrawnAhead:
+    """train draws the augmentation noise on a helper thread pinned off its
+    own CPU. A (2, 12, 4) draw fills a buffer 170 at a time, so in 400
+    iterations the helper is still running at every hook below."""
+
+    def test_helper_joined_after_a_return(self, noise_sources):
+        d_l, d_u = desk_datasets()
+        alive = []
+        train(quick_config(iters=400), d_l, d_u,
+              eval_hook=lambda it, st: alive.append(helpers_alive()), eval_interval=100)
+        assert noise_sources == [NormalsAhead] and alive[0] == 1 and helpers_alive() == 0
+
+    def test_helper_runs_on_every_allowed_cpu_but_one(self):
+        d_l, d_u = desk_datasets()
+        masks = []
+
+        def hook(iteration, state):
+            masks.append([os.sched_getaffinity(t.native_id)
+                          for t in threading.enumerate() if t.name == HELPER_NAME])
+
+        allowed = os.sched_getaffinity(0)
+        train(quick_config(iters=400), d_l, d_u, eval_hook=hook, eval_interval=100)
+        # the trainer's CPU when train started is the one left out
+        (mask,) = masks[0]
+        assert mask < allowed and len(mask) == len(allowed) - 1
+
+    def test_helper_joined_after_divergence(self):
+        d_l, d_u = desk_datasets()
+        alive = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged, match="iteration 5"):
+                train(quick_config(alpha=1e6, iters=400), d_l, d_u,
+                      eval_hook=lambda it, st: alive.append(helpers_alive()), eval_interval=1)
+        assert alive == [1] * 4 and helpers_alive() == 0
+
+    def test_helper_joined_after_the_eval_hook_raises(self):
+        d_l, d_u = desk_datasets()
+        alive = []
+
+        def hook(iteration, state):
+            alive.append(helpers_alive())
+            raise KeyError("hook failed")
+
+        with pytest.raises(KeyError, match="hook failed"):
+            train(quick_config(iters=400), d_l, d_u, eval_hook=hook, eval_interval=2)
+        assert alive == [1] and helpers_alive() == 0
+
+    def test_an_error_in_the_helper_is_raised_by_train(self, monkeypatch):
+        aug_seed = child_seeds(quick_config().seed, 3)[2]
+
+        class FailingDraws:
+            def standard_normal(self, *args, **kwargs):
+                raise MemoryError(f"injected on {threading.current_thread().name}")
+
+        monkeypatch.setattr(bilevel, "make_rng",
+                            lambda seed: FailingDraws() if seed == aug_seed else make_rng(seed))
+        d_l, d_u = desk_datasets()
+        raised = []
+
+        def run():
+            try:
+                train(quick_config(iters=5), d_l, d_u)
+            except MemoryError as exc:
+                raised.append(str(exc))
+
+        # a daemon, so a hang fails the test instead of holding the suite
+        trainer = threading.Thread(target=run, daemon=True)
+        trainer.start()
+        trainer.join(timeout=60)
+        assert not trainer.is_alive()
+        assert raised == [f"injected on {HELPER_NAME}"] and helpers_alive() == 0
+
+    def test_one_allowed_cpu_draws_inline_with_the_same_trace(self, noise_sources):
+        d_l, d_u = desk_datasets()
+        ahead = train(quick_config(), d_l, d_u)[1]
+        saved = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(saved)})
+        try:
+            inline = train(quick_config(), d_l, d_u)[1]
+        finally:
+            os.sched_setaffinity(0, saved)
+        assert noise_sources == [NormalsAhead, np.random.Generator]
+        assert inline.tobytes() == ahead.tobytes()
 
 
 class TestBaselineDifferential:

@@ -807,6 +807,20 @@ class TestCompare:
         assert main(["compare", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: missing key {key!r}\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "Expecting value: line 1 column 1 (char 0)"),
+            ("[1]", "expected a JSON object, got list"),
+        ],
+        ids=["not-json", "json-list"],
+    )
+    def test_malformed_run_refused_by_its_path(self, tmp_path, capsys, text, message):
+        path = tmp_path / "metrics.json"
+        path.write_text(text)
+        assert main(["compare", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
 
 @pytest.mark.parametrize("case", ["train --out", "gen-data --out", "train --config"])
 def test_a_path_the_os_refuses_prints_one_error_line(tmp_path, capsys, case):

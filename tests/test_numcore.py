@@ -1,10 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biasadapt.numcore import (
+    BLOCK_BYTES,
     NonFinite,
+    NormalsAhead,
     log_softmax,
     make_rng,
     softmax,
@@ -198,3 +202,37 @@ def test_rng_reproducible():
     a = make_rng(42).standard_normal(5)
     b = make_rng(42).standard_normal(5)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs the affinity calls")
+class TestNormalsAhead:
+    @pytest.mark.parametrize(
+        "shape,count",
+        # (2, 3, 4) draws fill a block 682 at a time, so 1500 cross two block
+        # boundaries and end part-way into a block; a (2, 100, 100) draw is
+        # bigger than a block, so each block holds one
+        [((2, 3, 4), 1500), ((2, 100, 100), 3)],
+        ids=["many-per-block", "bigger-than-a-block"],
+    )
+    def test_same_draws_and_end_state_as_inline_calls(self, shape, count):
+        assert BLOCK_BYTES // (8 * np.prod(shape)) < count
+        rng, inline = make_rng(7), make_rng(7)
+        ahead = NormalsAhead(rng, shape, count, os.sched_getaffinity(0))
+        try:
+            for _ in range(count):
+                assert ahead.standard_normal(shape).tobytes() == inline.standard_normal(shape).tobytes()
+        finally:
+            ahead.close()
+        assert rng.bit_generator.state == inline.bit_generator.state
+
+    def test_refuses_another_shape_and_a_draw_past_its_count(self):
+        ahead = NormalsAhead(make_rng(7), (2, 3, 4), 2, os.sched_getaffinity(0))
+        try:
+            with pytest.raises(ValueError, match=r"shape \(2, 4, 3\): this stream draws \(2, 3, 4\)"):
+                ahead.standard_normal((2, 4, 3))
+            ahead.standard_normal((2, 3, 4))
+            ahead.standard_normal((2, 3, 4))
+            with pytest.raises(RuntimeError, match="every draw"):
+                ahead.standard_normal((2, 3, 4))
+        finally:
+            ahead.close()
