@@ -6,7 +6,6 @@ evaluations) plus the pass/fail verdicts the acceptance suite asserts."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,34 +125,19 @@ def _run_group(settings: BenchmarkSettings, scenario: str, seed: int) -> list[di
     ]
 
 
-def _pin_worker(started, cpus: list[int]) -> None:
-    """Pool initializer: the i-th worker started runs on cpus[i mod n] only,
-    so the workers spread over the CPUs wherever the scheduler would have
-    left them."""
-    with started.get_lock():
-        i = started.value
-        started.value += 1
-    os.sched_setaffinity(0, {cpus[i % len(cpus)]})
-
-
 def _pooled_groups(settings: BenchmarkSettings, groups: list, workers: int):
     """Yields each group's cells in `groups` order, run in `workers`
-    spawn-context processes whose BLAS is pinned to one thread and, where the
-    platform has the affinity calls, each process to one CPU."""
+    spawn-context processes whose BLAS is pinned to one thread."""
     import multiprocessing
+    import os
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("spawn")
-    pin = {}
-    if hasattr(os, "sched_getaffinity"):
-        pin = {"initializer": _pin_worker,
-               "initargs": (context.Value("i", 0), sorted(os.sched_getaffinity(0)))}
     # the workers read the pin when NumPy loads, which is before any
     # initializer could run; this process's own BLAS has already started
     saved = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        with ProcessPoolExecutor(workers, mp_context=context, **pin) as pool:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             scenarios, seeds = zip(*groups)
             yield from pool.map(_run_group, [settings] * len(groups), scenarios, seeds)
     finally:

@@ -409,9 +409,11 @@ def train(
 
     table = np.empty(config.iters, TRACE_DTYPE)
     # augment draws from aug_rng once per iteration, and nothing else does, so
-    # aug_noise may draw that stream ahead on another CPU; a blow-up is
-    # reported by the explicit checks below, not by NumPy's overflow and
-    # invalid-value warnings on the way to it
+    # aug_noise may draw that stream ahead on a helper thread. Its draw is a
+    # view into a buffer the helper refills, and augment scales it in place:
+    # x_weak, x_strong and the PseudoBatch holding x_strong must not outlive
+    # their iteration. A blow-up is reported by the explicit checks below,
+    # not by NumPy's overflow and invalid-value warnings on the way to it
     noise_shape = (2, config.batch_m, d_u.dim) if have_unlabeled else ()
     with normals_ahead(aug_rng, noise_shape, config.iters if have_unlabeled else 0) as aug_noise, \
             np.errstate(over="ignore", invalid="ignore"):

@@ -48,9 +48,10 @@ class NormalsAhead:
     The helper fills two preallocated buffers in turn, each with as many
     whole draws as fit in BLOCK_BYTES (at least one); filling B draws at once
     gives the stream of B sequential calls, so after `count` draws rng's state
-    is that of `count` calls. A returned draw is a view into a buffer and is
-    valid until the next call. An exception in the helper is raised by the
-    next call. `close` joins the helper; nothing else may use rng meanwhile.
+    is that of `count` calls. Unlike a Generator's, a returned draw is not a
+    fresh array: it is a view into a buffer the helper refills, valid only
+    until the next call. An exception in the helper is raised by the next
+    call. `close` joins the helper; nothing else may use rng meanwhile.
     """
 
     def __init__(self, rng: np.random.Generator, shape: tuple, count: int, cpus: set[int]):
@@ -105,6 +106,16 @@ class NormalsAhead:
         self._helper.join()
 
 
+def _runnable() -> int:
+    """How many threads the machine runs or queues now, the caller's
+    included (/proc/loadavg); a huge number where that cannot be read."""
+    try:
+        with open("/proc/loadavg") as fh:
+            return int(fh.read().split()[3].split("/")[0])
+    except (OSError, ValueError, IndexError):
+        return 1 << 30
+
+
 def _other_cpus() -> set[int]:
     """The CPUs this thread may run on, less the one it runs on now; empty
     where the platform lacks the affinity calls or /proc/thread-self."""
@@ -121,10 +132,15 @@ def _other_cpus() -> set[int]:
 @contextmanager
 def normals_ahead(rng: np.random.Generator, shape: tuple, count: int):
     """Yields what `count` calls of `standard_normal(shape)` read from: a
-    NormalsAhead over rng pinned to the other allowed CPUs, or, when there is
-    none or count is 0, rng itself. The helper is joined on every way out."""
+    NormalsAhead over rng pinned to the other allowed CPUs, or rng itself
+    when count is 0, there is no other CPU, or no other CPU is free as it
+    starts. A pinned helper on a busy CPU would keep the caller waiting, so
+    a process that starts beside other busy ones, such as a benchmark pool
+    worker, draws inline. The helper is joined on every way out."""
     cpus = _other_cpus() if count > 0 else set()
-    if not cpus:
+    # the caller is one of the runnable threads, so fewer than len(cpus)
+    # others leave one of cpus free
+    if not cpus or _runnable() > len(cpus):
         yield rng
         return
     ahead = NormalsAhead(rng, shape, count, cpus)

@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import multiprocessing
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -96,22 +94,6 @@ def test_worker_processes_give_the_in_process_cells_in_order():
     assert [line.split()[:3] for line in lines[1]] == [
         ["matched", "seed", str(seed)] for seed in (1, 2) for _ in MODES
     ]
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs the affinity calls")
-def test_each_worker_started_is_pinned_to_the_next_cpu():
-    # the initializer run in this process, as if by three workers in turn
-    saved = os.sched_getaffinity(0)
-    cpus = sorted(saved)
-    started = multiprocessing.get_context("spawn").Value("i", 0)
-    pinned = []
-    try:
-        for _ in range(3):
-            benchmark._pin_worker(started, cpus)
-            pinned.append(os.sched_getaffinity(0))
-    finally:
-        os.sched_setaffinity(0, saved)
-    assert pinned == [{cpus[i % len(cpus)]} for i in range(3)] and started.value == 3
 
 
 def test_example_config_is_the_benchmarks_reversed_l2ac_cell():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biasadapt import bilevel, model
+from biasadapt import bilevel, model, numcore
 from biasadapt.bilevel import (
     TRACE_DTYPE,
     TrainConfig,
@@ -756,7 +756,13 @@ def noise_sources(monkeypatch):
 class TestNoiseDrawnAhead:
     """train draws the augmentation noise on a helper thread pinned off its
     own CPU. A (2, 12, 4) draw fills a buffer 170 at a time, so in 400
-    iterations the helper is still running at every hook below."""
+    iterations the helper is still running at every hook below. Each test
+    but the busy one sees the other CPUs free, whatever else the machine
+    runs."""
+
+    @pytest.fixture(autouse=True)
+    def other_cpus_free(self, monkeypatch):
+        monkeypatch.setattr(numcore, "_runnable", lambda: 1)
 
     def test_helper_joined_after_a_return(self, noise_sources):
         d_l, d_u = desk_datasets()
@@ -835,6 +841,15 @@ class TestNoiseDrawnAhead:
             inline = train(quick_config(), d_l, d_u)[1]
         finally:
             os.sched_setaffinity(0, saved)
+        assert noise_sources == [NormalsAhead, np.random.Generator]
+        assert inline.tobytes() == ahead.tobytes()
+
+    def test_busy_other_cpus_draw_inline_with_the_same_trace(self, noise_sources, monkeypatch):
+        d_l, d_u = desk_datasets()
+        ahead = train(quick_config(), d_l, d_u)[1]
+        # the caller and a busy thread for each other CPU
+        monkeypatch.setattr(numcore, "_runnable", lambda: len(os.sched_getaffinity(0)))
+        inline = train(quick_config(), d_l, d_u)[1]
         assert noise_sources == [NormalsAhead, np.random.Generator]
         assert inline.tobytes() == ahead.tobytes()
 

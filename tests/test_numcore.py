@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biasadapt import numcore
 from biasadapt.numcore import (
     BLOCK_BYTES,
     NonFinite,
@@ -236,3 +237,8 @@ class TestNormalsAhead:
                 ahead.standard_normal((2, 3, 4))
         finally:
             ahead.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/loadavg"), reason="needs /proc/loadavg")
+def test_runnable_counts_the_caller():
+    assert 1 <= numcore._runnable() < 1 << 30
