@@ -21,6 +21,7 @@ run with `TrainingDiverged`.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -367,7 +368,7 @@ def train(
         if have_unlabeled:
             u_idx = _sample_rows(batch_rng, len(d_u), config.batch_m)
             x_u = d_u.features[u_idx]
-            x_weak, x_strong = augment(x_u, config.sigma_weak, config.sigma_strong, aug_noise)
+            x_weak, x_strong = augment(x_u, config.sigma_weak, config.sigma_strong, next(aug_noise))
             y_hat, lam = assign_pseudo_labels(
                 pseudo_label_logits(x_weak, state, config), config.tau, config.lambda_u,
                 config.pseudo_mode, config.sharpen_temperature,
@@ -408,14 +409,13 @@ def train(
         return t, rec.loss, upper_val, nt, nphi, nomega
 
     table = np.empty(config.iters, TRACE_DTYPE)
-    # augment draws from aug_rng once per iteration, and nothing else does, so
-    # aug_noise may draw that stream ahead on a helper thread. Its draw is a
-    # view into a buffer the helper refills, and augment scales it in place:
-    # x_weak, x_strong and the PseudoBatch holding x_strong must not outlive
-    # their iteration. A blow-up is reported by the explicit checks below,
-    # not by NumPy's overflow and invalid-value warnings on the way to it
+    # augment scales one draw of aug_rng per iteration in place, and nothing
+    # else draws from it, so that stream may be drawn ahead on a helper
+    # thread; a draw, and so each view of it, lives until the next draw. A
+    # blow-up is reported by the explicit checks below, not by NumPy's
+    # overflow and invalid-value warnings on the way to it
     noise_shape = (2, config.batch_m, d_u.dim) if have_unlabeled else ()
-    with normals_ahead(aug_rng, noise_shape, config.iters if have_unlabeled else 0) as aug_noise, \
+    with closing(normals_ahead(aug_rng, noise_shape, config.iters)) as aug_noise, \
             np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.iters + 1):
             try:

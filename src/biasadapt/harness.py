@@ -151,8 +151,10 @@ def _from_dict(cls, payload: dict, path: str):
             kwargs[name] = tuple(_number(int, v, sub) for v in value)
         elif fields[name] in (int, float):
             kwargs[name] = _number(fields[name], value, sub)
-        else:
+        elif isinstance(value, str) or (value is None and fields[name] == str | None):
             kwargs[name] = value
+        else:
+            raise ValueError(f"{sub}: expected str, got {value!r}")
     try:
         return cls(**kwargs)
     except ValueError as exc:

@@ -6,8 +6,9 @@ rows. `softmax` and `log_softmax` check nothing: a NaN or inf input comes out
 as NaN rows, which training's per-iteration loss and gradient-norm checks
 report as divergence. Randomness everywhere in the package flows through
 explicitly passed `numpy.random.Generator` instances backed by PCG64, so a
-seed fully determines every stream. `normals_ahead` draws one such stream
-ahead of its reader, on a helper thread, without changing a single draw.
+seed fully determines every stream. `normals_ahead` is an iterator of one
+such stream's draws; where a CPU is free it draws them ahead of its reader,
+on a helper thread, without changing a single draw.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import os
 import queue
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 
 import numpy as np
 
@@ -37,73 +38,8 @@ def child_seeds(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1, np.uint64)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-BLOCK_BYTES = 128 * 1024  # a NormalsAhead buffer holds this much in whole draws, and one at least
+BLOCK_BYTES = 128 * 1024  # a helper buffer holds this much in whole draws, and one at least
 HELPER_NAME = "biasadapt-normals-ahead"
-
-
-class NormalsAhead:
-    """Stands in for `rng.standard_normal(shape)` over `count` calls: the same
-    draws in the same order, drawn ahead by one helper thread pinned to `cpus`.
-
-    The helper fills two preallocated buffers in turn, each with as many
-    whole draws as fit in BLOCK_BYTES (at least one); filling B draws at once
-    gives the stream of B sequential calls, so after `count` draws rng's state
-    is that of `count` calls. Unlike a Generator's, a returned draw is not a
-    fresh array: it is a view into a buffer the helper refills, valid only
-    until the next call. An exception in the helper is raised by the next
-    call. `close` joins the helper; nothing else may use rng meanwhile.
-    """
-
-    def __init__(self, rng: np.random.Generator, shape: tuple, count: int, cpus: set[int]):
-        self.shape = tuple(shape)
-        per_block = min(count, max(1, BLOCK_BYTES // (8 * math.prod(self.shape))))
-        self._left = count
-        # the block being read and the index of its next draw
-        self._block: np.ndarray | None = None
-        self._next = 0
-        self._free: queue.SimpleQueue = queue.SimpleQueue()
-        self._full: queue.SimpleQueue = queue.SimpleQueue()
-        for _ in range(2):
-            self._free.put(np.empty((per_block, *self.shape)))
-        self._helper = threading.Thread(
-            target=self._fill, args=(rng, count, cpus), name=HELPER_NAME, daemon=True)
-        self._helper.start()
-
-    def _fill(self, rng: np.random.Generator, count: int, cpus: set[int]) -> None:
-        try:
-            with suppress(OSError):  # unpinned, the helper draws the same stream
-                os.sched_setaffinity(0, cpus)
-            while count > 0:
-                buf = self._free.get()
-                if buf is None:  # closed
-                    return
-                n = min(count, len(buf))
-                rng.standard_normal(out=buf[:n])
-                self._full.put(buf)
-                count -= n
-        except Exception as exc:
-            self._full.put(exc)
-
-    def standard_normal(self, shape) -> np.ndarray:
-        if tuple(shape) != self.shape:
-            raise ValueError(f"shape {tuple(shape)}: this stream draws {self.shape}")
-        if self._left == 0:
-            raise RuntimeError("every draw of this stream has been taken")
-        if self._block is None or self._next == len(self._block):
-            if self._block is not None:
-                self._free.put(self._block)
-            item = self._full.get()
-            if isinstance(item, Exception):
-                raise item
-            self._block, self._next = item, 0
-        draw = self._block[self._next]
-        self._next += 1
-        self._left -= 1
-        return draw
-
-    def close(self) -> None:
-        self._free.put(None)
-        self._helper.join()
 
 
 def _runnable() -> int:
@@ -129,25 +65,59 @@ def _other_cpus() -> set[int]:
     return allowed - {current}
 
 
-@contextmanager
 def normals_ahead(rng: np.random.Generator, shape: tuple, count: int):
-    """Yields what `count` calls of `standard_normal(shape)` read from: a
-    NormalsAhead over rng pinned to the other allowed CPUs, or rng itself
-    when count is 0, there is no other CPU, or no other CPU is free as it
-    starts. A pinned helper on a busy CPU would keep the caller waiting, so
-    a process that starts beside other busy ones, such as a benchmark pool
-    worker, draws inline. The helper is joined on every way out."""
-    cpus = _other_cpus() if count > 0 else set()
+    """Yields `count` draws of `rng.standard_normal(shape)` in order, leaving
+    rng where `count` calls leave it; nothing else may use rng meanwhile.
+
+    They are drawn inline when there is no other allowed CPU, or when no
+    other CPU is free as the first draw is asked for: a pinned helper on a
+    busy CPU would keep the caller waiting, so a process that starts beside
+    other busy ones, such as a benchmark pool worker, draws inline.
+    Otherwise one helper thread pinned to the other CPUs draws ahead into
+    two preallocated buffers in turn, each holding as many whole draws as
+    fit in BLOCK_BYTES (at least one); filling B draws at once gives the
+    stream of B calls. Such a draw is a view into a buffer that the helper
+    refills once the next draw is asked for. An exception in the helper is
+    raised by the next draw; closing the generator joins the helper.
+    """
+    cpus = _other_cpus()
     # the caller is one of the runnable threads, so fewer than len(cpus)
     # others leave one of cpus free
     if not cpus or _runnable() > len(cpus):
-        yield rng
+        for _ in range(count):
+            yield rng.standard_normal(shape)
         return
-    ahead = NormalsAhead(rng, shape, count, cpus)
+    per_block = max(1, BLOCK_BYTES // (8 * math.prod(shape)))
+    free, full = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(2):
+        free.put(np.empty((min(count, per_block), *shape)))
+
+    def fill() -> None:
+        try:
+            with suppress(OSError):  # unpinned, the helper draws the same stream
+                os.sched_setaffinity(0, cpus)
+            for start in range(0, count, per_block):
+                buf = free.get()
+                if buf is None:  # closed
+                    return
+                block = buf[: count - start]
+                rng.standard_normal(out=block)
+                full.put(block)
+        except Exception as exc:
+            full.put(exc)
+
+    helper = threading.Thread(target=fill, name=HELPER_NAME, daemon=True)
+    helper.start()
     try:
-        yield ahead
+        for _ in range(0, count, per_block):
+            block = full.get()
+            if isinstance(block, Exception):
+                raise block
+            yield from block
+            free.put(block)
     finally:
-        ahead.close()
+        free.put(None)
+        helper.join()
 
 
 class NonFinite(ValueError):

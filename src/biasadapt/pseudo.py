@@ -25,17 +25,14 @@ class PseudoBatch:
 
 
 def augment(
-    x: np.ndarray,
-    sigma_weak: float,
-    sigma_strong: float,
-    rng: np.random.Generator,
+    x: np.ndarray, sigma_weak: float, sigma_strong: float, noise: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent additive-Gaussian views of x, weak drawn first: one
-    fresh noise draw for both views (the same stream as a weak then a strong
-    draw), each half scaled and shifted in place, so x is never written.
-    TrainConfig.validate has checked 0 <= sigma_weak < sigma_strong."""
-    x = np.asarray(x, dtype=np.float64)
-    weak, strong = rng.standard_normal((2, *x.shape))
+    """Two additive-Gaussian views of x, weak then strong, made from one
+    standard-normal (2, *x.shape) draw: each half of noise is scaled and
+    shifted in place, so the two views share memory with noise, and x is
+    never written. TrainConfig.validate has checked
+    0 <= sigma_weak < sigma_strong."""
+    weak, strong = noise
     weak *= sigma_weak
     weak += x
     strong *= sigma_strong

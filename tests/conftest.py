@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,25 @@ import pytest
 
 from biasadapt.data import Dataset, one_hot
 from biasadapt.metrics import balanced_accuracy, confusion, per_class_recall
-from biasadapt.numcore import log_softmax, weighted_ce
+from biasadapt.numcore import HELPER_NAME, log_softmax, weighted_ce
+
+
+def _helpers_alive() -> int:
+    return sum(thread.name == HELPER_NAME for thread in threading.enumerate())
+
+
+@pytest.fixture
+def helpers_alive():
+    """How many noise helper threads are alive now."""
+    return _helpers_alive
+
+
+@pytest.fixture(autouse=True)
+def no_helper_outlives_its_test():
+    """A noise helper is joined when its draws are closed, so one still alive
+    after a test means a caller let its draws go unclosed."""
+    yield
+    assert _helpers_alive() == 0, f"a {HELPER_NAME} thread outlived the test"
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import math
 import os
@@ -41,7 +40,7 @@ from biasadapt.model import (
     forward_train,
     init_model,
 )
-from biasadapt.numcore import HELPER_NAME, NormalsAhead, child_seeds, log_softmax, make_rng
+from biasadapt.numcore import HELPER_NAME, child_seeds, log_softmax, make_rng
 from biasadapt.pseudo import PseudoBatch, assign_pseudo_labels, augment
 from biasadapt.testing import (
     SmallProblem,
@@ -731,21 +730,22 @@ class TestTrainLoop:
         assert np.array_equal(t1["lower_loss"], t2["lower_loss"])
 
 
-def helpers_alive() -> int:
-    return sum(thread.name == HELPER_NAME for thread in threading.enumerate())
-
-
 @pytest.fixture
 def noise_sources(monkeypatch):
-    """What each train call drew its augmentation noise from."""
+    """The threads that drew the augmentation noise, one set per train call."""
     sources = []
     real = bilevel.normals_ahead
 
-    @contextlib.contextmanager
-    def recorded(*args):
-        with real(*args) as source:
-            sources.append(type(source))
-            yield source
+    def recorded(rng, shape, count):
+        drawn_on = set()
+        sources.append(drawn_on)
+
+        class Watched:
+            def standard_normal(self, *args, **kwargs):
+                drawn_on.add(threading.current_thread().name)
+                return rng.standard_normal(*args, **kwargs)
+
+        return real(Watched(), shape, count)
 
     monkeypatch.setattr(bilevel, "normals_ahead", recorded)
     return sources
@@ -764,12 +764,12 @@ class TestNoiseDrawnAhead:
     def other_cpus_free(self, monkeypatch):
         monkeypatch.setattr(numcore, "_runnable", lambda: 1)
 
-    def test_helper_joined_after_a_return(self, noise_sources):
+    def test_helper_joined_after_a_return(self, noise_sources, helpers_alive):
         d_l, d_u = desk_datasets()
         alive = []
         train(quick_config(iters=400), d_l, d_u,
               eval_hook=lambda it, st: alive.append(helpers_alive()), eval_interval=100)
-        assert noise_sources == [NormalsAhead] and alive[0] == 1 and helpers_alive() == 0
+        assert noise_sources == [{HELPER_NAME}] and alive[0] == 1 and helpers_alive() == 0
 
     def test_helper_runs_on_every_allowed_cpu_but_one(self):
         d_l, d_u = desk_datasets()
@@ -785,7 +785,7 @@ class TestNoiseDrawnAhead:
         (mask,) = masks[0]
         assert mask < allowed and len(mask) == len(allowed) - 1
 
-    def test_helper_joined_after_divergence(self):
+    def test_helper_joined_after_divergence(self, helpers_alive):
         d_l, d_u = desk_datasets()
         alive = []
         with warnings.catch_warnings():
@@ -795,7 +795,7 @@ class TestNoiseDrawnAhead:
                       eval_hook=lambda it, st: alive.append(helpers_alive()), eval_interval=1)
         assert alive == [1] * 4 and helpers_alive() == 0
 
-    def test_helper_joined_after_the_eval_hook_raises(self):
+    def test_helper_joined_after_the_eval_hook_raises(self, helpers_alive):
         d_l, d_u = desk_datasets()
         alive = []
 
@@ -807,7 +807,7 @@ class TestNoiseDrawnAhead:
             train(quick_config(iters=400), d_l, d_u, eval_hook=hook, eval_interval=2)
         assert alive == [1] and helpers_alive() == 0
 
-    def test_an_error_in_the_helper_is_raised_by_train(self, monkeypatch):
+    def test_an_error_in_the_helper_is_raised_by_train(self, monkeypatch, helpers_alive):
         aug_seed = child_seeds(quick_config().seed, 3)[2]
 
         class FailingDraws:
@@ -841,7 +841,7 @@ class TestNoiseDrawnAhead:
             inline = train(quick_config(), d_l, d_u)[1]
         finally:
             os.sched_setaffinity(0, saved)
-        assert noise_sources == [NormalsAhead, np.random.Generator]
+        assert noise_sources == [{HELPER_NAME}, {"MainThread"}]
         assert inline.tobytes() == ahead.tobytes()
 
     def test_busy_other_cpus_draw_inline_with_the_same_trace(self, noise_sources, monkeypatch):
@@ -850,7 +850,7 @@ class TestNoiseDrawnAhead:
         # the caller and a busy thread for each other CPU
         monkeypatch.setattr(numcore, "_runnable", lambda: len(os.sched_getaffinity(0)))
         inline = train(quick_config(), d_l, d_u)[1]
-        assert noise_sources == [NormalsAhead, np.random.Generator]
+        assert noise_sources == [{HELPER_NAME}, {"MainThread"}]
         assert inline.tobytes() == ahead.tobytes()
 
 
@@ -881,8 +881,9 @@ class TestBaselineDifferential:
         for t in range(1, config.iters + 1):
             l_idx = batch_rng.choice(len(d_l), size=config.batch_n, replace=False)
             u_idx = batch_rng.choice(len(d_u), size=config.batch_m, replace=False)
+            x_u = d_u.features[u_idx]
             x_weak, x_strong = augment(
-                d_u.features[u_idx], config.sigma_weak, config.sigma_strong, aug_rng
+                x_u, config.sigma_weak, config.sigma_strong, aug_rng.standard_normal((2, *x_u.shape))
             )
             z_w, _ = features_with_cache(x_weak, state.theta)
             logits_weak = classifier_scores(z_w, state.phi_w, state.phi_b)

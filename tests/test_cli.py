@@ -124,6 +124,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"train.{key}: expected"):
             config_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [(("eval", "out_dir"), 12), (("eval", "out_dir"), None), (("data", "labeled_csv"), 5),
+         (("data", "test_csv"), 7), (("data", "unlabeled_csv"), ["u.csv"]), (("train", "mode"), 3),
+         (("data", "labeled_profile", "kind"), True)],
+    )
+    def test_string_keys_typed(self, tmp_path, path, value):
+        payload = tiny_config_dict(tmp_path)
+        section = payload
+        for key in path[:-1]:
+            # a copy: tiny_config_dict shares the profile mappings of TINY_DATA
+            section[key] = dict(section[key])
+            section = section[key]
+        section[path[-1]] = value
+        message = f"{'.'.join(path)}: expected str, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(payload)
+
     def test_numeric_keys_take_their_type(self, tmp_path):
         payload = tiny_config_dict(tmp_path, eta=2, alpha="5e-2")
         config = config_from_dict(payload)
@@ -214,6 +232,19 @@ class TestTrainCommand:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: iteration "), proc.stderr
+
+    def test_a_non_string_path_is_refused_in_one_stderr_line(self, tmp_path):
+        payload = tiny_config_dict(tmp_path / "run")
+        payload["eval"]["out_dir"] = 12
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(yaml.safe_dump(payload))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+            str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "biasadapt.cli", "train", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "error: eval.out_dir: expected str, got 12\n")
 
     def test_forced_rerun_that_diverges_leaves_no_stale_artifacts(self, tmp_path, capsys):
         payload = tiny_config_dict(tmp_path / "run", iters=20)

@@ -1,4 +1,5 @@
 import os
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from biasadapt import numcore
 from biasadapt.numcore import (
     BLOCK_BYTES,
     NonFinite,
-    NormalsAhead,
     log_softmax,
     make_rng,
+    normals_ahead,
     softmax,
     weighted_ce,
 )
@@ -205,8 +206,16 @@ def test_rng_reproducible():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs the affinity calls")
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="the noise is drawn ahead only with a second allowed CPU")
 class TestNormalsAhead:
+    """The helper path, forced by seeing the other CPUs free whatever else
+    the machine runs."""
+
+    @pytest.fixture(autouse=True)
+    def other_cpus_free(self, monkeypatch):
+        monkeypatch.setattr(numcore, "_runnable", lambda: 1)
+
     @pytest.mark.parametrize(
         "shape,count",
         # (2, 3, 4) draws fill a block 682 at a time, so 1500 cross two block
@@ -215,28 +224,29 @@ class TestNormalsAhead:
         [((2, 3, 4), 1500), ((2, 100, 100), 3)],
         ids=["many-per-block", "bigger-than-a-block"],
     )
-    def test_same_draws_and_end_state_as_inline_calls(self, shape, count):
-        assert BLOCK_BYTES // (8 * np.prod(shape)) < count
+    def test_same_draws_and_end_state_as_inline_calls(self, helpers_alive, shape, count):
+        # more draws than two blocks hold, so the helper still waits to
+        # refill the first block when its first draw is read
+        assert 2 * max(1, BLOCK_BYTES // (8 * np.prod(shape))) < count
         rng, inline = make_rng(7), make_rng(7)
-        ahead = NormalsAhead(rng, shape, count, os.sched_getaffinity(0))
-        try:
-            for _ in range(count):
-                assert ahead.standard_normal(shape).tobytes() == inline.standard_normal(shape).tobytes()
-        finally:
-            ahead.close()
+        with closing(normals_ahead(rng, shape, count)) as draws:
+            assert next(draws).tobytes() == inline.standard_normal(shape).tobytes()
+            assert helpers_alive() == 1
+            for draw in draws:
+                assert draw.tobytes() == inline.standard_normal(shape).tobytes()
         assert rng.bit_generator.state == inline.bit_generator.state
 
-    def test_refuses_another_shape_and_a_draw_past_its_count(self):
-        ahead = NormalsAhead(make_rng(7), (2, 3, 4), 2, os.sched_getaffinity(0))
-        try:
-            with pytest.raises(ValueError, match=r"shape \(2, 4, 3\): this stream draws \(2, 3, 4\)"):
-                ahead.standard_normal((2, 4, 3))
-            ahead.standard_normal((2, 3, 4))
-            ahead.standard_normal((2, 3, 4))
-            with pytest.raises(RuntimeError, match="every draw"):
-                ahead.standard_normal((2, 3, 4))
-        finally:
-            ahead.close()
+    def test_closing_before_the_first_draw_starts_no_helper_and_part_way_joins_it(
+        self, helpers_alive
+    ):
+        draws = normals_ahead(make_rng(7), (2, 3, 4), 1500)
+        assert helpers_alive() == 0
+        draws.close()
+        draws = normals_ahead(make_rng(7), (2, 3, 4), 1500)
+        next(draws)
+        assert helpers_alive() == 1
+        draws.close()
+        assert helpers_alive() == 0
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/loadavg"), reason="needs /proc/loadavg")
