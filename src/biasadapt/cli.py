@@ -113,11 +113,11 @@ def _dispatch(args) -> int:
         if args.out is not None:
             config.eval.out_dir = args.out
         payload = run_train(config, force=args.force)
-        headline = payload["headline"] or {}
+        # headline is null when the run made no evaluation
+        scores = payload["headline"] or payload["final"]
         print(
             f"done: mode={payload['mode']} seed={payload['seed']} "
-            f"bACC={headline.get('bacc', float('nan')):.4f} "
-            f"GM={headline.get('gm', float('nan')):.4f} "
+            f"bACC={scores['bacc']:.4f} GM={scores['gm']:.4f} "
             f"-> {resolve_out_dir(config.eval.out_dir)}"
         )
         return 0

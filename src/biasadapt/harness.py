@@ -308,15 +308,19 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
             ckpt.unlink()
     reports: list[tuple[int, MetricsReport]] = []
 
-    def hook(iteration, state):
-        reports.append((iteration, evaluate(state, d_test, use_ema=True, distribution=False)))
-        if config.eval.ckpt_interval > 0 and iteration % config.eval.ckpt_interval == 0:
+    interval, ckpt_interval = config.eval.interval, config.eval.ckpt_interval
+
+    def hook(iteration, state):  # every gcd(interval, ckpt_interval) iterations
+        if interval > 0 and iteration % interval == 0:
+            reports.append((iteration, evaluate(state, d_test, use_ema=True, distribution=False)))
+        if ckpt_interval > 0 and iteration % ckpt_interval == 0:
             save_checkpoint(out_dir / f"ckpt_{iteration:07d}.npz", state)
 
     trace_path = out_dir / "trace.csv"
     try:
         state, traces = train(
-            config.train, d_l, d_u, eval_hook=hook, eval_interval=config.eval.interval
+            config.train, d_l, d_u, eval_hook=hook,
+            eval_interval=math.gcd(interval, ckpt_interval),
         )
     except TrainingDiverged as exc:
         # the iterations before the blow-up explain it; no metrics.json

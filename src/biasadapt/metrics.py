@@ -54,19 +54,13 @@ def predicted_distribution(logits: np.ndarray) -> np.ndarray:
 def pseudo_label_recall(true_labels, y_hat: np.ndarray, lam: np.ndarray) -> list[float | None]:
     """Per-class recall of hard pseudo-labels over mask-passing rows only;
     classes with no mask-passing rows report None (never selected, as opposed
-    to always wrong)."""
-    t = np.asarray(true_labels, dtype=np.int64)
-    hard = np.asarray(y_hat).argmax(axis=1)
+    to always wrong). Dataset keeps true labels in 0..K-1, and check_fits
+    gives an unlabeled CSV no class the model lacks."""
     selected = np.asarray(lam) > 0.0
     k = y_hat.shape[1]
-    out: list[float | None] = []
-    for c in range(k):
-        rows = selected & (t == c)
-        if not rows.any():
-            out.append(None)
-        else:
-            out.append(float((hard[rows] == c).mean()))
-    return out
+    cm = confusion(np.asarray(true_labels)[selected], y_hat.argmax(axis=1)[selected], k)
+    rows = cm.sum(axis=1)
+    return [float(cm[c, c] / rows[c]) if rows[c] else None for c in range(k)]
 
 
 @dataclass

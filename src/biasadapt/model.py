@@ -34,7 +34,8 @@ Layer = tuple[np.ndarray, np.ndarray]  # (W: (fan_in, fan_out), b: (fan_out,))
 class ModelState:
     """Every parameter array and the head's input normalisation; the four
     *_arrays methods state the layout that copying, the EMA, the SGD steps,
-    the oracles, the checkpoint format and every gradient list follow."""
+    the oracles, the checkpoint format and every gradient list follow;
+    head_layers() lays the head out as theta, for the extractor's kernels."""
 
     theta: list[Layer]
     phi_w: np.ndarray
@@ -71,6 +72,10 @@ class ModelState:
 
     def omega_arrays(self) -> list[np.ndarray]:
         return [self.omega_w1, self.omega_b1, self.omega_w2, self.omega_b2]
+
+    def head_layers(self) -> list[Layer]:
+        """The head in theta's layout: one hidden ReLU layer, a linear output."""
+        return [(self.omega_w1, self.omega_b1), (self.omega_w2, self.omega_b2)]
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         """Every array under its checkpoint name, in checkpoint order."""
@@ -140,11 +145,12 @@ def forward_features(x: np.ndarray, theta: list[Layer]) -> np.ndarray:
 
 
 def features_with_cache(x: np.ndarray, theta: list[Layer]):
-    """Extractor forward pass: ReLU after every layer except the last, each
-    layer's output a fresh array biased and rectified in place (x is never
-    written). The cache is the list of layer inputs only: backward reads its
-    ReLU gates from them, so no preactivation is kept. x has the input width:
-    harness.check_fits refuses a CSV of another feature count."""
+    """Forward pass of a layer stack (theta, or head_layers()): ReLU after
+    every layer except the last, each layer's output a fresh array biased and
+    rectified in place (x is never written). The cache is the list of layer
+    inputs only: backward reads its ReLU gates from them, so no preactivation
+    is kept. x has the input width: harness.check_fits refuses a CSV of
+    another feature count."""
     x = np.asarray(x, dtype=np.float64)
     inputs = []
     h = x
@@ -158,11 +164,11 @@ def features_with_cache(x: np.ndarray, theta: list[Layer]):
 
 
 def features_backward(inputs, theta: list[Layer], d_out: np.ndarray) -> list[np.ndarray]:
-    """Backprop d_out through the extractor given features_with_cache's layer
-    inputs; returns the extractor's gradients flat, in lower_arrays() order
-    (dW0, db0, dW1, ...). Each hidden ReLU is gated by its output (relu(h) > 0
-    is the same mask as h > 0, at +-0.0 and NaN too); the cache is never
-    written."""
+    """Backprop d_out through a layer stack given features_with_cache's layer
+    inputs; returns its gradients flat (dW0, db0, dW1, ...), the order of
+    lower_arrays() for theta and of omega_arrays() for the head. Each hidden
+    ReLU is gated by its output (relu(h) > 0 is the same mask as h > 0, at
+    +-0.0 and NaN too); the cache is never written."""
     grads: list[np.ndarray] = [None] * (2 * len(theta))  # type: ignore[list-item]
     d = d_out
     for li in range(len(theta) - 1, -1, -1):
@@ -190,29 +196,11 @@ def normalize_scores(s: np.ndarray, norm: str) -> np.ndarray:
     return np.where(norms > 0.0, s / np.where(norms > 0.0, norms, 1.0), 0.0)
 
 
-def attractor_forward(state: ModelState, u: np.ndarray):
-    """(delta, a): the head's output and its hidden ReLU output a, both fresh
-    arrays (the hidden layer is biased and rectified in place, so its
-    preactivation is never kept); u is not written."""
-    a = u @ state.omega_w1
-    a += state.omega_b1
-    np.maximum(a, 0.0, out=a)
-    delta = a @ state.omega_w2
-    delta += state.omega_b2
-    return delta, a
-
-
 def attractor_backward(state: ModelState, u: np.ndarray, a: np.ndarray, d_delta: np.ndarray):
     """Gradient of a scalar (whose dL/ddelta is d_delta) w.r.t. the four
-    attractor arrays, given the forward's ReLU output a (a > 0 is the ReLU's
-    gate, the same mask as h > 0); u is a stop-gradient constant."""
-    d_w2 = a.T @ d_delta
-    d_b2 = d_delta.sum(axis=0)
-    d_h = d_delta @ state.omega_w2.T
-    d_h *= a > 0.0
-    d_w1 = u.T @ d_h
-    d_b1 = d_h.sum(axis=0)
-    return [d_w1, d_b1, d_w2, d_b2]
+    attractor arrays, in omega_arrays() order, given the head's layer inputs:
+    u, a stop-gradient constant, and its hidden ReLU output a."""
+    return features_backward([u, a], state.head_layers(), d_delta)
 
 
 @dataclass
@@ -235,7 +223,7 @@ def forward_train(x: np.ndarray, state: ModelState) -> tuple[np.ndarray, TrainFo
     z, feat_cache = features_with_cache(x, state.theta)
     logits = classifier_scores(z, state.phi_w, state.phi_b)
     u = normalize_scores(logits, state.norm)
-    delta, a = attractor_forward(state, u)
+    delta, (_, a) = features_with_cache(u, state.head_layers())
     logits += delta
     return logits, TrainForwardCache(z, feat_cache, u, a)
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import one_hot
 from .numcore import log_softmax, softmax
 
 
@@ -57,12 +58,9 @@ def assign_pseudo_labels(
     temperature.
     """
     p = softmax(logits_weak)
-    rows = np.arange(p.shape[0])
-    top = p.argmax(axis=1)
-    lam = np.where(p[rows, top] >= tau, float(lambda_u), 0.0)
+    lam = np.where(p.max(axis=1) >= tau, float(lambda_u), 0.0)
     if mode == "hard":
-        y_hat = np.zeros_like(p)
-        y_hat[rows, top] = 1.0
+        y_hat = one_hot(p.argmax(axis=1), p.shape[1])
     else:
         y_hat = softmax(log_softmax(logits_weak) / temperature)
     return y_hat, lam

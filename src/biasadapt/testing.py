@@ -25,9 +25,9 @@ from .bilevel import (
 from .data import one_hot
 from .model import (
     ModelState,
-    attractor_forward,
     classifier_scores,
     copy_state,
+    features_with_cache,
     forward_features,
     forward_train,
     init_model,
@@ -182,7 +182,7 @@ def frozen_u_lower_value(problem: SmallProblem, state: ModelState) -> float:
     _, base_cache = forward_train(x, problem.state)
     z = forward_features(x, state.theta)
     s = classifier_scores(z, state.phi_w, state.phi_b)
-    delta, _ = attractor_forward(state, base_cache.u)
+    delta, _ = features_with_cache(base_cache.u, state.head_layers())
     return weighted_ce(log_softmax(s + delta), targets, coeff)[0]
 
 

@@ -790,9 +790,12 @@ class TestNoiseDrawnAhead:
         alive = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TrainingDiverged, match="iteration 5"):
+            with pytest.raises(TrainingDiverged, match="iteration 5") as info:
                 train(quick_config(alpha=1e6, iters=400), d_l, d_u,
                       eval_hook=lambda it, st: alive.append(helpers_alive()), eval_interval=1)
+        # info's traceback keeps train's frame, and with it the noise draws,
+        # alive here: only closing them can have joined the helper
+        assert len(info.value.traces) == 4
         assert alive == [1] * 4 and helpers_alive() == 0
 
     def test_helper_joined_after_the_eval_hook_raises(self, helpers_alive):

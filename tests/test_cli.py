@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -52,14 +53,14 @@ TINY_DATA = {
 
 
 def tiny_config_dict(out_dir, **train_overrides):
-    train = dict(TINY_TRAIN)
-    train.update(train_overrides)
-    return {
+    """A fresh payload: no mapping or list in it is shared with TINY_DATA,
+    TINY_TRAIN or another payload."""
+    return copy.deepcopy({
         "seed": 7,
-        "data": dict(TINY_DATA),
-        "train": train,
+        "data": TINY_DATA,
+        "train": {**TINY_TRAIN, **train_overrides},
         "eval": {"interval": 10, "last_e": 2, "out_dir": str(out_dir)},
-    }
+    })
 
 
 def write_config(tmp_path, name="config.yaml", **overrides):
@@ -134,8 +135,6 @@ class TestConfig:
         payload = tiny_config_dict(tmp_path)
         section = payload
         for key in path[:-1]:
-            # a copy: tiny_config_dict shares the profile mappings of TINY_DATA
-            section[key] = dict(section[key])
             section = section[key]
         section[path[-1]] = value
         message = f"{'.'.join(path)}: expected str, got {value!r}"
@@ -173,12 +172,15 @@ class TestConfig:
         payload = tiny_config_dict(tmp_path)
         section = payload["data"]
         for key in path[:-1]:
-            # a copy: tiny_config_dict shares the profile mappings of TINY_DATA
-            section[key] = dict(section[key])
             section = section[key]
         section[path[-1]] = value
         with pytest.raises(ValueError, match=f"^{message}$"):
             config_from_dict(payload)
+
+    def test_a_payload_shares_no_mapping_with_tiny_data(self, tmp_path):
+        before = copy.deepcopy(TINY_DATA)
+        tiny_config_dict(tmp_path)["data"]["labeled_profile"]["kind"] = "step"
+        assert TINY_DATA == before
 
     def test_bad_mode_rejected(self, tmp_path):
         payload = tiny_config_dict(tmp_path)
@@ -496,6 +498,27 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 0
         ckpts = sorted((tmp_path / "run").glob("ckpt_0*.npz"))
         assert len(ckpts) == 3  # iterations 10, 20, 30
+
+    @pytest.mark.parametrize("interval,ckpt_interval,evaluated,saved",
+                             [(2, 3, [2, 4, 6], [3, 6]), (0, 2, [], [2, 4, 6])])
+    def test_checkpoints_follow_ckpt_interval_alone(
+        self, tmp_path, interval, ckpt_interval, evaluated, saved
+    ):
+        payload = tiny_config_dict(tmp_path / "run", iters=6)
+        payload["eval"].update(interval=interval, ckpt_interval=ckpt_interval)
+        result = harness.run_train(config_from_dict(payload))
+        assert [h["iter"] for h in result["history"]] == evaluated
+        assert sorted(p.name for p in (tmp_path / "run").glob("ckpt_0*.npz")) == [
+            f"ckpt_{it:07d}.npz" for it in saved]
+
+    def test_a_run_without_evaluations_prints_its_final_scores(self, tmp_path, capsys):
+        payload = tiny_config_dict(tmp_path / "run", iters=6)
+        payload["eval"]["interval"] = 0
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(yaml.safe_dump(payload))
+        assert main(["train", "--config", str(cfg)]) == 0
+        final = json.loads((tmp_path / "run" / "metrics.json").read_text())["final"]
+        assert f"bACC={final['bacc']:.4f} GM={final['gm']:.4f} " in capsys.readouterr().out
 
     def test_pseudo_recall_reported(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -88,6 +88,20 @@ class TestPseudoRecall:
         lam = np.array([1.0, 1.0, 1.0, 0.0])
         assert pseudo_label_recall([0, 0, 1, 1], y_hat, lam) == [0.5, 1.0]
 
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6), rows=st.integers(0, 40))
+    @settings(max_examples=50, deadline=None)
+    def test_equals_the_per_class_loop(self, seed, k, rows):
+        rng = make_rng(seed)
+        truth = rng.integers(0, k, rows)
+        y_hat = rng.random((rows, k))
+        lam = np.where(rng.random(rows) < 0.7, 1.0, 0.0)
+        hard, selected = y_hat.argmax(axis=1), lam > 0.0
+        loop = []
+        for c in range(k):
+            picked = selected & (truth == c)
+            loop.append(float((hard[picked] == c).mean()) if picked.any() else None)
+        assert pseudo_label_recall(truth, y_hat, lam) == loop
+
 
 class TestPredictedDistribution:
     def test_single_sample_is_softmax(self):

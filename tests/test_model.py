@@ -9,7 +9,6 @@ import pytest
 from biasadapt import model
 from biasadapt.model import (
     SCORE_BLOCK_ROWS,
-    attractor_forward,
     copy_state,
     classifier_scores,
     ema_update,
@@ -380,10 +379,12 @@ class TestCheckpoint:
 
 
 def test_attractor_forward_matches_manual():
+    # the head runs through the extractor's forward kernel
     problem = make_small_problem(make_rng(17))
     state = problem.state
     u = make_rng(18).dirichlet(np.ones(state.num_classes), size=3)
-    delta, a = attractor_forward(state, u)
+    delta, (u_in, a) = features_with_cache(u, state.head_layers())
+    assert u_in is u
     manual_a = np.maximum(u @ state.omega_w1 + state.omega_b1, 0)
     manual = manual_a @ state.omega_w2 + state.omega_b2
     assert np.array_equal(delta, manual)
