@@ -3,11 +3,10 @@
 training mode x config, as a markdown table.
 
 Three configs: configs/example.yaml; the determinism-criterion config of
-tests/test_acceptance.py with pseudo_source biased, pseudo_mode sharpen and
-attractor_norm l2_input; and the CIFAR-10-LT-shaped paper_scale config of
-perfbench/run.py (head width 256, 512-row lower batches, 10k test rows
-scored every 25 iterations), where the arrays are large enough for BLAS to
-block them. Each of the 12 runs goes through harness.run_train into a
+tests/test_acceptance.py with pseudo_source biased and pseudo_mode sharpen;
+and the CIFAR-10-LT-shaped paper_scale config of perfbench/run.py (head
+width 256, 512-row lower batches, 10k test rows scored every 25
+iterations), where the arrays are large enough for BLAS to block them. Each of the 12 runs goes through harness.run_train into a
 temporary directory with --iters iterations. Running this on two
 commits and diffing the output shows whether a change kept the artifacts
 byte-identical. tests/golden_outputs.json pins the table at 100 iterations,
@@ -47,7 +46,7 @@ CRIT9_BIASED = {
         "alpha": 0.05, "eta": 1.0, "tau": 0.7,
         "batch_n": 16, "batch_m": 32, "balanced_n": 16,
         "extractor_hidden": [16], "feature_dim": 8, "attractor_hidden": 16,
-        "pseudo_source": "biased", "pseudo_mode": "sharpen", "attractor_norm": "l2_input",
+        "pseudo_source": "biased", "pseudo_mode": "sharpen",
     },
     "eval": {"interval": 50, "last_e": 2},
 }

@@ -64,7 +64,6 @@ def benchmark_train_config(settings: BenchmarkSettings, mode: str, seed: int) ->
         extractor_hidden=(32,),
         feature_dim=16,
         attractor_hidden=32,
-        attractor_norm="softmax_input",
     )
 
 

@@ -14,8 +14,8 @@ classifier) or `omega_arrays()` (head) order.
 
 This module holds the training path only. The oracles that check the head
 hypergradient, a closed form and central differences of the composite map,
-live in `testing`. A non-finite kernel input, loss or gradient norm ends the
-run with `TrainingDiverged`.
+live in `testing`. Each iteration checks its losses and gradient norms, and a
+non-finite one ends the run with `TrainingDiverged`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 from .data import Dataset, balanced_batch, balanced_index, one_hot
 from .model import (
-    NORM_MODES,
     ModelState,
     attractor_backward,
     classifier_scores,
@@ -66,26 +65,21 @@ class TrainConfig:
     ema_decay: float = 0.999
     pseudo_mode: str = "hard"
     pseudo_source: str = "plain"
-    sharpen_temperature: float = 0.5
     sigma_weak: float = 0.05
     sigma_strong: float = 0.5
     extractor_hidden: tuple = (64,)
     feature_dim: int = 32
     attractor_hidden: int = 256
-    attractor_norm: str = "softmax_input"
     seed: int = 0  # harness.run_train derives it from ExperimentConfig.seed
 
     def validate(self) -> None:
         choices = {"mode": MODES, "pseudo_mode": ("hard", "sharpen"),
-                   "pseudo_source": ("plain", "biased"), "attractor_norm": NORM_MODES}
+                   "pseudo_source": ("plain", "biased")}
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         # written as `not value > bound` so that NaN fails
-        positive = ["alpha", "eta"]
-        if self.pseudo_mode == "sharpen":
-            positive.append("sharpen_temperature")
-        for name in positive:
+        for name in ("alpha", "eta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         minimums = {"lambda_u": 0, "batch_n": 1, "batch_m": 0, "iters": 0, "balanced_n": 1,
@@ -305,7 +299,7 @@ def _sample_rows(rng: np.random.Generator, n_rows: int, size: int) -> np.ndarray
 def init_state(config: TrainConfig, d_l: Dataset, rng: np.random.Generator) -> ModelState:
     """The untrained model at d_l's shape: train and harness.bench_overhead build it here."""
     dims = [d_l.dim, *config.extractor_hidden, config.feature_dim]
-    return init_model(dims, d_l.num_classes, config.attractor_hidden, rng, config.attractor_norm)
+    return init_model(dims, d_l.num_classes, config.attractor_hidden, rng)
 
 
 def balanced_sampler(config: TrainConfig, d_l: Dataset):
@@ -371,7 +365,7 @@ def train(
             x_weak, x_strong = augment(x_u, config.sigma_weak, config.sigma_strong, next(aug_noise))
             y_hat, lam = assign_pseudo_labels(
                 pseudo_label_logits(x_weak, state, config), config.tau, config.lambda_u,
-                config.pseudo_mode, config.sharpen_temperature,
+                config.pseudo_mode,
             )
             pseudo = PseudoBatch(x_strong, y_hat, lam)
 
@@ -421,7 +415,8 @@ def train(
             try:
                 table[t - 1] = iteration(t)
             except NonFinite as exc:
-                # an overflow inside a kernel, or a non-finite loss or norm
+                # iteration's row check found a non-finite loss or gradient
+                # norm; no kernel on the loop raises NonFinite
                 table.flags.writeable = False
                 raise TrainingDiverged(f"iteration {t}: {exc}", table[: t - 1]) from exc
             if eval_hook is not None and eval_interval > 0 and t % eval_interval == 0:

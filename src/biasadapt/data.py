@@ -13,7 +13,7 @@ from .numcore import NonFinite, ensure_finite
 
 UNLABELED = -1
 
-PROFILE_KINDS = ("longtail", "step", "reversed_longtail", "uniform")
+PROFILE_KINDS = ("longtail", "reversed_longtail", "uniform")
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,9 @@ def class_counts(profile: ImbalanceProfile, num_classes: int) -> np.ndarray:
     """Per-class sample counts, length num_classes, every entry >= 1.
 
     longtail decays geometrically from n1 at class 0 down to n1/gamma at the
-    last class; reversed_longtail is that sequence reversed; step gives the
-    first ceil(K/2) classes n1 and the rest n1/gamma; uniform gives n1 to all.
-    Fractional counts are floored (with a 1e-9 guard so exact ratios like
-    1500/100 stay exact in floating point) and clamped at 1.
+    last class; reversed_longtail is that sequence reversed; uniform gives n1
+    to all. Fractional counts are floored (with a 1e-9 guard so exact ratios
+    like 1500/100 stay exact in floating point) and clamped at 1.
     """
     if num_classes < 2:
         raise ValueError(f"num_classes: expected >= 2, got {num_classes!r}")
@@ -64,10 +63,6 @@ def class_counts(profile: ImbalanceProfile, num_classes: int) -> np.ndarray:
     n1 = profile.n1
     if profile.kind == "uniform":
         return np.full(k, n1, dtype=np.int64)
-    if profile.kind == "step":
-        head = math.ceil(k / 2)
-        tail_count = max(1, math.floor(n1 / g + 1e-9))
-        return np.array([n1] * head + [tail_count] * (k - head), dtype=np.int64)
     decay = np.array(
         [max(1, math.floor(n1 * g ** (-i / (k - 1)) + 1e-9)) for i in range(k)],
         dtype=np.int64,

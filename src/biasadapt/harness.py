@@ -60,8 +60,8 @@ from .numcore import check_seed, child_seeds, make_rng
 from .pseudo import PseudoBatch, assign_pseudo_labels
 
 OUT_ROOT_ENV = "BIASADAPT_OUT"
-# what run_train writes into its out_dir, besides the ckpt_*.npz checkpoints
-RUN_ARTIFACTS = ("trace.csv", "metrics.json", "config.yaml")
+# what run_train writes into its out_dir
+RUN_ARTIFACTS = ("trace.csv", "metrics.json", "config.yaml", "ckpt_final.npz")
 
 
 @dataclass
@@ -81,7 +81,6 @@ class DataConfig:
 class EvalConfig:
     interval: int = 100
     last_e: int = 20
-    ckpt_interval: int = 0
     out_dir: str = "runs/run"
 
 
@@ -108,7 +107,7 @@ class ExperimentConfig:
             check_mixture(dc.num_classes, dc.dim, dc.class_separation, "data.")
             if dc.test_per_class < 1:
                 raise ValueError(f"data.test_per_class: expected >= 1, got {dc.test_per_class!r}")
-        for name in ("interval", "last_e", "ckpt_interval"):
+        for name in ("interval", "last_e"):
             value = getattr(self.eval, name)
             if value < 0:
                 raise ValueError(f"eval.{name}: expected >= 0, got {value!r}")
@@ -271,9 +270,7 @@ def final_pseudo_recall(config: TrainConfig, state, d_u: Dataset | None):
     if d_u is None or len(d_u) == 0:
         return None
     logits = pseudo_label_logits(d_u.features, state, config)
-    y_hat, lam = assign_pseudo_labels(
-        logits, config.tau, config.lambda_u, config.pseudo_mode, config.sharpen_temperature
-    )
+    y_hat, lam = assign_pseudo_labels(logits, config.tau, config.lambda_u, config.pseudo_mode)
     return pseudo_label_recall(d_u.true_labels, y_hat, lam)
 
 
@@ -304,23 +301,15 @@ def run_train(config: ExperimentConfig, force: bool = False) -> dict:
         # beside its own trace; files run_train does not write are kept
         for name in RUN_ARTIFACTS:
             (out_dir / name).unlink(missing_ok=True)
-        for ckpt in out_dir.glob("ckpt_*.npz"):
-            ckpt.unlink()
     reports: list[tuple[int, MetricsReport]] = []
 
-    interval, ckpt_interval = config.eval.interval, config.eval.ckpt_interval
-
-    def hook(iteration, state):  # every gcd(interval, ckpt_interval) iterations
-        if interval > 0 and iteration % interval == 0:
-            reports.append((iteration, evaluate(state, d_test, use_ema=True, distribution=False)))
-        if ckpt_interval > 0 and iteration % ckpt_interval == 0:
-            save_checkpoint(out_dir / f"ckpt_{iteration:07d}.npz", state)
+    def hook(iteration, state):  # every eval.interval iterations
+        reports.append((iteration, evaluate(state, d_test, use_ema=True, distribution=False)))
 
     trace_path = out_dir / "trace.csv"
     try:
         state, traces = train(
-            config.train, d_l, d_u, eval_hook=hook,
-            eval_interval=math.gcd(interval, ckpt_interval),
+            config.train, d_l, d_u, eval_hook=hook, eval_interval=config.eval.interval
         )
     except TrainingDiverged as exc:
         # the iterations before the blow-up explain it; no metrics.json

@@ -2,7 +2,7 @@
 
 An extractor MLP (ReLU hidden layers, linear output) feeds a linear
 classifier. During training a small residual head ("bias attractor", one
-hidden ReLU layer) reads the normalized classifier scores through a
+hidden ReLU layer) reads the softmax of the classifier scores through a
 stop-gradient and adds a correction to the logits; at evaluation time the
 head is dropped entirely. EMA shadows of extractor and classifier exist for
 evaluation only.
@@ -19,9 +19,9 @@ import numpy as np
 
 from .numcore import make_rng, softmax
 
-NORM_MODES = ("softmax_input", "l2_input")
-
 CHECKPOINT_VERSION = 1
+# the head's input, recorded in every checkpoint's metadata
+CHECKPOINT_NORM = "softmax_input"
 
 # rows per extractor pass when scoring a whole dataset (forward_features);
 # training batches are smaller and take one pass
@@ -32,10 +32,10 @@ Layer = tuple[np.ndarray, np.ndarray]  # (W: (fan_in, fan_out), b: (fan_out,))
 
 @dataclass
 class ModelState:
-    """Every parameter array and the head's input normalisation; the four
-    *_arrays methods state the layout that copying, the EMA, the SGD steps,
-    the oracles, the checkpoint format and every gradient list follow;
-    head_layers() lays the head out as theta, for the extractor's kernels."""
+    """Every parameter array and the step count; the four *_arrays methods
+    state the layout that copying, the EMA, the SGD steps, the oracles, the
+    checkpoint format and every gradient list follow; head_layers() lays the
+    head out as theta, for the extractor's kernels."""
 
     theta: list[Layer]
     phi_w: np.ndarray
@@ -44,7 +44,6 @@ class ModelState:
     omega_b1: np.ndarray
     omega_w2: np.ndarray
     omega_b2: np.ndarray
-    norm: str  # the head's input normalisation, one of NORM_MODES
     ema_theta: list[Layer] = field(default_factory=list)
     ema_phi_w: np.ndarray | None = None
     ema_phi_b: np.ndarray | None = None
@@ -96,13 +95,13 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def init_model(
-    dims, num_classes: int, attractor_hidden: int, rng: np.random.Generator, norm: str
+    dims, num_classes: int, attractor_hidden: int, rng: np.random.Generator
 ) -> ModelState:
-    """Build a fresh model whose head reads its input under `norm`. dims
-    lists the extractor layer widths, input first and feature dim last (so
-    len(dims) >= 2). Extractor, classifier and attractor hidden weights get
-    scaled-uniform init with zero biases; the attractor OUTPUT layer starts
-    at exactly zero, so the residual correction is the identity at step 0.
+    """Build a fresh model. dims lists the extractor layer widths, input
+    first and feature dim last (so len(dims) >= 2). Extractor, classifier and
+    attractor hidden weights get scaled-uniform init with zero biases; the
+    attractor OUTPUT layer starts at exactly zero, so the residual correction
+    is the identity at step 0.
     """
     dims = [int(d) for d in dims]
     if len(dims) < 2 or min(dims) < 1:
@@ -121,7 +120,7 @@ def init_model(
     omega_w2 = np.zeros((attractor_hidden, num_classes))
     omega_b2 = np.zeros(num_classes)
     ema = copy.deepcopy((theta, phi_w, phi_b))
-    return ModelState(theta, phi_w, phi_b, omega_w1, omega_b1, omega_w2, omega_b2, norm, *ema)
+    return ModelState(theta, phi_w, phi_b, omega_w1, omega_b1, omega_w2, omega_b2, *ema)
 
 
 def copy_state(state: ModelState) -> ModelState:
@@ -185,17 +184,6 @@ def classifier_scores(z: np.ndarray, phi_w: np.ndarray, phi_b: np.ndarray) -> np
     return s
 
 
-def normalize_scores(s: np.ndarray, norm: str) -> np.ndarray:
-    """Attractor input: softmax of the scores or their L2-normalized value.
-    Callers must treat the result as a constant (stop-gradient); a zero score
-    row under l2_input maps to the zero vector. TrainConfig.validate and
-    load_checkpoint refuse a norm outside NORM_MODES."""
-    if norm == "softmax_input":
-        return softmax(s)
-    norms = np.linalg.norm(s, axis=1, keepdims=True)
-    return np.where(norms > 0.0, s / np.where(norms > 0.0, norms, 1.0), 0.0)
-
-
 def attractor_backward(state: ModelState, u: np.ndarray, a: np.ndarray, d_delta: np.ndarray):
     """Gradient of a scalar (whose dL/ddelta is d_delta) w.r.t. the four
     attractor arrays, in omega_arrays() order, given the head's layer inputs:
@@ -217,12 +205,12 @@ class TrainForwardCache:
 
 def forward_train(x: np.ndarray, state: ModelState) -> tuple[np.ndarray, TrainForwardCache]:
     """Training-path logits: classifier scores plus the residual attractor
-    correction computed from the stop-gradient scores, normalized under
-    state.norm. The logits and every cached array are fresh; x is never
+    correction computed from the softmax of the scores, a stop-gradient
+    constant. The logits and every cached array are fresh; x is never
     written."""
     z, feat_cache = features_with_cache(x, state.theta)
     logits = classifier_scores(z, state.phi_w, state.phi_b)
-    u = normalize_scores(logits, state.norm)
+    u = softmax(logits)
     delta, (_, a) = features_with_cache(u, state.head_layers())
     logits += delta
     return logits, TrainForwardCache(z, feat_cache, u, a)
@@ -251,13 +239,13 @@ def ema_update(state: ModelState, decay: float) -> ModelState:
 
 def save_checkpoint(path, state: ModelState) -> None:
     """Versioned npz checkpoint of every parameter array plus dims and the
-    attractor norm mode; round-trips bit-exactly."""
+    head's input (CHECKPOINT_NORM); round-trips bit-exactly."""
     meta = {
         "version": CHECKPOINT_VERSION,
         "extractor_dims": state.extractor_dims(),
         "num_classes": state.num_classes,
         "attractor_hidden": state.attractor_hidden,
-        "norm": state.norm,
+        "norm": CHECKPOINT_NORM,
         "step_count": state.step_count,
         "num_theta_layers": len(state.theta),
     }
@@ -269,7 +257,7 @@ def load_checkpoint(path) -> ModelState:
     """Inverse of save_checkpoint: a model of the metadata's shapes (extractor
     dims, num_classes, attractor_hidden) with each named array copied into
     its slot. Raises naming the file when the archive has no metadata or the
-    metadata is unreadable, lacks a key or names an unknown attractor norm,
+    metadata is unreadable, lacks a key or names another head input,
     and naming the array when one is missing, its shape disagrees with the
     metadata or it holds a non-finite value (the scoring kernels do not scan
     for one)."""
@@ -288,14 +276,16 @@ def load_checkpoint(path) -> ModelState:
             raise ValueError(f"{path}: unreadable checkpoint meta: {exc}") from None
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        if norm not in NORM_MODES:
-            raise ValueError(f"{path}: unknown attractor norm {norm!r} in checkpoint meta")
+        if norm != CHECKPOINT_NORM:
+            raise ValueError(
+                f"{path}: attractor norm {norm!r} in checkpoint meta, expected {CHECKPOINT_NORM!r}"
+            )
         if n_layers != len(dims) - 1:
             raise ValueError(
                 f"{path}: num_theta_layers {n_layers} does not match extractor_dims {dims}"
             )
         try:
-            state = init_model(dims, k, hidden, make_rng(0), norm)
+            state = init_model(dims, k, hidden, make_rng(0))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         for name, slot in state.named_arrays().items():

@@ -10,6 +10,9 @@ import numpy as np
 from .data import one_hot
 from .numcore import log_softmax, softmax
 
+# the sharpening temperature of MixMatch (arXiv 1905.02249)
+SHARPEN_TEMPERATURE = 0.5
+
 
 @dataclass
 class PseudoBatch:
@@ -42,25 +45,20 @@ def augment(
 
 
 def assign_pseudo_labels(
-    logits_weak: np.ndarray,
-    tau: float,
-    lambda_u: float,
-    mode: str = "hard",
-    temperature: float = 0.5,
+    logits_weak: np.ndarray, tau: float, lambda_u: float, mode: str = "hard"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Targets and confidence-mask weights from weak-view logits.
 
     hard: one-hot argmax (ties toward the lowest class index). sharpen:
-    p^(1/T) renormalized per row, computed as softmax(log p / T), whose
-    largest entry is exp(0), so a row whose every p^(1/T) underflows still
-    sums to 1. Either way lam[i] = lambda_u when max p[i] >= tau, else 0.
-    TrainConfig.validate has checked tau, mode and (under sharpen)
-    temperature.
+    p^(1/T) renormalized per row, T = SHARPEN_TEMPERATURE, computed as
+    softmax(log p / T), whose largest entry is exp(0), so a row whose every
+    p^(1/T) underflows still sums to 1. Either way lam[i] = lambda_u when
+    max p[i] >= tau, else 0. TrainConfig.validate has checked tau and mode.
     """
     p = softmax(logits_weak)
     lam = np.where(p.max(axis=1) >= tau, float(lambda_u), 0.0)
     if mode == "hard":
         y_hat = one_hot(p.argmax(axis=1), p.shape[1])
     else:
-        y_hat = softmax(log_softmax(logits_weak) / temperature)
+        y_hat = softmax(log_softmax(logits_weak) / SHARPEN_TEMPERATURE)
     return y_hat, lam

@@ -66,7 +66,6 @@ def check_hypergrad_oracle(rng, trials: int = 100) -> Check:
             attractor_hidden=int(rng.integers(1, 5)),
             n_labeled=int(rng.integers(1, 7)),
             n_unlabeled=int(rng.integers(0, 7)),
-            norm="softmax_input" if rng.random() < 0.5 else "l2_input",
         )
         a = flatten_arrays(unrolled_hypergrad(problem))
         b = flatten_arrays(omega_grad_closed_form(problem))

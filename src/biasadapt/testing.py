@@ -112,24 +112,18 @@ def _randomize_attractor(state: ModelState, rng: np.random.Generator) -> None:
 
 def _kink_clearance(problem: SmallProblem) -> float:
     """Smallest |preactivation| across extractor hidden layers (all inputs)
-    and the attractor hidden layer."""
+    and the attractor hidden layer, each recomputed from forward_train's
+    layer inputs."""
     worst = np.inf
     state = problem.state
     xs = [problem.x_l, problem.bal_x]
     if problem.pseudo is not None:
         xs.append(problem.pseudo.x_strong)
     for x in xs:
-        h = x
-        for li, (w, b) in enumerate(state.theta):
-            pre = h @ w + b
-            if li < len(state.theta) - 1:
-                worst = min(worst, float(np.min(np.abs(pre))))
-                h = np.maximum(pre, 0.0)
-            else:
-                h = pre
         _, cache = forward_train(x, state)
-        pre = cache.u @ state.omega_w1 + state.omega_b1
-        worst = min(worst, float(np.min(np.abs(pre))))
+        hidden = [*zip(cache.feat_cache, state.theta[:-1]), (cache.u, state.head_layers()[0])]
+        for h, (w, b) in hidden:
+            worst = min(worst, float(np.min(np.abs(h @ w + b))))
     return worst
 
 
@@ -142,15 +136,12 @@ def make_small_problem(
     attractor_hidden: int = 4,
     n_labeled: int = 4,
     n_unlabeled: int = 4,
-    norm: str = "softmax_input",
     alpha: float = 0.05,
     mask_some: bool = True,
     max_tries: int = 200,
 ) -> SmallProblem:
     for _ in range(max_tries):
-        state = init_model(
-            [input_dim, *hidden, feature_dim], num_classes, attractor_hidden, rng, norm
-        )
+        state = init_model([input_dim, *hidden, feature_dim], num_classes, attractor_hidden, rng)
         for _, b in state.theta:
             b += 0.1 * rng.standard_normal(b.shape)
         _randomize_attractor(state, rng)

@@ -9,7 +9,6 @@ eta <= 3), so no draw can diverge within 5 iterations: a TrainingDiverged or
 a RuntimeWarning fails the test.
 """
 
-import copy
 import json
 import tempfile
 import warnings
@@ -17,23 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
-from hypothesis import event, example, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from biasadapt.bilevel import MODES, TRACE_DTYPE
 from biasadapt.data import PROFILE_KINDS
 from biasadapt.harness import config_from_dict, run_train
-from biasadapt.model import NORM_MODES
-
-ROOT = Path(__file__).resolve().parent.parent
-EXAMPLE = yaml.safe_load((ROOT / "configs" / "example.yaml").read_text())
-# a temperature at which every p^(1/T) of a 6-class row underflows
-SHARPEN_UNDERFLOW = copy.deepcopy(EXAMPLE)
-SHARPEN_UNDERFLOW["train"].update(pseudo_mode="sharpen", sharpen_temperature=0.002, iters=5)
-# the same labeler scoring the unlabeled set once, after training without it
-SHARPEN_UNDERFLOW_NO_BATCH = copy.deepcopy(SHARPEN_UNDERFLOW)
-SHARPEN_UNDERFLOW_NO_BATCH["train"]["batch_m"] = 0
 
 WIDTHS = st.integers(1, 4)
 # (section, key, a value validate refuses, how its message starts): one
@@ -42,7 +30,6 @@ BREAKS = [
     ("", "seed", -1, "seed"),
     ("train", "mode", "bogus", "unknown mode"),
     ("train", "pseudo_source", "bogus", "unknown pseudo_source"),
-    ("train", "attractor_norm", "bogus", "unknown attractor_norm"),
     ("train", "alpha", 0.0, "alpha"),
     ("train", "eta", 0.0, "eta"),
     ("train", "lambda_u", -0.5, "lambda_u"),
@@ -89,12 +76,8 @@ def payloads(draw) -> tuple[dict, str | None]:
             "mode": draw(st.sampled_from(MODES)),
             "pseudo_mode": draw(st.sampled_from(["hard", "sharpen"])),
             "pseudo_source": draw(st.sampled_from(["plain", "biased"])),
-            "attractor_norm": draw(st.sampled_from(NORM_MODES)),
             "alpha": draw(st.floats(0.0, 0.1, exclude_min=True)),
             "eta": draw(st.floats(0.0, 3.0, exclude_min=True)),
-            # 0.001: every p^(1/T) of a row whose top probability is under
-            # exp(-0.745) underflows
-            "sharpen_temperature": draw(st.just(0.001) | st.floats(0.001, 2.0)),
             "tau": draw(st.floats(0.0, 1.0)),
             "lambda_u": draw(st.floats(0.0, 2.0)),
             "ema_decay": draw(st.floats(0.0, 1.0)),
@@ -111,7 +94,6 @@ def payloads(draw) -> tuple[dict, str | None]:
         "eval": {
             "interval": draw(st.integers(0, 3)),
             "last_e": draw(st.integers(0, 3)),
-            "ckpt_interval": draw(st.integers(0, 3)),
         },
     }
     broken = draw(st.none() | st.sampled_from(BREAKS))
@@ -128,8 +110,6 @@ def _refuse_constant(token: str):
 
 @settings(max_examples=150, deadline=None)
 @given(drawn=payloads())
-@example(drawn=(SHARPEN_UNDERFLOW, None))
-@example(drawn=(SHARPEN_UNDERFLOW_NO_BATCH, None))
 def test_every_accepted_config_trains_to_finite_artifacts(drawn):
     payload, refusal = drawn
     if refusal is not None:

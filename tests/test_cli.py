@@ -148,7 +148,7 @@ class TestConfig:
         assert config.train.alpha == 0.05
         assert type(config.train.iters) is int
 
-    @pytest.mark.parametrize("key", ["interval", "last_e", "ckpt_interval"])
+    @pytest.mark.parametrize("key", ["interval", "last_e"])
     def test_negative_eval_values_rejected_with_their_key(self, tmp_path, key):
         payload = tiny_config_dict(tmp_path)
         payload["eval"][key] = -2
@@ -166,6 +166,8 @@ class TestConfig:
             (("labeled_profile", "kind"), "foo",
              r"data\.labeled_profile\.kind: expected one of \(.*\), got 'foo'"),
             (("labeled_profile", "n1"), 0, r"data\.labeled_profile\.n1: expected >= 1, got 0"),
+            (("labeled_profile", "kind"), "step",
+             r"data\.labeled_profile\.kind: expected one of \(.*\), got 'step'"),
         ],
     )
     def test_bad_synthetic_data_rejected_with_its_key(self, tmp_path, path, value, message):
@@ -179,7 +181,7 @@ class TestConfig:
 
     def test_a_payload_shares_no_mapping_with_tiny_data(self, tmp_path):
         before = copy.deepcopy(TINY_DATA)
-        tiny_config_dict(tmp_path)["data"]["labeled_profile"]["kind"] = "step"
+        tiny_config_dict(tmp_path)["data"]["labeled_profile"]["kind"] = "uniform"
         assert TINY_DATA == before
 
     def test_bad_mode_rejected(self, tmp_path):
@@ -250,14 +252,12 @@ class TestTrainCommand:
 
     def test_forced_rerun_that_diverges_leaves_no_stale_artifacts(self, tmp_path, capsys):
         payload = tiny_config_dict(tmp_path / "run", iters=20)
-        payload["eval"]["ckpt_interval"] = 10
         cfg = tmp_path / "config.yaml"
         cfg.write_text(yaml.safe_dump(payload))
         assert main(["train", "--config", str(cfg)]) == 0
         run = tmp_path / "run"
         (run / "notes.txt").write_text("kept\n")
-        assert {"metrics.json", "ckpt_final.npz", "ckpt_0000010.npz"} <= set(
-            p.name for p in run.iterdir())
+        assert {"metrics.json", "ckpt_final.npz"} <= set(p.name for p in run.iterdir())
         payload["train"]["alpha"] = 1e6
         cfg.write_text(yaml.safe_dump(payload))
         assert main(["train", "--config", str(cfg), "--force"]) == 2
@@ -348,11 +348,18 @@ class TestTrainCommand:
              "unknown config key(s) ['c1', 'c2', 'schedule'] under train"),
             # single_level adds the balanced loss unweighted
             ("train", {"lambda_bal": 1.0}, "unknown config key(s) ['lambda_bal'] under train"),
+            # the head reads the softmax of the scores, sharpening uses
+            # T = 0.5, and the one checkpoint is ckpt_final.npz
+            ("train", {"attractor_norm": "l2_input"},
+             "unknown config key(s) ['attractor_norm'] under train"),
+            ("train", {"pseudo_mode": "sharpen", "sharpen_temperature": 0.5},
+             "unknown config key(s) ['sharpen_temperature'] under train"),
+            ("eval", {"ckpt_interval": 10}, "unknown config key(s) ['ckpt_interval'] under eval"),
         ],
         ids=["balanced_n", "empty_class", "test_per_class=0", "test_per_class=-3",
              "test_csv_alone", "unlabeled_csv_alone", "test_csv_with_test_per_class=0",
              "lower_optimizer=sgd", "lower_optimizer=adam", "log_timings", "schedule",
-             "lambda_bal"],
+             "lambda_bal", "attractor_norm", "sharpen_temperature", "ckpt_interval"],
     )
     def test_input_error_stops_before_the_out_dir(self, tmp_path, capsys, section, edit, message):
         # a forced rerun keeps every file of the previous run, and a fresh
@@ -399,10 +406,6 @@ class TestTrainCommand:
     @pytest.mark.parametrize(
         "overrides,message",
         [
-            ({"attractor_norm": "bogus"}, "unknown attractor_norm 'bogus'"),
-            ({"attractor_norm": "l2ac"}, "unknown attractor_norm 'l2ac'"),
-            ({"pseudo_mode": "sharpen", "sharpen_temperature": 0},
-             "sharpen_temperature must be > 0, got 0.0"),
             ({"alpha": float("nan")}, "train.alpha: expected float, got nan"),
             ({"eta": float("inf")}, "train.eta: expected float, got inf"),
             ({"feature_dim": 0}, "feature_dim must be >= 1, got 0"),
@@ -413,9 +416,8 @@ class TestTrainCommand:
     def test_unrunnable_norm_or_temperature_rejected_before_any_artifact(
         self, tmp_path, capsys, overrides, message
     ):
-        # baseline never reads the norm, the temperature is first read at
-        # iteration 1 and the widths in init_model: all must fail at
-        # validation, before the run starts
+        # baseline never reads eta, and the widths are first read in
+        # init_model: all must fail at validation, before the run starts
         cfg = write_config(tmp_path, **overrides)
         assert main(["train", "--config", str(cfg), "--mode", "baseline"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -490,27 +492,6 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 0
         assert (tmp_path / "root" / "rel" / "run" / "metrics.json").exists()
 
-    def test_interval_checkpoints(self, tmp_path):
-        payload = tiny_config_dict(tmp_path / "run")
-        payload["eval"]["ckpt_interval"] = 10
-        cfg = tmp_path / "config.yaml"
-        cfg.write_text(yaml.safe_dump(payload))
-        assert main(["train", "--config", str(cfg)]) == 0
-        ckpts = sorted((tmp_path / "run").glob("ckpt_0*.npz"))
-        assert len(ckpts) == 3  # iterations 10, 20, 30
-
-    @pytest.mark.parametrize("interval,ckpt_interval,evaluated,saved",
-                             [(2, 3, [2, 4, 6], [3, 6]), (0, 2, [], [2, 4, 6])])
-    def test_checkpoints_follow_ckpt_interval_alone(
-        self, tmp_path, interval, ckpt_interval, evaluated, saved
-    ):
-        payload = tiny_config_dict(tmp_path / "run", iters=6)
-        payload["eval"].update(interval=interval, ckpt_interval=ckpt_interval)
-        result = harness.run_train(config_from_dict(payload))
-        assert [h["iter"] for h in result["history"]] == evaluated
-        assert sorted(p.name for p in (tmp_path / "run").glob("ckpt_0*.npz")) == [
-            f"ckpt_{it:07d}.npz" for it in saved]
-
     def test_a_run_without_evaluations_prints_its_final_scores(self, tmp_path, capsys):
         payload = tiny_config_dict(tmp_path / "run", iters=6)
         payload["eval"]["interval"] = 0
@@ -553,6 +534,14 @@ class TestGenData:
         assert main(args) == 0
         assert main(args) == 2
         assert main(args + ["--force"]) == 0
+
+    def test_step_kind_is_not_offered(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        with pytest.raises(SystemExit) as info:
+            main(["gen-data", "--kind", "step", "--n1", "50", "--classes", "3", "--out", str(out)])
+        assert info.value.code == 2
+        assert "argument --kind: invalid choice: 'step'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -648,7 +637,7 @@ class TestEvalCommand:
         from biasadapt.data import Dataset, save_csv_dataset
 
         ckpt = tmp_path / "model.npz"
-        save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0), "softmax_input"))
+        save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0)))
         labels = np.arange(8) % 4
         observed = np.where(np.arange(8) == 5, -1, labels)
         test_csv = tmp_path / "test.csv"
@@ -665,7 +654,7 @@ class TestEvalCommand:
         from biasadapt.data import Dataset, save_csv_dataset
 
         ckpt = tmp_path / "model.npz"
-        save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0), "softmax_input"))
+        save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0)))
         labels = np.array([0, 2, 3, 0, 2, 3])
         test_csv = tmp_path / "test.csv"
         save_csv_dataset(Dataset(make_rng(1).standard_normal((6, 5)), labels, labels, 4), test_csv)
@@ -676,10 +665,15 @@ class TestEvalCommand:
 
     def test_eval_rejects_a_checkpoint_with_an_unknown_norm(self, tmp_path, capsys):
         ckpt = tmp_path / "bogus.npz"
-        save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0), "bogus"))
+        save_checkpoint(ckpt, init_model([5, 8, 4], 4, 8, make_rng(0)))
+        with np.load(ckpt) as z:
+            arrays = dict(z)
+        meta = {**json.loads(bytes(arrays["meta"]).decode()), "norm": "bogus"}
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(ckpt, **arrays)
         assert main(["eval", "--ckpt", str(ckpt), "--test", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {ckpt}: unknown attractor norm 'bogus' in checkpoint meta\n"
+            f"error: {ckpt}: attractor norm 'bogus' in checkpoint meta, expected 'softmax_input'\n"
         )
 
     def test_eval_rejects_a_one_class_checkpoint(self, tmp_path, capsys):
@@ -688,7 +682,7 @@ class TestEvalCommand:
         from biasadapt.model import load_checkpoint
 
         ckpt = tmp_path / "one_class.npz"
-        save_checkpoint(ckpt, init_model([5, 8, 4], 2, 8, make_rng(0), "softmax_input"))
+        save_checkpoint(ckpt, init_model([5, 8, 4], 2, 8, make_rng(0)))
         with np.load(ckpt) as z:
             arrays = dict(z)
         for name in ("phi_w", "ema_phi_w", "omega_w2"):

@@ -45,12 +45,6 @@ class TestClassCounts:
         rev = class_counts(ImbalanceProfile("reversed_longtail", 20.0, 100), 6)
         assert rev.tolist() == lt.tolist()[::-1]
 
-    def test_step_profile(self):
-        counts = class_counts(ImbalanceProfile("step", 10.0, 100), 10)
-        assert counts.tolist() == [100] * 5 + [10] * 5
-        odd = class_counts(ImbalanceProfile("step", 10.0, 100), 5)
-        assert odd.tolist() == [100] * 3 + [10] * 2
-
     def test_one_class_rejected(self):
         with pytest.raises(ValueError, match=r"^num_classes: expected >= 2, got 1$"):
             class_counts(ImbalanceProfile(), 1)

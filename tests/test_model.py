@@ -19,7 +19,6 @@ from biasadapt.model import (
     forward_train,
     init_model,
     load_checkpoint,
-    normalize_scores,
     save_checkpoint,
 )
 from biasadapt.numcore import make_rng
@@ -28,8 +27,8 @@ from biasadapt.testing import flatten_arrays, grad_check, make_small_problem, un
 
 class TestInit:
     def test_deterministic(self):
-        a = init_model([4, 8, 3], 5, 16, make_rng(3), "softmax_input")
-        b = init_model([4, 8, 3], 5, 16, make_rng(3), "softmax_input")
+        a = init_model([4, 8, 3], 5, 16, make_rng(3))
+        b = init_model([4, 8, 3], 5, 16, make_rng(3))
         assert np.array_equal(a.phi_w, b.phi_w)
         assert all(np.array_equal(x[0], y[0]) for x, y in zip(a.theta, b.theta))
 
@@ -40,24 +39,24 @@ class TestInit:
 
         assert TrainConfig().attractor_hidden == 256
         sig = inspect.signature(init_model)
-        state = init_model([4, 3], 4, 256, make_rng(0), "softmax_input")
+        state = init_model([4, 3], 4, 256, make_rng(0))
         assert state.attractor_hidden == 256
         assert sig is not None
 
     def test_attractor_output_layer_zero(self):
-        state = init_model([4, 8, 3], 5, 16, make_rng(1), "softmax_input")
+        state = init_model([4, 8, 3], 5, 16, make_rng(1))
         assert np.all(state.omega_w2 == 0.0)
         assert np.all(state.omega_b2 == 0.0)
 
     def test_train_equals_eval_at_init(self):
-        state = init_model([4, 8, 3], 5, 16, make_rng(2), "softmax_input")
+        state = init_model([4, 8, 3], 5, 16, make_rng(2))
         x = make_rng(5).standard_normal((7, 4))
         logits_train, _ = forward_train(x, state)
         logits_eval = forward_eval(x, state)
         assert np.max(np.abs(logits_train - logits_eval)) < 1e-12
 
     def test_ema_shadows_start_as_copies(self):
-        state = init_model([4, 3], 2, 4, make_rng(4), "softmax_input")
+        state = init_model([4, 3], 2, 4, make_rng(4))
         assert np.array_equal(state.ema_phi_w, state.phi_w)
         assert state.ema_phi_w is not state.phi_w
 
@@ -74,18 +73,18 @@ class TestInit:
     def test_refusal_names_the_value(self, dims, classes, hidden, message):
         # the entry check the softmax kernels and the extractor pass rely on
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            init_model(dims, classes, hidden, make_rng(0), "softmax_input")
+            init_model(dims, classes, hidden, make_rng(0))
 
 
 class TestForwardFeatures:
     def test_identity_single_layer(self):
-        state = init_model([3, 3], 2, 4, make_rng(0), "softmax_input")
+        state = init_model([3, 3], 2, 4, make_rng(0))
         state.theta[0] = (np.eye(3), np.zeros(3))
         x = make_rng(1).standard_normal((5, 3))
         assert np.array_equal(forward_features(x, state.theta), x)
 
     def test_zero_rows(self):
-        state = init_model([3, 4, 2], 2, 4, make_rng(0), "softmax_input")
+        state = init_model([3, 4, 2], 2, 4, make_rng(0))
         z = forward_features(np.zeros((0, 3)), state.theta)
         assert z.shape == (0, 2)
 
@@ -120,14 +119,9 @@ class TestForwardTrain:
         logits, _ = forward_train(x, state)
         assert np.array_equal(logits, forward_eval(x, state))
 
-    def test_l2_norm_zero_row(self):
-        u = normalize_scores(np.array([[0.0, 0.0], [3.0, 4.0]]), "l2_input")
-        assert np.array_equal(u[0], [0.0, 0.0])
-        np.testing.assert_allclose(u[1], [0.6, 0.8], rtol=1e-15)
-
     def test_hand_computed_tiny_instance(self):
         # d=2, K=2, H=2 with explicit scalar arithmetic
-        state = init_model([2, 2], 2, 2, make_rng(0), "softmax_input")
+        state = init_model([2, 2], 2, 2, make_rng(0))
         state.theta[0] = (np.eye(2), np.zeros(2))
         state.phi_w = np.array([[1.0, 0.0], [0.0, 1.0]])
         state.phi_b = np.array([0.5, -0.5])
@@ -166,7 +160,7 @@ class TestForwardEval:
         assert np.array_equal(before, forward_eval(x, mutated))
 
     def test_ema_right_after_init_matches_raw(self):
-        state = init_model([3, 4, 2], 3, 4, make_rng(6), "softmax_input")
+        state = init_model([3, 4, 2], 3, 4, make_rng(6))
         x = make_rng(7).standard_normal((4, 3))
         assert np.array_equal(forward_eval(x, state, use_ema=True), forward_eval(x, state))
 
@@ -176,20 +170,20 @@ class TestForwardEval:
 
 class TestEma:
     def test_decay_one_freezes_shadow(self):
-        state = init_model([3, 2], 2, 4, make_rng(8), "softmax_input")
+        state = init_model([3, 2], 2, 4, make_rng(8))
         shadow = state.ema_phi_w.copy()
         state.phi_w += 1.0
         ema_update(state, 1.0)
         assert np.array_equal(state.ema_phi_w, shadow)
 
     def test_decay_zero_copies_param(self):
-        state = init_model([3, 2], 2, 4, make_rng(9), "softmax_input")
+        state = init_model([3, 2], 2, 4, make_rng(9))
         state.phi_w += 2.0
         ema_update(state, 0.0)
         assert np.array_equal(state.ema_phi_w, state.phi_w)
 
     def test_geometric_recursion(self):
-        state = init_model([3, 2], 2, 4, make_rng(10), "softmax_input")
+        state = init_model([3, 2], 2, 4, make_rng(10))
         state.ema_phi_b[...] = 0.0
         state.phi_b[...] = 1.0
         ema_update(state, 0.999)
@@ -206,7 +200,7 @@ def _held_arrays(value):
 
 
 def test_named_arrays_hold_every_array_and_copies_share_none():
-    state = init_model([3, 4, 5, 2], 3, 6, make_rng(21), "softmax_input")
+    state = init_model([3, 4, 5, 2], 3, 6, make_rng(21))
     state.step_count = 5
     named = state.named_arrays()
     held = [a for f in dataclasses.fields(state) for a in _held_arrays(getattr(state, f.name))]
@@ -270,12 +264,9 @@ class TestCheckpoint:
         state = make_small_problem(make_rng(14), hidden=(3, 2)).state
         state.step_count = 17
         ema_update(state, 0.5)
-        state.norm = "l2_input"
         first, second = tmp_path / "first.npz", tmp_path / "second.npz"
         save_checkpoint(first, state)
-        back = load_checkpoint(first)
-        assert back.norm == "l2_input"
-        save_checkpoint(second, back)
+        save_checkpoint(second, load_checkpoint(first))
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("drop", ["meta", "norm", "num_classes"])
@@ -296,13 +287,11 @@ class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         problem = make_small_problem(make_rng(14))
         state = problem.state
-        state.norm = "l2_input"
         state.step_count = 17
         ema_update(state, 0.5)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, state)
         back = load_checkpoint(path)
-        assert back.norm == "l2_input"
         assert back.step_count == 17
         assert np.array_equal(back.phi_w, state.phi_w)
         assert np.array_equal(back.omega_w2, state.omega_w2)
@@ -328,6 +317,18 @@ class TestCheckpoint:
         np.savez(path, meta=np.frombuffer(blob, dtype=np.uint8))
         message = f"^{re.escape(str(path))}: unreadable checkpoint meta"
         with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    def test_a_head_input_other_than_softmax_is_refused(self, tmp_path):
+        # a checkpoint of a run whose head read L2-normalised scores
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, make_small_problem(make_rng(16)).state)
+        data = dict(np.load(path))
+        meta = {**json.loads(bytes(data["meta"]).decode()), "norm": "l2_input"}
+        data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **data)
+        message = f"{path}: attractor norm 'l2_input' in checkpoint meta, expected 'softmax_input'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
     def test_version_check(self, tmp_path):
@@ -402,7 +403,7 @@ def test_classifier_scores_affine():
 @pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
 def test_forward_passes_write_no_input_and_return_fresh_arrays(hidden):
     rng = make_rng(20)
-    state = init_model([3, *hidden, 4], 3, 6, rng, "softmax_input")
+    state = init_model([3, *hidden, 4], 3, 6, rng)
     x = rng.standard_normal((7, 3))
     x_before = x.copy()
     params_before = [a.copy() for pair in state.theta for a in pair]
@@ -444,7 +445,7 @@ def test_relu_output_gate_matches_preactivation_gate_bitwise():
 
 def test_forward_eval_holds_one_array_per_layer():
     rows, widths = 4096, (64, 32)
-    state = init_model([16, *widths], 10, 8, make_rng(22), "softmax_input")
+    state = init_model([16, *widths], 10, 8, make_rng(22))
     x = make_rng(23).standard_normal((rows, 16))
     forward_eval(x, state)  # warm up lazily allocated numpy/BLAS state
     tracemalloc.start()
@@ -462,7 +463,7 @@ def test_forward_eval_holds_one_array_per_layer():
 @pytest.mark.parametrize("width", [16, 32, 64])
 def test_blocked_features_match_one_whole_pass_bitwise(width):
     rows = SCORE_BLOCK_ROWS * 5 // 2
-    state = init_model([16, width, width], 10, 8, make_rng(24), "softmax_input")
+    state = init_model([16, width, width], 10, 8, make_rng(24))
     x = make_rng(25).standard_normal((rows, 16))
     whole, _ = features_with_cache(x, state.theta)
     z = forward_features(x, state.theta)
@@ -473,7 +474,7 @@ def test_blocked_features_match_one_whole_pass_bitwise(width):
                                          (SCORE_BLOCK_ROWS + 1, 2), (3 * SCORE_BLOCK_ROWS, 3)])
 def test_forward_features_passes_per_block(monkeypatch, rows, passes):
     # a batch of up to one block is one features_with_cache call on x itself
-    state = init_model([3, 5, 4], 2, 4, make_rng(26), "softmax_input")
+    state = init_model([3, 5, 4], 2, 4, make_rng(26))
     x = make_rng(27).standard_normal((rows, 3))
     seen = []
 

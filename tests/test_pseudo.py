@@ -1,5 +1,6 @@
 import numpy as np
 
+from biasadapt import pseudo
 from biasadapt.numcore import make_rng, softmax
 from biasadapt.pseudo import assign_pseudo_labels, augment
 
@@ -53,31 +54,38 @@ class TestAssignPseudoLabels:
         _, lam = assign_pseudo_labels(logits, tau=0.95, lambda_u=1.0)
         assert lam[0] == 0.0
 
-    def test_sharpen_t1_is_identity(self):
+    # the sharpening formula at other temperatures than the one runs use
+    def test_sharpen_t1_is_identity(self, monkeypatch):
+        monkeypatch.setattr(pseudo, "SHARPEN_TEMPERATURE", 1.0)
         rng = make_rng(6)
         logits = rng.standard_normal((5, 4))
-        y_hat, _ = assign_pseudo_labels(logits, 0.0, 1.0, mode="sharpen", temperature=1.0)
+        y_hat, _ = assign_pseudo_labels(logits, 0.0, 1.0, mode="sharpen")
         assert np.max(np.abs(y_hat - softmax(logits))) < 1e-12
 
-    def test_sharpen_low_temperature_approaches_onehot(self):
+    def test_sharpen_low_temperature_approaches_onehot(self, monkeypatch):
+        monkeypatch.setattr(pseudo, "SHARPEN_TEMPERATURE", 0.01)
         rng = make_rng(7)
         logits = rng.standard_normal((20, 5))
-        y_hat, _ = assign_pseudo_labels(logits, 0.0, 1.0, mode="sharpen", temperature=0.01)
+        y_hat, _ = assign_pseudo_labels(logits, 0.0, 1.0, mode="sharpen")
         assert np.all(y_hat.max(axis=1) >= 0.999)
         assert np.array_equal(y_hat.argmax(axis=1), logits.argmax(axis=1))
 
     def test_sharpen_rows_sum_to_one(self):
         logits = make_rng(8).uniform(-30, 30, size=(10, 6))
-        y_hat, _ = assign_pseudo_labels(logits, 0.0, 1.0, mode="sharpen", temperature=0.5)
+        y_hat, _ = assign_pseudo_labels(logits, 0.0, 1.0, mode="sharpen")
         assert np.all(np.abs(y_hat.sum(axis=1) - 1.0) < 1e-9)
+        p = softmax(logits)
+        expected = p**2 / (p**2).sum(axis=1, keepdims=True)  # T = 0.5
+        assert np.max(np.abs(y_hat - expected)) < 1e-12
 
-    def test_sharpen_rows_whose_powers_all_underflow_stay_finite(self):
+    def test_sharpen_rows_whose_powers_all_underflow_stay_finite(self, monkeypatch):
         # p^(1/T) underflows to 0 on every entry of a row whose top
         # probability is below exp(-745 T); such a row must still sum to 1
         temperature = 0.002
+        monkeypatch.setattr(pseudo, "SHARPEN_TEMPERATURE", temperature)
         logits = 0.1 * make_rng(9).standard_normal((8, 6))
         assert softmax(logits).max() < np.exp(-745.0 * temperature)
-        y_hat, _ = assign_pseudo_labels(logits, 0.0, 1.0, mode="sharpen", temperature=temperature)
+        y_hat, _ = assign_pseudo_labels(logits, 0.0, 1.0, mode="sharpen")
         assert np.isfinite(y_hat).all()
         assert np.all(np.abs(y_hat.sum(axis=1) - 1.0) < 1e-12)
         assert np.array_equal(y_hat.argmax(axis=1), logits.argmax(axis=1))

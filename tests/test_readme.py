@@ -85,7 +85,7 @@ def artifacts(tmp_path_factory) -> set[str]:
                  "labeled_profile": {"n1": 4}, "unlabeled_profile": {"n1": 4}},
         "train": {"iters": 2, "batch_n": 2, "batch_m": 2, "balanced_n": 2,
                   "extractor_hidden": [2], "feature_dim": 2, "attractor_hidden": 2},
-        "eval": {"interval": 1, "ckpt_interval": 2, "out_dir": str(out)},
+        "eval": {"interval": 1, "out_dir": str(out)},
     }))
     return {path.name for path in out.iterdir()}
 
